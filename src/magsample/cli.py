@@ -5,18 +5,23 @@ Subcommands: ``kernel``, ``signal``, ``compare``, ``optimize``, ``plan``,
 formats defined by the owning modules; plotting is left to external tools.
 
 Every output file gets a ``<out>.manifest.txt`` companion listing the
-subcommand, the fully resolved parameters, FNV-1a digests of the input
-files, the RNG seed when one applies, and the tool version, one sorted
-``key value`` pair per line.
+subcommand, the fully resolved parameters, sha256 digests of the input
+files (``digest.<name> sha256:<hex>``), the RNG seed when one applies, and
+the tool version, one sorted ``key value`` pair per line. Manifests written
+by earlier versions carry 64-bit FNV-1a digests (``fnv1a:<hex>``) instead.
 
-Exit codes: 0 on success; 2 for usage errors and malformed or missing
-inputs (everything that is a ``ValueError`` at heart); 1 for computation
-failures such as solver non-convergence.
+Exit codes: 0 on success; 2 for usage errors and unusable inputs
+(``ParameterError``, ``FormatError``, ``RangeError``, ``FeasibilityError``,
+and a missing, directory or unreadable file); 1 for computation failures
+(``DomainError``, ``DegenerateInputError``, ``ShapeError``, ``SolverError``
+and any other ``MagsampleError``). So not every ``ValueError`` exits 2:
+``DomainError``, ``DegenerateInputError`` and ``ShapeError`` exit 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
 from pathlib import Path
 
@@ -80,7 +85,11 @@ def _fmt(v) -> str:
 
 
 def fnv1a64(data: bytes) -> int:
-    """64-bit FNV-1a hash of a byte string."""
+    """64-bit FNV-1a hash of a byte string.
+
+    Computes the legacy ``fnv1a:`` digests found in manifests written
+    before they switched to sha256; new manifests no longer use it.
+    """
     h = 0xCBF29CE484222325
     for byte in data:
         h ^= byte
@@ -89,18 +98,25 @@ def fnv1a64(data: bytes) -> int:
 
 
 def _digest(path) -> str:
-    return f"fnv1a:{fnv1a64(Path(path).read_bytes()):016x}"
+    """``sha256:<hex>`` of a file, streamed in chunks rather than read whole."""
+    with open(path, "rb") as f:
+        return "sha256:" + hashlib.file_digest(f, "sha256").hexdigest()
 
 
-def _write_manifest(out_path, subcommand: str, params: dict, inputs: dict):
+def _write_manifest(out_path, subcommand: str, params: dict, inputs: dict, also_for=()):
+    """Write ``<out>.manifest.txt``, and the same bytes for each of ``also_for``.
+
+    Each input file is digested once, however many outputs share the manifest.
+    """
     entries = {"subcommand": subcommand, "version": __version__}
     for key, value in params.items():
         entries[key] = _fmt(value)
     for name, path in inputs.items():
         entries[f"digest.{name}"] = _digest(path)
     lines = [f"{k} {entries[k]}" for k in sorted(entries)]
-    manifest = Path(str(out_path) + ".manifest.txt")
-    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
+    text = "\n".join(lines) + "\n"
+    for out in (out_path, *also_for):
+        Path(str(out) + ".manifest.txt").write_text(text, encoding="utf-8", newline="")
 
 
 def _parse_range(text: str) -> MagRange:
@@ -194,8 +210,7 @@ def cmd_signal(args) -> int:
     inputs = {"dist": args.dist}
     if args.kernel_path:
         inputs["kernel"] = args.kernel_path
-    _write_manifest(args.out, "signal", params, inputs)
-    _write_manifest(summary_out, "signal", params, inputs)
+    _write_manifest(args.out, "signal", params, inputs, also_for=[summary_out])
     return 0
 
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import os
 import subprocess
 import sys
@@ -9,7 +10,19 @@ import pytest
 
 import magsample
 from magsample import SamplingDistribution, write_distribution, write_image_array
+from magsample import cli
 from magsample.cli import fnv1a64, main
+from magsample.errors import (
+    DegenerateInputError,
+    DomainError,
+    FeasibilityError,
+    FormatError,
+    MagsampleError,
+    ParameterError,
+    RangeError,
+    ShapeError,
+    SolverError,
+)
 from magsample.kernels import MagRange
 from magsample.rankme import EmbeddingSet, write_embeddings_binary
 
@@ -39,6 +52,16 @@ def workdir(tmp_path, monkeypatch):
 def _read_csv(path):
     with open(path, newline="") as f:
         return list(csv.reader(f))
+
+
+def _manifest(path):
+    lines = Path(str(path) + ".manifest.txt").read_text().splitlines()
+    return dict(line.split(" ", 1) for line in lines)
+
+
+def _sha256(path):
+    # one-shot oracle, independent of the CLI's streamed digest
+    return "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def test_fnv1a64_known_vectors():
@@ -78,8 +101,7 @@ def test_kernel_command_custom_table(workdir):
     (workdir / "table.csv").write_text("\n".join(lines) + "\n")
     assert main(["kernel", "--kernel", "custom:table.csv", "--grid", "101",
                  "--out", "curve.csv"]) == 0
-    manifest = (workdir / "curve.csv.manifest.txt").read_text()
-    assert "digest.kernel fnv1a:" in manifest
+    assert _manifest(workdir / "curve.csv")["digest.kernel"] == _sha256(workdir / "table.csv")
 
 
 def test_signal_command_du(workdir):
@@ -94,6 +116,28 @@ def test_signal_command_du(workdir):
     assert name == "du"
     assert float(mn) == pytest.approx(0.286, abs=0.01)
     assert float(total) == pytest.approx(0.560, abs=0.01)
+
+
+def test_signal_digests_each_input_once(workdir, monkeypatch):
+    (workdir / "table.csv").write_text(
+        "x,y,value\n0.25,0.25,1.0\n0.25,2.0,0.5\n2.0,0.25,0.5\n2.0,2.0,1.0\n"
+    )
+    digested = []
+    real_digest = cli._digest
+
+    def counting_digest(path):
+        digested.append(path)
+        return real_digest(path)
+
+    monkeypatch.setattr(cli, "_digest", counting_digest)
+    assert main(["signal", "--dist", "du.msdist", "--kernel", "custom:table.csv",
+                 "--grid", "50", "--out", "p.csv"]) == 0
+    assert sorted(digested) == ["du.msdist", "table.csv"]
+    profile = (workdir / "p.csv.manifest.txt").read_bytes()
+    assert (workdir / "p.summary.csv.manifest.txt").read_bytes() == profile
+    manifest = _manifest(workdir / "p.csv")
+    assert manifest["digest.dist"] == _sha256(workdir / "du.msdist")
+    assert manifest["digest.kernel"] == _sha256(workdir / "table.csv")
 
 
 def test_signal_command_cu(workdir):
@@ -184,7 +228,7 @@ def test_plan_manifest_records_seed(workdir):
                  "--out", "plan.csv"]) == 0
     manifest = (workdir / "plan.csv.manifest.txt").read_text()
     assert "seed 9" in manifest
-    assert "digest.dist fnv1a:" in manifest
+    assert _manifest(workdir / "plan.csv")["digest.dist"] == _sha256(workdir / "du.msdist")
 
 
 def test_rankme_and_similarity_commands(workdir):
@@ -202,6 +246,18 @@ def test_rankme_and_similarity_commands(workdir):
     rows = _read_csv(workdir / "sim.csv")
     assert len(rows) == 4
     assert float(rows[1][1]) == 1.0
+
+
+def test_rankme_manifest_digest_of_multi_chunk_input(workdir):
+    # larger than one read chunk, so the streamed digest must match the
+    # one-shot digest of the whole file
+    g = np.random.default_rng(8)
+    mpps = np.repeat([0.25, 0.5, 1.0], 1500)
+    vectors = g.standard_normal((mpps.size, 128))
+    write_embeddings_binary("big.mseb", EmbeddingSet(mpps=mpps, vectors=vectors))
+    assert (workdir / "big.mseb").stat().st_size > 2 * 1024 * 1024
+    assert main(["rankme", "--embeddings", "big.mseb", "--out", "r.csv"]) == 0
+    assert _manifest(workdir / "r.csv")["digest.embeddings"] == _sha256(workdir / "big.mseb")
 
 
 def test_rankme_csv_input(workdir):
@@ -247,6 +303,32 @@ def test_crop_apply_missing_index(workdir, capsys):
     assert main(["plan", "--dist", "a.msdist", "--n", "1", "--out", "plan.csv"]) == 0
     assert main(["crop-apply", "--image", "img.msim", "--plan", "plan.csv",
                  "--index", "5", "--out", "o.msim"]) == 2
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (ParameterError, 2),
+        (FormatError, 2),
+        (RangeError, 2),
+        (FeasibilityError, 2),
+        (FileNotFoundError, 2),
+        (IsADirectoryError, 2),
+        (PermissionError, 2),
+        (DomainError, 1),
+        (DegenerateInputError, 1),
+        (ShapeError, 1),
+        (SolverError, 1),
+        (MagsampleError, 1),
+    ],
+)
+def test_exit_code_of_each_error_class(workdir, monkeypatch, capsys, error, code):
+    def fail(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "cmd_kernel", fail)
+    assert main(["kernel", "--out", "x.csv"]) == code
+    assert "boom" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_2(workdir):
