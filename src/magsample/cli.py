@@ -282,8 +282,7 @@ def cmd_plan(args) -> int:
         output_size_px=args.patch_size,
         rng_seed=args.seed,
     )
-    entries = generate_plan(cfg, args.n)
-    write_plan_csv(entries, args.out)
+    write_plan_csv(generate_plan(cfg, args.n), args.out)
     _write_manifest(
         args.out,
         "plan",
@@ -336,11 +335,11 @@ def cmd_similarity(args) -> int:
 
 def cmd_crop_apply(args) -> int:
     image = read_image_array(args.image)
-    entries = read_plan_csv(args.plan)
-    matching = [e for e in entries if e.index == args.index]
-    if not matching:
+    plan = read_plan_csv(args.plan)
+    matching = np.flatnonzero(plan.index == args.index)
+    if not matching.size:
         raise ParameterError(f"plan has no entry with index {args.index}")
-    out = apply_crop(image, matching[0])
+    out = apply_crop(image, plan[matching[0]])
     write_image_array(args.out, np.asarray(out, dtype=np.float32))
     _write_manifest(
         args.out,

@@ -194,6 +194,11 @@ class SamplingDistribution:
         else:
             slopes = np.zeros(knots.size - 1)
         seg_mass = slopes * np.diff(knots)
+        # Knots are rounded positions, so on a narrow range far from 0 the
+        # masses can sum to 1 + a few 1e-12; rescale so the CDF ends at 1.
+        total = jumps.sum() + seg_mass.sum()
+        if abs(total - 1.0) > 1e-12:
+            jumps, slopes, seg_mass = jumps / total, slopes / total, seg_mass / total
         after = np.cumsum(jumps) + np.concatenate(([0.0], np.cumsum(seg_mass)))
         self._knots = knots
         self._slopes = slopes

@@ -10,6 +10,10 @@ Plans are reproducible byte for byte: entry ``i`` consumes the counter-based
 RNG at counters ``3i`` (target draw), ``3i + 1`` and ``3i + 2`` (crop
 offsets), so any subrange of a plan can be regenerated independently.
 
+A plan is held as columns (:class:`CropPlan`, one numpy structured array);
+its rows are :class:`CropPlanEntry` values. Plans are generated, written
+and read in bulk rather than row by row.
+
 File formats owned by this module:
 
 * plan CSV with header
@@ -21,9 +25,9 @@ File formats owned by this module:
 
 from __future__ import annotations
 
-import csv
 import math
 import struct
+import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -44,6 +48,10 @@ PLAN_CSV_FIELDS = (
     "output_size_px",
     "offset_x_frac",
     "offset_y_frac",
+)
+_INT_FIELDS = ("index", "source_size_px", "crop_size_px", "output_size_px")
+PLAN_DTYPE = np.dtype(
+    [(name, "<i8" if name in _INT_FIELDS else "<f8") for name in PLAN_CSV_FIELDS]
 )
 
 _IMAGE_MAGIC = b"MSIM"
@@ -66,7 +74,47 @@ class CropPlanEntry:
     output_size_px: int
     offset_x_frac: float
     offset_y_frac: float
-    seed: int  # RNG draw index that produced this entry (equals index)
+
+
+class CropPlan:
+    """A crop plan held as columns: one structured array of :data:`PLAN_DTYPE`.
+
+    ``len(plan)``; ``plan[i]`` and iteration give :class:`CropPlanEntry` rows,
+    ``plan[a:b]`` a sub-plan, and ``plan.<field>`` (``plan.index``,
+    ``plan.target_mpp``, ...) the column as an array view. Plans compare
+    equal when all their rows are equal.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: np.ndarray):
+        if rows.dtype != PLAN_DTYPE or rows.ndim != 1:
+            raise ParameterError("plan rows must be a 1-d array of dtype PLAN_DTYPE")
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return CropPlan(self.rows[key])
+        return CropPlanEntry(*self.rows[key].tolist())
+
+    def __iter__(self):
+        return (CropPlanEntry(*row) for row in self.rows.tolist())
+
+    def __getattr__(self, name):
+        if name in PLAN_CSV_FIELDS:
+            return self.rows[name]
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, CropPlan):
+            return NotImplemented
+        return bool(np.array_equal(self.rows, other.rows))
+
+    def __repr__(self) -> str:
+        return f"CropPlan({len(self)} rows)"
 
 
 @dataclass
@@ -136,21 +184,41 @@ def sample_targets(
     return dist.quantile(rng.uniform_at(counters))
 
 
-def _select_source(t: float, cfg: SamplerConfig) -> tuple[float, int]:
-    """Largest standard mpp <= t whose crop fits; smaller sources only grow
-    the crop, so only the largest candidate needs checking."""
-    std = cfg.standard_mpps
-    pos = int(np.searchsorted(std, t, side="right")) - 1
-    if pos < 0:
-        raise FeasibilityError(f"no standard mpp at or below target {t}")
-    s = std[pos]
-    crop = _round_half_up(cfg.output_size_px * t / s)
-    if crop > cfg.source_size_px:
+def _select_sources(targets: np.ndarray, cfg: SamplerConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Per target, the largest standard mpp <= t and its crop size; smaller
+    sources only grow the crop, so only the largest candidate needs checking."""
+    std = np.asarray(cfg.standard_mpps)
+    pos = np.searchsorted(std, targets, side="right") - 1
+    below = np.flatnonzero(pos < 0)
+    if below.size:
+        raise FeasibilityError(f"no standard mpp at or below target {targets[below[0]]}")
+    sources = std[pos]
+    crops = np.floor(cfg.output_size_px * targets / sources + 0.5).astype(np.int64)
+    over = np.flatnonzero(crops > cfg.source_size_px)
+    if over.size:
+        k = over[0]
         raise FeasibilityError(
-            f"target {t} needs a {crop}px crop from source mpp {s}, "
+            f"target {targets[k]} needs a {crops[k]}px crop from source mpp {sources[k]}, "
             f"larger than the {cfg.source_size_px}px source"
         )
-    return s, crop
+    return sources, crops
+
+
+def _plan(cfg: SamplerConfig, index: np.ndarray, targets: np.ndarray, rng: CounterRng) -> CropPlan:
+    """Plan entries ``index`` for their targets; entry i's offsets come from
+    counters 3i+1 and 3i+2."""
+    sources, crops = _select_sources(targets, cfg)
+    counters = 3 * index.astype(np.uint64)
+    rows = np.empty(len(index), PLAN_DTYPE)
+    rows["index"] = index
+    rows["target_mpp"] = targets
+    rows["source_mpp"] = sources
+    rows["source_size_px"] = cfg.source_size_px
+    rows["crop_size_px"] = crops
+    rows["output_size_px"] = cfg.output_size_px
+    rows["offset_x_frac"] = rng.uniform_at(counters + np.uint64(1))
+    rows["offset_y_frac"] = rng.uniform_at(counters + np.uint64(2))
+    return CropPlan(rows)
 
 
 def plan_crop(t: float, cfg: SamplerConfig, rng: CounterRng, index: int = 0) -> CropPlanEntry:
@@ -161,112 +229,119 @@ def plan_crop(t: float, cfg: SamplerConfig, rng: CounterRng, index: int = 0) -> 
             f"target {t} outside the distribution range "
             f"[{cfg.distribution.range.a}, {cfg.distribution.range.b}]"
         )
-    s, crop = _select_source(t, cfg)
-    return CropPlanEntry(
-        index=index,
-        target_mpp=t,
-        source_mpp=s,
-        source_size_px=cfg.source_size_px,
-        crop_size_px=crop,
-        output_size_px=cfg.output_size_px,
-        offset_x_frac=rng.uniform(3 * index + 1),
-        offset_y_frac=rng.uniform(3 * index + 2),
-        seed=index,
-    )
+    return _plan(cfg, np.array([index], dtype=np.int64), np.array([t]), rng)[0]
 
 
-def generate_plan(cfg: SamplerConfig, n: int) -> list[CropPlanEntry]:
+def generate_plan(cfg: SamplerConfig, n: int) -> CropPlan:
     """Draw ``n`` targets and plan their crops; pure function of (cfg, n)."""
     if n < 1:
         raise ParameterError(f"plan length must be >= 1, got {n}")
-    rng = CounterRng(cfg.rng_seed)
-    idx = np.arange(n, dtype=np.uint64)
-    targets = cfg.distribution.quantile(rng.uniform_at(3 * idx))
-    off_x = rng.uniform_at(3 * idx + np.uint64(1))
-    off_y = rng.uniform_at(3 * idx + np.uint64(2))
-    entries = []
-    for i in range(n):
-        t = float(targets[i])
-        s, crop = _select_source(t, cfg)
-        entries.append(
-            CropPlanEntry(
-                index=i,
-                target_mpp=t,
-                source_mpp=s,
-                source_size_px=cfg.source_size_px,
-                crop_size_px=crop,
-                output_size_px=cfg.output_size_px,
-                offset_x_frac=float(off_x[i]),
-                offset_y_frac=float(off_y[i]),
-                seed=i,
-            )
-        )
-    return entries
+    targets = sample_targets(cfg.distribution, cfg.rng_seed, n)
+    return _plan(cfg, np.arange(n, dtype=np.int64), targets, CounterRng(cfg.rng_seed))
 
 
 # -- plan CSV -----------------------------------------------------------------
 
-
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
-def format_plan_csv(entries: Sequence[CropPlanEntry]) -> str:
-    lines = [",".join(PLAN_CSV_FIELDS)]
-    for e in entries:
-        lines.append(
-            f"{e.index},{_fmt(e.target_mpp)},{_fmt(e.source_mpp)},"
-            f"{e.source_size_px},{e.crop_size_px},{e.output_size_px},"
-            f"{_fmt(e.offset_x_frac)},{_fmt(e.offset_y_frac)}"
-        )
-    return "\n".join(lines) + "\n"
+_CSV_HEADER = ",".join(PLAN_CSV_FIELDS) + "\n"
+_CSV_CHUNK_ROWS = 8192
 
 
-def write_plan_csv(entries: Sequence[CropPlanEntry], path):
+def _csv_chunks(plan: CropPlan):
+    """The CSV body, one block of rows at a time; each block ends in a newline.
+
+    Numbers are written with ``repr``, the shortest text that reads back to
+    the same value. ``source_mpp`` takes a few standard values, so each
+    distinct one is formatted once per block.
+    """
+    for start in range(0, len(plan), _CSV_CHUNK_ROWS):
+        rows = plan.rows[start : start + _CSV_CHUNK_ROWS]
+        columns = []
+        for name in PLAN_CSV_FIELDS:
+            if name == "source_mpp":
+                values, which = np.unique(rows[name], return_inverse=True)
+                text = list(map(repr, values.tolist()))
+                columns.append(map(text.__getitem__, which.tolist()))
+            else:
+                columns.append(map(repr, rows[name].tolist()))
+        yield "\n".join(map(",".join, zip(*columns))) + "\n"
+
+
+def format_plan_csv(plan: CropPlan) -> str:
+    return _CSV_HEADER + "".join(_csv_chunks(plan))
+
+
+def write_plan_csv(plan: CropPlan, path):
+    """Write the plan CSV block by block, so memory does not grow with the plan."""
     with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(format_plan_csv(entries))
+        f.write(_CSV_HEADER)
+        f.writelines(_csv_chunks(plan))
 
 
-def read_plan_csv(path) -> list[CropPlanEntry]:
-    entries = []
+def _parse_rows(lines) -> np.ndarray:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a plan with no rows is empty, not an error
+        return np.loadtxt(lines, delimiter=",", dtype=PLAN_DTYPE, comments=None, ndmin=1)
+
+
+def _positive_finite(x: np.ndarray) -> np.ndarray:
+    return (x > 0) & (x < np.inf)
+
+
+def _invalid_rows(rows: np.ndarray) -> np.ndarray:
+    """Mask of the rows that break the plan invariants."""
+    crop = rows["crop_size_px"]
+    ok = (
+        _positive_finite(rows["target_mpp"])
+        & _positive_finite(rows["source_mpp"])
+        & (rows["output_size_px"] >= 1)
+        & (crop >= 1)
+        & (crop <= rows["source_size_px"])
+    )
+    for name in ("offset_x_frac", "offset_y_frac"):
+        ok &= (rows[name] >= 0.0) & (rows[name] <= 1.0)
+    return ~ok
+
+
+def _first_bad_line(path) -> FormatError:
+    """The error for the first data line that fails to parse or breaks the
+    invariants; reads the file again line by line, so only on failure."""
     with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != PLAN_CSV_FIELDS:
+        next(f)
+        for lineno, line in enumerate(f, start=2):
+            if not line.strip("\r\n"):
+                continue
+            if line.count(",") != len(PLAN_CSV_FIELDS) - 1:
+                return FormatError("wrong number of plan columns", line=lineno)
+            try:
+                row = _parse_rows([line])
+            except ValueError:
+                return FormatError("bad plan entry", line=lineno)
+            if _invalid_rows(row)[0]:
+                return FormatError("plan entry violates its invariants", line=lineno)
+    return FormatError("bad plan entry")
+
+
+def read_plan_csv(path) -> CropPlan:
+    """Parse a plan CSV in one bulk pass; blank lines are skipped.
+
+    Every row must parse (integers in the integer columns) and keep the plan
+    invariants: finite positive mpps, ``1 <= crop_size_px <= source_size_px``,
+    ``output_size_px >= 1`` and offsets in [0, 1]. Otherwise a FormatError
+    names the first offending line.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as f:
+        header = f.readline()
+        if tuple(h.strip() for h in header.split(",")) != PLAN_CSV_FIELDS:
             raise FormatError(
                 f"expected plan header {','.join(PLAN_CSV_FIELDS)!r}", line=1
             )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(PLAN_CSV_FIELDS):
-                raise FormatError("wrong number of plan columns", line=lineno)
-            try:
-                index = int(row[0])
-                entry = CropPlanEntry(
-                    index=index,
-                    target_mpp=float(row[1]),
-                    source_mpp=float(row[2]),
-                    source_size_px=int(row[3]),
-                    crop_size_px=int(row[4]),
-                    output_size_px=int(row[5]),
-                    offset_x_frac=float(row[6]),
-                    offset_y_frac=float(row[7]),
-                    seed=index,
-                )
-            except ValueError:
-                raise FormatError("bad plan entry", line=lineno) from None
-            if (
-                entry.target_mpp <= 0
-                or entry.source_mpp <= 0
-                or entry.output_size_px < 1
-                or not 1 <= entry.crop_size_px <= entry.source_size_px
-                or not 0.0 <= entry.offset_x_frac <= 1.0
-                or not 0.0 <= entry.offset_y_frac <= 1.0
-            ):
-                raise FormatError("plan entry violates its invariants", line=lineno)
-            entries.append(entry)
-    return entries
+        try:
+            rows = _parse_rows(f)
+        except ValueError:
+            rows = None
+    if rows is None or _invalid_rows(rows).any():
+        raise _first_bad_line(path)
+    return CropPlan(rows)
 
 
 # -- applying plans -----------------------------------------------------------
@@ -280,11 +355,18 @@ def _resize_bilinear(window: np.ndarray, out_size: int) -> np.ndarray:
     # np.linspace hits both corners exactly
     pos = np.linspace(0.0, crop - 1.0, out_size)
     i0 = np.minimum(np.floor(pos).astype(np.intp), crop - 2)
-    frac = pos - i0
-    a = window.astype(np.float64, copy=False)
-    a = a[i0] * (1.0 - frac)[:, None, None] + a[i0 + 1] * frac[:, None, None]
-    a = a[:, i0] * (1.0 - frac)[None, :, None] + a[:, i0 + 1] * frac[None, :, None]
-    return a.astype(window.dtype, copy=False)
+    hi = pos - i0
+    lo = 1.0 - hi
+    # gather the rows first and widen only them to float64, inside the ufunc;
+    # in-place sums skip temporaries but round exactly as a + b does
+    a = np.multiply(window[i0], lo[:, None, None], dtype=np.float64)
+    a += np.multiply(window[i0 + 1], hi[:, None, None], dtype=np.float64)
+    b = a[:, i0]
+    b *= lo[None, :, None]
+    c = a[:, i0 + 1]
+    c *= hi[None, :, None]
+    b += c
+    return b.astype(window.dtype, copy=False)
 
 
 def apply_crop(image: np.ndarray, entry: CropPlanEntry) -> np.ndarray:

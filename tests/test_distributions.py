@@ -114,6 +114,15 @@ def test_cdf_before(du_dist, cu_dist):
     assert cu_dist.cdf_before(1.125) == pytest.approx(0.5, abs=1e-12)
 
 
+def test_cdf_ends_at_one_on_narrow_offset_range():
+    # the knots of a 1e-3-wide range at 2.2 are rounded far more coarsely
+    # than its cell width, so their spacing alone would give mass 1 + 1.3e-12
+    d = SamplingDistribution(MagRange(2.2, 2.201), density=[0, 0, 0, 0, 1, 0])
+    assert abs(d.cdf_before(2.201) - 1.0) <= 1e-12
+    assert d.cdf_before(d.quantile(1.0)) <= 1.0 + 1e-12
+    assert d.bin_masses(d.cell_edges()).sum() == pytest.approx(1.0, abs=1e-12)
+
+
 def test_bin_masses(du_dist, cu_dist):
     edges = np.linspace(0.25, 2.0, 21)
     m = cu_dist.bin_masses(edges)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from magsample import (
+    CropPlan,
     CropPlanEntry,
     FeasibilityError,
     FormatError,
@@ -23,7 +24,7 @@ from magsample import (
     write_plan_csv,
 )
 from magsample.rng import CounterRng
-from magsample.sampler import format_plan_csv
+from magsample.sampler import _resize_bilinear, format_plan_csv
 
 from conftest import STANDARDS, chi_square_gof
 
@@ -43,7 +44,6 @@ def _entry(**kwargs):
         output_size_px=224,
         offset_x_frac=0.0,
         offset_y_frac=0.0,
-        seed=0,
     )
     base.update(kwargs)
     return CropPlanEntry(**base)
@@ -211,6 +211,97 @@ def test_plan_csv_errors(tmp_path):
     bad.write_text(header + "0,1.0,1.0,512,336,224,1.5,0.0\n")
     with pytest.raises(FormatError):
         read_plan_csv(bad)
+
+
+PLAN_HEADER = (
+    "index,target_mpp,source_mpp,source_size_px,crop_size_px,"
+    "output_size_px,offset_x_frac,offset_y_frac\n"
+)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "1,nan,1.0,512,336,224,0.0,0.0",
+        "1,inf,1.0,512,336,224,0.0,0.0",
+        "1,1.5,nan,512,336,224,0.0,0.0",
+        "1,1.5,inf,512,336,224,0.0,0.0",
+        "1,1.5,-1.0,512,336,224,0.0,0.0",
+        "1,1.5,1.0,512,336,224,nan,0.0",
+    ],
+)
+def test_plan_csv_rejects_non_finite_mpps(tmp_path, row):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(PLAN_HEADER + "0,1.0,1.0,512,224,224,0.0,0.0\n" + row + "\n")
+    with pytest.raises(FormatError, match="line 3: plan entry violates"):
+        read_plan_csv(bad)
+
+
+@pytest.mark.parametrize(
+    "row, reason",
+    [
+        ("1,1.5,1.0,512,336,224.0,0.0,0.0", "bad plan entry"),  # float in an int column
+        ("1,1.5,1.0,512,336", "wrong number of plan columns"),  # short row
+        ("1,1.5,1.0,512,336,224,0.0,0.0,7", "wrong number of plan columns"),
+        ("1,x,1.0,512,336,224,0.0,0.0", "bad plan entry"),
+    ],
+)
+def test_plan_csv_reports_first_bad_line(tmp_path, row, reason):
+    good = "0,1.0,1.0,512,224,224,0.0,0.0\n"
+    bad = tmp_path / "bad.csv"
+    # the blank line still counts toward the reported line number
+    bad.write_text(PLAN_HEADER + good + "\n" + row + "\n" + good)
+    with pytest.raises(FormatError, match=f"line 4: {reason}"):
+        read_plan_csv(bad)
+
+
+def test_plan_csv_skips_blank_lines(tmp_path, config):
+    plan = generate_plan(config, 5)
+    path = tmp_path / "plan.csv"
+    write_plan_csv(plan, path)
+    head, *rows = path.read_text().splitlines(keepends=True)
+    path.write_text(head + "\n" + "".join(rows[:2]) + "\n\n" + "".join(rows[2:]) + "\n")
+    assert read_plan_csv(path) == plan
+    path.write_text(head)
+    assert len(read_plan_csv(path)) == 0
+
+
+def test_crop_plan_views(config):
+    plan = generate_plan(config, 10)
+    assert isinstance(plan, CropPlan) and len(plan) == 10
+    entries = list(plan)
+    assert all(isinstance(e, CropPlanEntry) for e in entries)
+    assert plan[3] == entries[3] and plan[-1] == entries[-1]
+    head = plan[2:5]
+    assert isinstance(head, CropPlan) and list(head) == entries[2:5]
+    assert head == generate_plan(config, 5)[2:5]
+    assert np.array_equal(plan.index, np.arange(10))
+    assert np.array_equal(plan.crop_size_px, [e.crop_size_px for e in entries])
+    with pytest.raises(IndexError):
+        plan[10]
+    with pytest.raises(AttributeError):
+        plan.seed
+
+
+def _resize_reference(window, out_size):
+    """The resize as first written: widen the whole window, then gather."""
+    crop = window.shape[0]
+    pos = np.linspace(0.0, crop - 1.0, out_size)
+    i0 = np.minimum(np.floor(pos).astype(np.intp), crop - 2)
+    frac = pos - i0
+    a = window.astype(np.float64, copy=False)
+    a = a[i0] * (1.0 - frac)[:, None, None] + a[i0 + 1] * frac[:, None, None]
+    a = a[:, i0] * (1.0 - frac)[None, :, None] + a[:, i0 + 1] * frac[None, :, None]
+    return a.astype(window.dtype, copy=False)
+
+
+@pytest.mark.parametrize("crop", [224, 225, 336, 460])
+def test_resize_bilinear_matches_reference_bytes(crop):
+    img = np.random.default_rng(crop).random((512, 512, 3), dtype=np.float32)
+    window = img[11 : 11 + crop, 29 : 29 + crop]
+    got = _resize_bilinear(window, 224)
+    assert got.dtype == np.float32
+    assert got.tobytes() == _resize_reference(window, 224).tobytes()
 
 
 def test_apply_crop_rejects_bad_offsets():
