@@ -5,10 +5,12 @@ Subcommands: ``kernel``, ``signal``, ``compare``, ``optimize``, ``plan``,
 formats defined by the owning modules; plotting is left to external tools.
 
 Every output file gets a ``<out>.manifest.txt`` companion listing the
-subcommand, the fully resolved parameters, sha256 digests of the input
-files (``digest.<name> sha256:<hex>``), the RNG seed when one applies, and
-the tool version, one sorted ``key value`` pair per line. Manifests written
-by earlier versions carry 64-bit FNV-1a digests (``fnv1a:<hex>``) instead.
+subcommand, the tool version, every parsed option that has a value (input
+paths, the RNG seed and resolved defaults included), and the sha256 digest
+of each input file and of a ``custom:`` kernel table (``digest.<name>
+sha256:<hex>``; compare's files are ``digest.0``, ``digest.1``, ...), one
+sorted ``key value`` pair per line. Manifests written by earlier versions
+carry 64-bit FNV-1a digests (``fnv1a:<hex>``) instead.
 
 Exit codes: 0 on success; 2 for usage errors and unusable inputs
 (``ParameterError``, ``FormatError``, ``RangeError``, ``FeasibilityError``,
@@ -78,12 +80,6 @@ _USAGE_ERRORS = (
 _COMPUTE_ERRORS = (DomainError, DegenerateInputError, ShapeError, SolverError, MagsampleError)
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def fnv1a64(data: bytes) -> int:
     """64-bit FNV-1a hash of a byte string.
 
@@ -110,19 +106,30 @@ def _digest(path) -> str:
     return "sha256:" + h.hexdigest()
 
 
-def _write_manifest(out_path, subcommand: str, params: dict, inputs: dict, also_for=()):
-    """Write ``<out>.manifest.txt``, and the same bytes for each of ``also_for``.
+_INPUT_ARGS = ("dist", "embeddings", "image", "plan")
 
-    Each input file is digested once, however many outputs share the manifest.
+
+def _write_manifest(args, outs):
+    """Write ``<out>.manifest.txt`` for each path in ``outs``, all the same bytes.
+
+    The manifest records every parsed option that has a value, and the digest
+    of each input file, taken once however many outputs share the manifest.
     """
-    entries = {"subcommand": subcommand, "version": __version__}
-    for key, value in params.items():
-        entries[key] = _fmt(value)
+    entries = {"subcommand": args.command, "version": __version__}
+    # compare's file list is recorded only through its digests
+    for key, value in vars(args).items():
+        if key not in ("command", "func", "dists") and value is not None:
+            entries[key] = str(value)  # str of a float is its repr
+    inputs = {name: getattr(args, name) for name in _INPUT_ARGS if hasattr(args, name)}
+    inputs.update(enumerate(getattr(args, "dists", ())))
+    kernel = getattr(args, "kernel", "")
+    if kernel.startswith("custom:"):
+        inputs["kernel"] = kernel[len("custom:"):]
     for name, path in inputs.items():
         entries[f"digest.{name}"] = _digest(path)
     lines = [f"{k} {entries[k]}" for k in sorted(entries)]
     text = "\n".join(lines) + "\n"
-    for out in (out_path, *also_for):
+    for out in outs:
         Path(str(out) + ".manifest.txt").write_text(text, encoding="utf-8", newline="")
 
 
@@ -147,9 +154,9 @@ def _open_out(path):
     return open(path, "w", encoding="utf-8", newline="")
 
 
-def _add_common(parser, *, grid_default=1000):
+def _add_common(parser):
     parser.add_argument("--out", required=True, help="output file path")
-    parser.add_argument("--grid", type=int, default=grid_default, help="grid size")
+    parser.add_argument("--grid", type=int, default=1000, help="grid size")
     parser.add_argument(
         "--range",
         default=None,
@@ -159,10 +166,6 @@ def _add_common(parser, *, grid_default=1000):
     parser.add_argument(
         "--kernel", default="info", help="kernel: abs, info, or custom:<path>"
     )
-
-
-def _resolve_range(args) -> MagRange:
-    return _parse_range(args.range or "0.25:2.0")
 
 
 def _check_range_matches(args, dist, path):
@@ -179,52 +182,35 @@ def _check_range_matches(args, dist, path):
 # -- subcommands ----------------------------------------------------------------
 
 
-def cmd_kernel(args) -> int:
-    mag_range = _resolve_range(args)
+def cmd_kernel(args) -> list[str]:
+    mag_range = _parse_range(args.range)
     kernel = kernel_from_string(args.kernel)
     curve = transfer_potential_curve(kernel, mag_range, args.grid)
     with _open_out(args.out) as f:
         f.write("x_mpp,transfer_potential\n")
         for x, v in zip(curve.xs, curve.values):
             f.write(f"{float(x)!r},{float(v)!r}\n")
-    _write_manifest(
-        args.out,
-        "kernel",
-        {"grid": args.grid, "kernel": args.kernel, "out": args.out, "range": args.range or "0.25:2.0"},
-        {"kernel": args.kernel_path} if args.kernel_path else {},
-    )
-    return 0
+    return [args.out]
 
 
-def cmd_signal(args) -> int:
+def cmd_signal(args) -> list[str]:
     dist = read_distribution(args.dist)  # the range comes from the file itself
     _check_range_matches(args, dist, args.dist)
     kernel = kernel_from_string(args.kernel)
     profile = accumulated_signal(dist, kernel, args.grid)
     with _open_out(args.out) as f:
         write_profile_csv(profile, f)
-    summary_out = args.summary_out or str(Path(args.out).with_suffix("")) + ".summary.csv"
+    if args.summary_out is None:
+        args.summary_out = str(Path(args.out).with_suffix("")) + ".summary.csv"
     name = Path(args.dist).stem
-    with _open_out(summary_out) as f:
+    with _open_out(args.summary_out) as f:
         write_summary_csv([(name, profile.summary())], f)
-    params = {
-        "dist": args.dist,
-        "grid": args.grid,
-        "kernel": args.kernel,
-        "out": args.out,
-        "summary_out": summary_out,
-    }
-    inputs = {"dist": args.dist}
-    if args.kernel_path:
-        inputs["kernel"] = args.kernel_path
-    _write_manifest(args.out, "signal", params, inputs, also_for=[summary_out])
-    return 0
+    return [args.out, args.summary_out]
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> list[str]:
     if len(args.dists) < 2:
-        print("compare needs at least two distribution files", file=sys.stderr)
-        return 2
+        raise ParameterError("compare needs at least two distribution files")
     kernel = kernel_from_string(args.kernel)
     rows = []
     for path in args.dists:
@@ -233,16 +219,11 @@ def cmd_compare(args) -> int:
         rows.append((Path(path).stem, signal_summary(dist, kernel, args.grid)))
     with _open_out(args.out) as f:
         write_summary_csv(rows, f)
-    params = {"grid": args.grid, "kernel": args.kernel, "out": args.out}
-    inputs = {str(i): path for i, path in enumerate(args.dists)}
-    if args.kernel_path:
-        inputs["kernel"] = args.kernel_path
-    _write_manifest(args.out, "compare", params, inputs)
-    return 0
+    return [args.out]
 
 
-def cmd_optimize(args) -> int:
-    mag_range = _resolve_range(args)
+def cmd_optimize(args) -> list[str]:
+    mag_range = _parse_range(args.range)
     kernel = kernel_from_string(args.kernel)
     objective = {"maxavg": MAX_AVG_ENTROPY, "maxmin": MAX_MIN}[args.objective]
     cfg = OptimizationConfig(
@@ -260,20 +241,10 @@ def cmd_optimize(args) -> int:
         dist = solution.distribution
         comments.append(f"achieved_t {solution.achieved_t!r}")
     write_distribution(dist, args.out, comments=comments)
-    params = {
-        "grid": args.grid,
-        "kernel": args.kernel,
-        "lambda": getattr(args, "lambda"),
-        "objective": args.objective,
-        "out": args.out,
-        "range": args.range or "0.25:2.0",
-    }
-    inputs = {"kernel": args.kernel_path} if args.kernel_path else {}
-    _write_manifest(args.out, "optimize", params, inputs)
-    return 0
+    return [args.out]
 
 
-def cmd_plan(args) -> int:
+def cmd_plan(args) -> list[str]:
     dist = read_distribution(args.dist)
     cfg = SamplerConfig(
         distribution=dist,
@@ -283,57 +254,26 @@ def cmd_plan(args) -> int:
         rng_seed=args.seed,
     )
     write_plan_csv(generate_plan(cfg, args.n), args.out)
-    _write_manifest(
-        args.out,
-        "plan",
-        {
-            "dist": args.dist,
-            "n": args.n,
-            "out": args.out,
-            "patch_size": args.patch_size,
-            "seed": args.seed,
-            "source_size": args.source_size,
-            "standards": args.standards,
-        },
-        {"dist": args.dist},
-    )
-    return 0
+    return [args.out]
 
 
-def cmd_rankme(args) -> int:
+def cmd_rankme(args) -> list[str]:
     embeddings = load_embeddings(args.embeddings)
     profile = rankme_profile(embeddings, epsilon=args.epsilon, group_tolerance=args.group_tol)
     with _open_out(args.out) as f:
         write_rankme_csv(profile, f)
-    _write_manifest(
-        args.out,
-        "rankme",
-        {
-            "embeddings": args.embeddings,
-            "epsilon": args.epsilon,
-            "group_tol": args.group_tol,
-            "out": args.out,
-        },
-        {"embeddings": args.embeddings},
-    )
-    return 0
+    return [args.out]
 
 
-def cmd_similarity(args) -> int:
+def cmd_similarity(args) -> list[str]:
     embeddings = load_embeddings(args.embeddings)
     sim = centroid_similarity(embeddings, group_tolerance=args.group_tol)
     with _open_out(args.out) as f:
         write_similarity_csv(sim, f)
-    _write_manifest(
-        args.out,
-        "similarity",
-        {"embeddings": args.embeddings, "group_tol": args.group_tol, "out": args.out},
-        {"embeddings": args.embeddings},
-    )
-    return 0
+    return [args.out]
 
 
-def cmd_crop_apply(args) -> int:
+def cmd_crop_apply(args) -> list[str]:
     image = read_image_array(args.image)
     plan = read_plan_csv(args.plan)
     matching = np.flatnonzero(plan.index == args.index)
@@ -341,13 +281,7 @@ def cmd_crop_apply(args) -> int:
         raise ParameterError(f"plan has no entry with index {args.index}")
     out = apply_crop(image, plan[matching[0]])
     write_image_array(args.out, np.asarray(out, dtype=np.float32))
-    _write_manifest(
-        args.out,
-        "crop-apply",
-        {"image": args.image, "index": args.index, "out": args.out, "plan": args.plan},
-        {"image": args.image, "plan": args.plan},
-    )
-    return 0
+    return [args.out]
 
 
 # -- parser ----------------------------------------------------------------------
@@ -363,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kernel", help="tabulate a kernel's transfer potential")
     _add_common(p)
-    p.set_defaults(func=cmd_kernel)
+    p.set_defaults(func=cmd_kernel, range="0.25:2.0")
 
     p = sub.add_parser("signal", help="evaluate the signal profile of a distribution")
     _add_common(p)
@@ -382,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--objective", required=True, choices=["maxavg", "maxmin"], help="objective"
     )
     p.add_argument("--lambda", type=float, default=1.0, help="entropy weight (maxavg)")
-    p.set_defaults(func=cmd_optimize)
+    p.set_defaults(func=cmd_optimize, range="0.25:2.0")
 
     p = sub.add_parser("plan", help="generate a crop-and-resize sampling plan")
     p.add_argument("--dist", required=True, help="distribution file (msdist)")
@@ -422,19 +356,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # Remember a custom kernel's path so manifests can digest the file.
-    kernel_arg = getattr(args, "kernel", "")
-    args.kernel_path = (
-        kernel_arg[len("custom:"):] if kernel_arg.startswith("custom:") else None
-    )
     try:
-        return args.func(args)
+        _write_manifest(args, args.func(args))
     except _USAGE_ERRORS as exc:
         print(f"magsample {args.command}: error: {exc}", file=sys.stderr)
         return 2
     except _COMPUTE_ERRORS as exc:
         print(f"magsample {args.command}: failed: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -30,10 +30,6 @@ from .kernels import MagRange
 _MAGIC = "#msdist v1"
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
 class SamplingDistribution:
     """Mixed atomic / piecewise-constant distribution over magnifications."""
 
@@ -311,61 +307,58 @@ def parse_distribution(text: str) -> SamplingDistribution:
         if not line or line.startswith("#"):
             continue
         tokens = line.split()
-        if want > 0:
-            for tok in tokens:
-                if want == 0:
-                    raise FormatError("unexpected token after density values", line=lineno)
+        if want == 0:
+            key = tokens[0]
+            if key == "range":
+                if mag_range is not None:
+                    raise FormatError("duplicate range line", line=lineno)
+                if len(tokens) != 3:
+                    raise FormatError("range line needs two bounds", line=lineno)
                 try:
-                    values.append(float(tok))
-                except ValueError:
-                    raise FormatError(f"bad density value {tok!r}", line=lineno) from None
-                want -= 1
-            continue
-        key = tokens[0]
-        if key == "range":
-            if mag_range is not None:
-                raise FormatError("duplicate range line", line=lineno)
-            if len(tokens) != 3:
-                raise FormatError("range line needs two bounds", line=lineno)
-            try:
-                mag_range = MagRange(float(tokens[1]), float(tokens[2]))
-            except ValueError as exc:
-                raise FormatError(str(exc), line=lineno) from None
-        elif key == "atom":
-            if mag_range is None:
-                raise FormatError("atom before range line", line=lineno)
-            if density is not None:
-                raise FormatError("atom lines must precede the density block", line=lineno)
-            if len(tokens) != 3:
-                raise FormatError("atom line needs location and weight", line=lineno)
-            try:
-                atoms.append((float(tokens[1]), float(tokens[2])))
-            except ValueError:
-                raise FormatError("bad atom numbers", line=lineno) from None
-        elif key == "density":
-            if mag_range is None:
-                raise FormatError("density before range line", line=lineno)
-            if density is not None:
-                raise FormatError("duplicate density block", line=lineno)
-            if len(tokens) < 2:
-                raise FormatError("density line needs a cell count", line=lineno)
-            try:
-                want = int(tokens[1])
-            except ValueError:
-                raise FormatError(f"bad density cell count {tokens[1]!r}", line=lineno) from None
-            if want < 1:
-                raise FormatError("density cell count must be >= 1", line=lineno)
-            density = True
-            for tok in tokens[2:]:
-                if want == 0:
-                    raise FormatError("unexpected token after density values", line=lineno)
+                    mag_range = MagRange(float(tokens[1]), float(tokens[2]))
+                except ValueError as exc:
+                    raise FormatError(str(exc), line=lineno) from None
+            elif key == "atom":
+                if mag_range is None:
+                    raise FormatError("atom before range line", line=lineno)
+                if density is not None:
+                    raise FormatError(
+                        "atom lines must precede the density block", line=lineno
+                    )
+                if len(tokens) != 3:
+                    raise FormatError("atom line needs location and weight", line=lineno)
                 try:
-                    values.append(float(tok))
+                    atoms.append((float(tokens[1]), float(tokens[2])))
                 except ValueError:
-                    raise FormatError(f"bad density value {tok!r}", line=lineno) from None
-                want -= 1
-        else:
-            raise FormatError(f"unknown directive {key!r}", line=lineno)
+                    raise FormatError("bad atom numbers", line=lineno) from None
+            elif key == "density":
+                if mag_range is None:
+                    raise FormatError("density before range line", line=lineno)
+                if density is not None:
+                    raise FormatError("duplicate density block", line=lineno)
+                if len(tokens) < 2:
+                    raise FormatError("density line needs a cell count", line=lineno)
+                try:
+                    want = int(tokens[1])
+                except ValueError:
+                    raise FormatError(
+                        f"bad density cell count {tokens[1]!r}", line=lineno
+                    ) from None
+                if want < 1:
+                    raise FormatError("density cell count must be >= 1", line=lineno)
+                density = True
+            else:
+                raise FormatError(f"unknown directive {key!r}", line=lineno)
+            # only a density line carries values after its directive
+            tokens = tokens[2:] if key == "density" else ()
+        for tok in tokens:
+            if want == 0:
+                raise FormatError("unexpected token after density values", line=lineno)
+            try:
+                values.append(float(tok))
+            except ValueError:
+                raise FormatError(f"bad density value {tok!r}", line=lineno) from None
+            want -= 1
 
     if mag_range is None:
         raise FormatError("missing range line")
@@ -383,15 +376,15 @@ def read_distribution(path) -> SamplingDistribution:
 
 def format_distribution(dist: SamplingDistribution, comments: Sequence[str] = ()) -> str:
     """Serialize to the ``#msdist v1`` format at full precision."""
-    out = [_MAGIC, f"range {_fmt(dist.range.a)} {_fmt(dist.range.b)}"]
+    out = [_MAGIC, f"range {float(dist.range.a)!r} {float(dist.range.b)!r}"]
     out += [f"# {c}" for c in comments]
     out += [
-        f"atom {_fmt(x)} {_fmt(w)}"
-        for x, w in zip(dist.atom_locations, dist.atom_weights)
+        f"atom {x!r} {w!r}"
+        for x, w in zip(dist.atom_locations.tolist(), dist.atom_weights.tolist())
     ]
     if dist.has_density:
         out.append(f"density {dist.cells}")
-        vals = [_fmt(v) for v in dist.density]
+        vals = list(map(repr, dist.density.tolist()))
         out += [" ".join(vals[i : i + 8]) for i in range(0, len(vals), 8)]
     return "\n".join(out) + "\n"
 

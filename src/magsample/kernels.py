@@ -282,8 +282,6 @@ def transfer_potential_curve(
     kernel: Kernel, mag_range: MagRange = MagRange(), grid_n: int = 1000
 ) -> TransferPotentialCurve:
     """Evaluate the transfer potential on a uniform ``grid_n``-point grid."""
-    if grid_n < 2:
-        raise ParameterError(f"grid size must be >= 2, got {grid_n}")
     xs = mag_range.grid(grid_n)
     values = np.asarray(kernel.transfer_potential(xs, mag_range))
     imax = int(np.argmax(values))  # first occurrence: ties break toward smaller x

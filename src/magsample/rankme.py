@@ -41,10 +41,6 @@ DEFAULT_EPSILON = 1e-7
 DEFAULT_GROUP_TOLERANCE = 1e-6
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
 class EmbeddingSet:
     """N embedding vectors, each tagged with the mpp it was extracted at."""
 
@@ -283,11 +279,11 @@ def load_embeddings(path) -> EmbeddingSet:
 def write_rankme_csv(profile: RankMeProfile, f: TextIO):
     f.write("mpp,count,rankme\n")
     for g in profile.groups:
-        f.write(f"{_fmt(g.mpp)},{g.count},{_fmt(g.rankme)}\n")
+        f.write(f"{float(g.mpp)!r},{g.count},{float(g.rankme)!r}\n")
 
 
 def write_similarity_csv(sim: CentroidSimilarity, f: TextIO):
-    labels = [_fmt(m) for m in sim.mpps]
+    labels = list(map(repr, sim.mpps.astype(float).tolist()))
     f.write("mpp," + ",".join(labels) + "\n")
-    for label, row in zip(labels, sim.matrix):
-        f.write(label + "," + ",".join(_fmt(v) for v in row) + "\n")
+    for label, row in zip(labels, sim.matrix.astype(float).tolist()):
+        f.write(label + "," + ",".join(map(repr, row)) + "\n")

@@ -20,7 +20,7 @@ from typing import Iterable, NamedTuple, TextIO
 import numpy as np
 
 from .distributions import SamplingDistribution
-from .errors import ParameterError, RangeError
+from .errors import RangeError
 from .kernels import Kernel
 
 
@@ -77,10 +77,8 @@ def accumulated_signal(
     dist: SamplingDistribution, kernel: Kernel, grid_n: int = 1000
 ) -> SignalProfile:
     """Evaluate S(y) on a uniform grid of ``grid_n`` targets over the range."""
-    if grid_n < 2:
-        raise ParameterError(f"grid size must be >= 2, got {grid_n}")
+    ys = dist.range.grid(grid_n)  # rejects a bad grid before the range check
     _check_ranges(dist, kernel)
-    ys = dist.range.grid(grid_n)
     values = np.zeros(grid_n)
     if dist.has_atoms:
         km = kernel(dist.atom_locations[:, None], ys[None, :])
@@ -130,19 +128,13 @@ def total_signal(
 # -- CSV output ---------------------------------------------------------------
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
 def write_profile_csv(profile: SignalProfile, f: TextIO):
     f.write("y_mpp,signal\n")
-    for y, s in zip(profile.ys, profile.values):
-        f.write(f"{_fmt(y)},{_fmt(s)}\n")
+    for y, s in zip(profile.ys.tolist(), profile.values.tolist()):
+        f.write(f"{y!r},{s!r}\n")
 
 
 def write_summary_csv(rows: Iterable[tuple[str, SignalSummary]], f: TextIO):
     f.write("strategy,min,argmin,total,mean\n")
     for name, s in rows:
-        f.write(
-            f"{name},{_fmt(s.min_value)},{_fmt(s.argmin_y)},{_fmt(s.total)},{_fmt(s.mean)}\n"
-        )
+        f.write(name + "," + ",".join(repr(float(v)) for v in s) + "\n")

@@ -184,6 +184,7 @@ def test_compare_command(workdir):
 
 def test_compare_single_file_exits_2(workdir, capsys):
     assert main(["compare", "--out", "t.csv", "du.msdist"]) == 2
+    assert capsys.readouterr().err.startswith("magsample compare: error: ")
 
 
 def test_compare_duplicate_gives_identical_rows(workdir):

@@ -215,6 +215,22 @@ def test_parse_errors_carry_line_numbers():
         parse_distribution("#msdist v1\natom 0.5 1\n")
 
 
+@pytest.mark.parametrize(
+    "block, line, message",
+    [
+        ("density 2 1.0 x\n", 3, "bad density value 'x'"),
+        ("density 2\n1.0 x\n", 4, "bad density value 'x'"),
+        ("density 1 1.0 2.0\n", 3, "unexpected token"),
+        ("density 2\n1.0\n2.0 3.0\n", 5, "unexpected token"),
+    ],
+)
+def test_density_token_errors_carry_line_numbers(block, line, message):
+    # tokens on the density line and on continuation lines are read alike
+    with pytest.raises(FormatError, match=message) as err:
+        parse_distribution("#msdist v1\nrange 0.25 2.0\n" + block)
+    assert err.value.line == line
+
+
 def test_format_full_precision(mag_range):
     d = SamplingDistribution(mag_range, atoms=[(1.0 / 3.0 + 0.25, 1.0)], density=[0.1, 0.7])
     assert parse_distribution(format_distribution(d)) == d
