@@ -8,9 +8,10 @@ Every output file gets a ``<out>.manifest.txt`` companion listing the
 subcommand, the tool version, every parsed option that has a value (input
 paths, the RNG seed and resolved defaults included), and the sha256 digest
 of each input file and of a ``custom:`` kernel table (``digest.<name>
-sha256:<hex>``; compare's files are ``digest.0``, ``digest.1``, ...), one
-sorted ``key value`` pair per line. Manifests written by earlier versions
-carry 64-bit FNV-1a digests (``fnv1a:<hex>``) instead.
+sha256:<hex>``; compare's files, listed under ``dists`` as a Python list,
+are ``digest.0``, ``digest.1``, ...), one sorted ``key value`` pair per
+line. Manifests written by earlier versions carry 64-bit FNV-1a digests
+(``fnv1a:<hex>``) instead, and their compare manifests have no ``dists``.
 
 Exit codes: 0 on success; 2 for usage errors and unusable inputs
 (``ParameterError``, ``FormatError``, ``RangeError``, ``FeasibilityError``,
@@ -116,9 +117,8 @@ def _write_manifest(args, outs):
     of each input file, taken once however many outputs share the manifest.
     """
     entries = {"subcommand": args.command, "version": __version__}
-    # compare's file list is recorded only through its digests
     for key, value in vars(args).items():
-        if key not in ("command", "func", "dists") and value is not None:
+        if key not in ("command", "func") and value is not None:
             entries[key] = str(value)  # str of a float is its repr
     inputs = {name: getattr(args, name) for name in _INPUT_ARGS if hasattr(args, name)}
     inputs.update(enumerate(getattr(args, "dists", ())))

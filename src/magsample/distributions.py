@@ -225,6 +225,10 @@ class SamplingDistribution:
         interp = knots[kprev] + (uu - after[kprev]) / safe * (knots[k] - knots[kprev])
         out = np.where(at_knot, knots[k], interp)
         out = np.where(uu <= 0.0, self._support_min, out)
+        # On a steep cell one ulp of x can carry more than 1e-12 of mass, so
+        # the rounded interpolant may overshoot u; step such draws down an ulp.
+        over = self.cdf_before(out) > uu + 1e-12
+        out = np.where(over, np.nextafter(out, -np.inf), out)
         return float(out) if np.ndim(u) == 0 else out
 
     def cdf_before(self, x):

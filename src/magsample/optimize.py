@@ -6,16 +6,17 @@ Two objectives are supported:
   Gibbs form p(x) proportional to exp(tp(x) / lambda), where tp is the
   kernel's transfer potential;
 * max-min, which maximizes the worst-case signal over all targets and is
-  solved as a linear program on a uniform grid of cell midpoints.
+  solved as a matrix game on a uniform grid of cell midpoints.
 
-The max-min LP is solved in game form: because every kernel value is
-positive, ``max t s.t. K q >= t, sum q = 1, q >= 0`` is equivalent to the
-pair ``min 1'u : K u >= 1`` / ``max 1'y : K y <= 1`` with value Z = 1/t.
-The second program starts feasible at the slack basis, so the dense simplex
-needs no phase-one; the first program's solution is its dual vector. After
-solving, the returned masses q = u / Z and the adversary weights r = y / Z
-certify optimality independently of the solver: min(K q) <= t* <= max(K r)
-pins the optimum between two directly checkable numbers.
+The max-min problem ``max t s.t. K q >= t, sum q = 1, q >= 0`` is a game
+with value 1/Z. If K u = 1 and K'y = 1 have strictly positive solutions,
+the game is completely mixed and its unique solution is the equalizer
+q = u / Z, r = y / Z with Z = sum(u) (Kaplansky 1945): two linear solves.
+Otherwise the LP pair ``min 1'u : K u >= 1`` / ``max 1'y : K'y <= 1`` goes
+to the dense simplex, which starts feasible at the slack basis. Either way,
+the masses q and the adversary weights r certify optimality independently
+of the solver: min(K q) <= t* <= max(K'r) pins the optimum between two
+directly checkable numbers.
 """
 
 from __future__ import annotations
@@ -65,7 +66,8 @@ class MaxMinSolution:
     achieved_t: float
     active_set: np.ndarray      # grid indices where the signal sits at achieved_t
     certificate_gap: float      # max(K r) - min(K q), bounds suboptimality
-    iterations: int
+    iterations: int             # simplex pivots; 0 on the equalizer path
+    solver: str                 # "equalizer" or "simplex"
 
 
 def optimize_max_avg(cfg: OptimizationConfig) -> SamplingDistribution:
@@ -84,7 +86,7 @@ def optimize_max_avg(cfg: OptimizationConfig) -> SamplingDistribution:
 
 
 def optimize_max_min(cfg: OptimizationConfig) -> MaxMinSolution:
-    """LP maximizer of the worst-case signal over the grid."""
+    """Maximizer of the worst-case signal over the grid: equalizer, else the LP."""
     if cfg.objective != MAX_MIN:
         raise ParameterError(f"config objective is {cfg.objective!r}, not {MAX_MIN!r}")
     mids = cfg.mag_range.cell_midpoints(cfg.grid_n)
@@ -93,18 +95,19 @@ def optimize_max_min(cfg: OptimizationConfig) -> MaxMinSolution:
         raise DomainError("max-min optimization requires a strictly positive kernel")
 
     ones = np.ones(cfg.grid_n)
-    sol = solve_inequality_lp(ones, K.T, ones)
-
-    u = np.maximum(sol.duals, 0.0)
-    r = np.maximum(sol.x, 0.0)
-    if u.sum() <= 0.0 or r.sum() <= 0.0:
-        raise SolverError("degenerate game solution")
-    q = u / u.sum()
-    r = r / r.sum()
-
-    signal = K @ q
-    t_lo = float(signal.min())
-    t_hi = float((K.T @ r).max())
+    solver, iterations = "equalizer", 0
+    try:
+        u, y = np.linalg.solve(K, ones), np.linalg.solve(K.T, ones)
+        ok = u.min() > 0.0 and y.min() > 0.0
+    except np.linalg.LinAlgError:
+        ok = False
+    if ok:
+        q, signal, t_lo, t_hi = _bounds(K, u, y)
+        ok = -1e-12 <= t_hi - t_lo <= _CERT_GAP_TOL
+    if not ok:
+        sol = solve_inequality_lp(ones, K.T, ones)  # the module global, which tracers hook
+        solver, iterations = "simplex", sol.iterations
+        q, signal, t_lo, t_hi = _bounds(K, np.maximum(sol.duals, 0.0), np.maximum(sol.x, 0.0))
     gap = t_hi - t_lo
     if not (-1e-12 <= gap <= _CERT_GAP_TOL):
         raise SolverError(
@@ -120,8 +123,18 @@ def optimize_max_min(cfg: OptimizationConfig) -> MaxMinSolution:
         achieved_t=t_lo,
         active_set=active,
         certificate_gap=gap,
-        iterations=sol.iterations,
+        iterations=iterations,
+        solver=solver,
     )
+
+
+def _bounds(K, u, y):
+    """q = u / sum(u), its signal K q, min(K q) and max(K'r) for r = y / sum(y)."""
+    if u.sum() <= 0.0 or y.sum() <= 0.0:
+        raise SolverError("degenerate game solution")
+    q = u / u.sum()
+    signal = K @ q
+    return q, signal, float(signal.min()), float((K.T @ (y / y.sum())).max())
 
 
 def entropy(dist: SamplingDistribution) -> float:

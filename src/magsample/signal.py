@@ -8,7 +8,9 @@ i.e. the kernel-weighted total exposure a model trained under p receives
 at magnification y. The density integral uses composite trapezoid
 quadrature on a refinement of the density's own cell grid, so cell
 boundaries (where the density is discontinuous) are never straddled and
-spiky optimizer outputs keep their exact per-cell mass.
+spiky optimizer outputs keep their exact per-cell mass. The kernel matrix
+for that integral is built a fixed block of targets at a time, so memory
+grows linearly, not quadratically, in the number of targets.
 """
 
 from __future__ import annotations
@@ -22,6 +24,10 @@ import numpy as np
 from .distributions import SamplingDistribution
 from .errors import RangeError
 from .kernels import Kernel
+
+# Targets per kernel block in accumulated_signal: the node-by-target matrix
+# then holds at most (grid_n + 2 * cells) * 256 floats, not about grid_n**2.
+_TARGET_BLOCK = 256
 
 
 class SignalSummary(NamedTuple):
@@ -85,7 +91,9 @@ def accumulated_signal(
         values += dist.atom_weights @ km
     if dist.has_density:
         nodes, weights = _density_nodes(dist, grid_n)
-        values += weights @ kernel(nodes[:, None], ys[None, :])
+        for lo in range(0, grid_n, _TARGET_BLOCK):
+            block = slice(lo, lo + _TARGET_BLOCK)
+            values[block] += weights @ kernel(nodes[:, None], ys[None, block])
     imin = int(np.argmin(values))
     total = float(np.trapezoid(values, ys))
     return SignalProfile(

@@ -2,10 +2,12 @@
 
 :func:`solve_inequality_lp` maximizes ``c @ x`` subject to ``A @ x <= b`` and
 ``x >= 0`` where ``b >= 0``, so the slack basis is an immediately feasible
-start and no phase-one is needed. Pricing uses Dantzig's rule for speed and
-switches permanently to Bland's rule (which cannot cycle) once the objective
-stalls over many consecutive pivots; the leaving row always breaks ratio ties
-by smallest basis index, Bland's anti-degeneracy choice.
+start and no phase-one is needed. Each pivot is one rank-1 update of the
+tableau, done with numpy alone through a preallocated buffer.
+Pricing uses Dantzig's rule for speed and switches permanently to Bland's
+rule (which cannot cycle) once the objective stalls over many consecutive
+pivots; the leaving row always breaks ratio ties by smallest basis index,
+Bland's anti-degeneracy choice.
 
 The reported solution is never read off the tableau. After termination the
 final basis is refactorized against the original data and the solution is
@@ -22,10 +24,8 @@ import numpy as np
 
 from .errors import SolverError
 
-try:  # BLAS rank-1 update halves the per-pivot memory traffic when available
-    from scipy.linalg.blas import dger as _dger
-except Exception:  # pragma: no cover - scipy is optional at runtime
-    _dger = None
+# Always None: there is no BLAS rank-1 path. perfbench records whether it is set.
+_dger = None
 
 _STALL_PIVOTS = 200
 _PIVOT_TOL = 1e-11
@@ -58,19 +58,18 @@ def solve_inequality_lp(c, A, b, max_iter: int = 100000) -> LpSolution:
     if np.any(b < 0):
         raise SolverError("slack start requires a nonnegative right-hand side")
 
-    T = np.empty((m + 1, n + m + 1), order="F")
-    T[:m, :n] = A
-    T[:m, n : n + m] = np.eye(m)
+    full = np.concatenate([A, np.eye(m)], axis=1)
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :-1] = full
     T[:m, -1] = b
     T[m, :n] = -c
-    T[m, n:] = 0.0
 
     basis = np.arange(n, n + m)
     bland = False
     stall = 0
     last_obj = 0.0
     iterations = 0
-    scratch = None if _dger is not None else np.empty_like(T)
+    scratch = np.empty_like(T)  # rank-1 update buffer, reused every pivot
 
     while True:
         red = T[m, : n + m]
@@ -93,36 +92,24 @@ def solve_inequality_lp(c, A, b, max_iter: int = 100000) -> LpSolution:
         if rows.size == 0:
             raise SolverError(f"linear program is unbounded along variable {j}")
         ratios = T[rows, -1] / col[rows]
-        rmin = ratios.min()
-        ties = rows[ratios <= rmin]
+        ties = rows[ratios <= ratios.min()]
         r = int(ties[np.argmin(basis[ties])])
 
-        piv = T[r, j]
-        T[r] /= piv
+        T[r] /= T[r, j]
         colv = T[:, j].copy()
-        colv[r] = 0.0
-        if _dger is not None:
-            # row r is safe from aliasing: colv[r] is zero
-            T = _dger(-1.0, colv, T[r], a=T, overwrite_a=1, overwrite_x=1, overwrite_y=0)
-        else:
-            np.multiply(colv[:, None], T[r][None, :], out=scratch)
-            np.subtract(T, scratch, out=T)
+        colv[r] = 0.0  # so row r, already divided, is left as it is
+        np.multiply(colv[:, None], T[r][None, :], out=scratch)
+        np.subtract(T, scratch, out=T)
         T[:, j] = 0.0
         T[r, j] = 1.0
         basis[r] = j
         iterations += 1
 
-        obj = T[m, -1]
-        if obj <= last_obj + 1e-13:
-            stall += 1
-            if stall >= _STALL_PIVOTS:
-                bland = True
-        else:
-            stall = 0
-        last_obj = obj
+        stall = stall + 1 if T[m, -1] <= last_obj + 1e-13 else 0
+        bland = bland or stall >= _STALL_PIVOTS
+        last_obj = T[m, -1]
 
     # Refactorize from the original data; the tableau only guided pivoting.
-    full = np.concatenate([A, np.eye(m)], axis=1)
     cfull = np.concatenate([c, np.zeros(m)])
     B = full[:, basis]
     try:
@@ -141,7 +128,6 @@ def solve_inequality_lp(c, A, b, max_iter: int = 100000) -> LpSolution:
     gap = abs(objective - float(b @ y))
     comp = float(np.max(np.abs(xfull * reduced))) if xfull.size else 0.0
 
-    worst = max(eq_residual, neg_residual, dual_residual, comp)
     if (
         eq_residual > 1e-6
         or neg_residual > _PRIMAL_TOL
@@ -153,7 +139,7 @@ def solve_inequality_lp(c, A, b, max_iter: int = 100000) -> LpSolution:
             "final basis failed verification "
             f"(eq={eq_residual:.2e}, neg={neg_residual:.2e}, "
             f"dual={dual_residual:.2e}, gap={gap:.2e}, comp={comp:.2e})",
-            residual=worst,
+            residual=max(eq_residual, neg_residual, dual_residual, comp),
         )
 
     return LpSolution(

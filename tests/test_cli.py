@@ -338,13 +338,18 @@ def test_unknown_subcommand_exits_2(workdir):
     assert err.value.code == 2
 
 
-def test_console_entry_point(workdir):
-    # The child runs in the tmp dir, where a relative PYTHONPATH (such as
+def _child_env():
+    # A child may run in a tmp dir, where a relative PYTHONPATH (such as
     # `src`) no longer resolves; put the directory holding the package this
     # process imported first, so the child imports the same copy.
     env = dict(os.environ)
     package_root = str(Path(magsample.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_console_entry_point(workdir):
+    env = _child_env()
     out = subprocess.run(
         [sys.executable, "-m", "magsample.cli", "kernel", "--grid", "11",
          "--out", "c.csv"],
@@ -354,3 +359,11 @@ def test_console_entry_point(workdir):
     )
     assert out.returncode == 0, out.stderr
     assert (workdir / "c.csv").exists()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = "import sys, magsample.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=_child_env())
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

@@ -53,3 +53,14 @@ def test_write_read_write_is_byte_identical(dist):
         write_distribution(dist, first)
         write_distribution(read_distribution(first), second)
         assert second.read_bytes() == first.read_bytes()
+
+
+def test_mass_below_quantile_on_a_steep_narrow_cell():
+    # One ulp of x here carries more than 1e-12 of mass, so the nearest float
+    # to the interpolated quantile overshoots u unless it is stepped down.
+    dist = SamplingDistribution(
+        MagRange(2.5705590555255102, 2.571597037773558),
+        density=[0.0, 927.463756946008, 0.0, 0.0, 0.0, 246.63553751451536, 0.0],
+    )
+    assert dist.cdf_before(dist.quantile(0.5)) <= 0.5 + 1e-12
+    assert dist.cdf_before(dist.quantile(np.array([0.5])))[0] <= 0.5 + 1e-12

@@ -58,7 +58,8 @@ CASES = {
         ["compare", "--kernel", "custom:table.csv", "--grid", "20", "--out", "c.csv",
          "cu.msdist", "du.msdist"],
         ["c.csv"],
-        [f"digest.0 {CU}", f"digest.1 {DU}", f"digest.kernel {TABLE}", "grid 20",
+        [f"digest.0 {CU}", f"digest.1 {DU}", f"digest.kernel {TABLE}",
+         "dists ['cu.msdist', 'du.msdist']", "grid 20",
          "kernel custom:table.csv", "out c.csv", "subcommand compare", VERSION],
     ),
     "optimize-maxmin": (
@@ -115,7 +116,8 @@ RANGE_CASES = {
         ["compare", "--range", "0.25:2.0", "--grid", "20", "--out", "cr.csv",
          "du.msdist", "du.msdist"],
         ["cr.csv"],
-        [f"digest.0 {DU}", f"digest.1 {DU}", "grid 20", "kernel info",
+        [f"digest.0 {DU}", f"digest.1 {DU}", "dists ['du.msdist', 'du.msdist']",
+         "grid 20", "kernel info",
          "out cr.csv", "range 0.25:2.0", "subcommand compare", VERSION],
     ),
 }

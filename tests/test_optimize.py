@@ -16,6 +16,7 @@ from magsample import (
     signal_summary,
 )
 from magsample.optimize import MAX_AVG_ENTROPY, MAX_MIN, OptimizationConfig
+from magsample.simplex import solve_inequality_lp
 
 # Worst-case equalizer for the overlap kernel: in log-magnification the
 # kernel is exp(-2|u - v|), whose equalizing distribution is flat plus
@@ -190,6 +191,72 @@ def test_maxmin_oversamples_boundaries(info_kernel, abs_kernel):
 def test_maxmin_signal_nearly_flat(maxmin_info, info_kernel):
     profile = accumulated_signal(maxmin_info.distribution, info_kernel, 200)
     assert profile.values.max() - profile.values.min() < 0.05 * profile.values.min()
+
+
+# -- max-min solver paths: equalizer, else simplex ---------------------------------
+
+
+def _game(kernel, grid_n):
+    mids = MagRange().cell_midpoints(grid_n)
+    return np.asarray(kernel(mids[:, None], mids[None, :]), dtype=float)
+
+
+def _lp_oracle(K):
+    """Max-min masses and value straight from the simplex on the game LP."""
+    ones = np.ones(K.shape[0])
+    sol = solve_inequality_lp(ones, K.T, ones)
+    q = sol.duals / sol.duals.sum()
+    return q, float((K @ q).min())
+
+
+def _check_certified(sol, K):
+    q = sol.distribution.density * sol.distribution.cell_width
+    assert -1e-12 <= sol.certificate_gap < 1e-6
+    assert sol.achieved_t == pytest.approx(float((K @ q).min()), abs=1e-15)
+    return q
+
+
+@pytest.mark.parametrize("name", ["info", "abs"])
+def test_maxmin_builtin_kernels_take_the_equalizer(name, info_kernel, abs_kernel):
+    kernel = {"info": info_kernel, "abs": abs_kernel}[name]
+    sol = optimize_max_min(OptimizationConfig(objective=MAX_MIN, kernel=kernel, grid_n=200))
+    assert sol.solver == "equalizer" and sol.iterations == 0
+    K = _game(kernel, 200)
+    q = _check_certified(sol, K)
+    q_lp, t_lp = _lp_oracle(K)
+    assert np.max(np.abs(q - q_lp)) <= 1e-12
+    assert sol.achieved_t == pytest.approx(t_lp, abs=1e-12)
+
+
+def _asymmetric_table(seed, n=64):
+    """Positive, asymmetric, noisy table with a sparse max-min solution."""
+    xs = np.linspace(0.2, 2.1, n)
+    d = np.log(xs[:, None] / xs[None, :])
+    base = np.exp(-0.5 * np.abs(d) * np.where(d > 0, 1.4, 0.6))
+    noise = np.random.default_rng(seed).uniform(0.95, 1.05, size=base.shape)
+    return TabulatedKernel(xs, xs, base * noise)
+
+
+def test_maxmin_sparse_game_falls_back_to_simplex():
+    kernel = _asymmetric_table(2)
+    K = _game(kernel, 40)
+    assert np.linalg.solve(K, np.ones(40)).min() < -1.0  # not completely mixed
+    sol = optimize_max_min(OptimizationConfig(objective=MAX_MIN, kernel=kernel, grid_n=40))
+    assert sol.solver == "simplex" and sol.iterations > 0
+    _check_certified(sol, K)
+    assert sol.achieved_t == pytest.approx(_lp_oracle(K)[1], abs=1e-12)
+
+
+def test_maxmin_singular_game_falls_back_to_simplex():
+    xs = np.array([0.25, 2.0])
+    const = TabulatedKernel(xs, xs, np.full((2, 2), 0.37))
+    K = _game(const, 10)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(K, np.ones(10))
+    sol = optimize_max_min(OptimizationConfig(objective=MAX_MIN, kernel=const, grid_n=10))
+    assert sol.solver == "simplex"
+    _check_certified(sol, K)
+    assert sol.achieved_t == pytest.approx(0.37, abs=1e-12)
 
 
 def test_regularized_objective_is_signal_plus_entropy(info_kernel, mag_range):

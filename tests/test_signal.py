@@ -165,3 +165,19 @@ def test_kernel_range_mismatch_raises(cu_dist):
 def test_grid_validation(cu_dist, info_kernel):
     with pytest.raises(ParameterError):
         accumulated_signal(cu_dist, info_kernel, 1)
+
+
+def test_blockwise_profile_equals_single_product(mag_range, info_kernel):
+    # 1024 targets span four kernel blocks; the density term must come out
+    # bit for bit as one product over the whole node-by-target matrix.
+    from magsample.signal import _TARGET_BLOCK, _density_nodes
+
+    grid_n = 4 * _TARGET_BLOCK
+    dist = SamplingDistribution(
+        mag_range, density=np.random.default_rng(11).random(300) + 0.1
+    )
+    nodes, weights = _density_nodes(dist, grid_n)
+    ys = mag_range.grid(grid_n)
+    single = weights @ info_kernel(nodes[:, None], ys[None, :])
+    profile = accumulated_signal(dist, info_kernel, grid_n)
+    assert profile.values.tobytes() == single.tobytes()

@@ -75,18 +75,6 @@ def test_random_lps_match_scipy():
         assert np.all(sol.x >= -1e-9)
 
 
-def test_pure_numpy_fallback_matches_blas_path(monkeypatch):
-    import magsample.simplex as sx
-
-    g = np.random.default_rng(33)
-    K = g.uniform(0.1, 1.0, size=(12, 12))
-    with_blas = solve_inequality_lp(np.ones(12), K, np.ones(12))
-    monkeypatch.setattr(sx, "_dger", None)
-    without = sx.solve_inequality_lp(np.ones(12), K, np.ones(12))
-    assert without.objective == pytest.approx(with_blas.objective, abs=1e-10)
-    assert np.allclose(without.x, with_blas.x, atol=1e-9)
-
-
 def test_game_lp_certificate():
     # max 1'y s.t. K y <= 1 and its dual equalize a positive matrix game
     g = np.random.default_rng(32)
