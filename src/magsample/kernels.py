@@ -6,10 +6,10 @@ Its transfer potential over a range [a, b],
 
     tp(x) = integral of K(x, y) dy over [a, b],
 
-is the aggregate benefit of one sample taken at x. Built-in kernels have
-closed-form potentials; tabulated kernels are integrated by composite
-trapezoid quadrature on their own grid, which is exact for the bilinear
-interpolant they define.
+is the aggregate benefit of one sample taken at x. Kernels also give the
+antiderivatives in x of K(., y) and of tp, so signal integrals over density
+cells are exact differences. All are closed forms; a tabulated kernel's are
+exact for its bilinear interpolant, which is piecewise linear in x and y.
 """
 
 from __future__ import annotations
@@ -21,10 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FormatError, ParameterError, RangeError
-
-#: Interval count for quadrature fallbacks on kernels without a closed form.
-DEFAULT_QUADRATURE_INTERVALS = 1000
-
 
 @dataclass(frozen=True)
 class MagRange:
@@ -71,9 +67,10 @@ class MagRange:
 class Kernel:
     """Base class for magnification-similarity kernels.
 
-    Subclasses implement :meth:`_evaluate` on positive mpp arrays and may
-    override :meth:`_transfer_potential` with a closed form; the base class
-    falls back to composite trapezoid quadrature on a uniform grid.
+    A subclass defines, on positive mpp arrays, ``_evaluate(x, y)`` (K),
+    ``_transfer_potential(x, r)`` (tp over range r), ``_antiderivative(x, y)``
+    (for 1-D x, y: F[i, j] = integral up to x[i] of K(s, y[j]) ds) and
+    ``_potential_antiderivative(x, r)`` (integral up to x of tp), each up to a constant.
     """
 
     name = "kernel"
@@ -119,11 +116,6 @@ class Kernel:
             return float(out)
         return out
 
-    def _transfer_potential(self, xa, mag_range):
-        nodes = mag_range.grid(DEFAULT_QUADRATURE_INTERVALS + 1)
-        vals = self._evaluate(xa[..., None], nodes)
-        return np.trapezoid(vals, nodes, axis=-1)
-
 
 class AbsDistanceKernel(Kernel):
     """K(x, y) = 1 / (1 + |x - y|): similarity decays with mpp distance."""
@@ -136,6 +128,14 @@ class AbsDistanceKernel(Kernel):
     def _transfer_potential(self, xa, mag_range):
         # antiderivative: log(1 + x - a) + log(1 + b - x)
         return np.log1p(xa - mag_range.a) + np.log1p(mag_range.b - xa)
+
+    def _antiderivative(self, x, y):
+        d = x[:, None] - y[None, :]
+        return np.sign(d) * np.log1p(np.abs(d))
+
+    def _potential_antiderivative(self, xa, mag_range):
+        u, v = xa - mag_range.a, mag_range.b - xa
+        return (1.0 + u) * np.log1p(u) - u - (1.0 + v) * np.log1p(v) + v
 
 
 class InfoOverlapKernel(Kernel):
@@ -156,6 +156,14 @@ class InfoOverlapKernel(Kernel):
         a, b = mag_range.a, mag_range.b
         return (xa**3 - a**3) / (3.0 * xa**2) + xa - xa**2 / b
 
+    def _antiderivative(self, x, y):
+        x, y = x[:, None], y[None, :]
+        return np.minimum(x, y) ** 3 / (3.0 * y * y) + y * np.maximum(0.0, 1.0 - y / x)
+
+    def _potential_antiderivative(self, xa, mag_range):
+        a, b = mag_range.a, mag_range.b
+        return 2.0 * xa**2 / 3.0 + a**3 / (3.0 * xa) - xa**3 / (3.0 * b)
+
 
 class TabulatedKernel(Kernel):
     """Kernel tabulated on a rectangular (x, y) grid, bilinearly interpolated.
@@ -173,10 +181,10 @@ class TabulatedKernel(Kernel):
         values = np.asarray(values, dtype=float)
         if xs.ndim != 1 or ys.ndim != 1 or xs.size < 2 or ys.size < 2:
             raise ParameterError("tabulated kernel needs at least a 2x2 grid")
+        if not (np.all(np.isfinite(xs) & (xs > 0)) and np.all(np.isfinite(ys) & (ys > 0))):
+            raise DomainError("tabulated grid coordinates must be positive and finite")
         if np.any(np.diff(xs) <= 0) or np.any(np.diff(ys) <= 0):
             raise ParameterError("tabulated grid coordinates must be strictly increasing")
-        if xs[0] <= 0 or ys[0] <= 0:
-            raise DomainError("tabulated grid coordinates must be positive")
         if values.shape != (xs.size, ys.size):
             raise ParameterError(
                 f"value grid shape {values.shape} does not match ({xs.size}, {ys.size})"
@@ -261,6 +269,21 @@ class TabulatedKernel(Kernel):
         nodes = np.concatenate(([mag_range.a], inner, [mag_range.b]))
         vals = self._evaluate(xa[..., None], nodes)
         return np.trapezoid(vals, nodes, axis=-1)
+
+    def _antiderivative(self, x, y):
+        return self._integrate_nodes(x, self._evaluate(self.xs[:, None], y[None, :]))
+
+    def _potential_antiderivative(self, xa, mag_range):
+        tp = self._transfer_potential(self.xs, mag_range)
+        return self._integrate_nodes(xa, tp[:, None])[:, 0]
+
+    def _integrate_nodes(self, x, f):
+        """Integral from xs[0] to each x of the interpolant of node rows f."""
+        h = np.diff(self.xs)[:, None]
+        cum = np.cumsum(np.vstack([np.zeros_like(f[:1]), 0.5 * h * (f[:-1] + f[1:])]), axis=0)
+        i, t = self._locate(self.xs, x)
+        t = t[:, None]
+        return cum[i] + h[i] * t * (f[i] + 0.5 * t * (f[i + 1] - f[i]))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,10 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import magsample
 from magsample import (
     AbsDistanceKernel,
     InfoOverlapKernel,
@@ -34,6 +38,19 @@ def du_dist(mag_range):
 @pytest.fixture()
 def cu_dist(mag_range):
     return SamplingDistribution.uniform(mag_range)
+
+
+def child_env():
+    """Environment for a child Python process that imports this magsample.
+
+    A child may run in a tmp dir, where a relative PYTHONPATH (such as
+    `src`) no longer resolves; put the directory holding the package this
+    process imported first, so the child imports the same copy.
+    """
+    env = dict(os.environ)
+    package_root = str(Path(magsample.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
 
 
 def quadrature_potential(kernel_fn, a, b, x, intervals=100_000):

@@ -8,7 +8,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import magsample
 from magsample import SamplingDistribution, write_distribution, write_image_array
 from magsample import cli
 from magsample.cli import fnv1a64, main
@@ -25,6 +24,8 @@ from magsample.errors import (
 )
 from magsample.kernels import MagRange
 from magsample.rankme import EmbeddingSet, write_embeddings_binary
+
+from conftest import child_env
 
 DU_TEXT = """#msdist v1
 range 0.25 2.0
@@ -102,6 +103,19 @@ def test_kernel_command_custom_table(workdir):
     assert main(["kernel", "--kernel", "custom:table.csv", "--grid", "101",
                  "--out", "curve.csv"]) == 0
     assert _manifest(workdir / "curve.csv")["digest.kernel"] == _sha256(workdir / "table.csv")
+
+
+@pytest.mark.parametrize("command", [["kernel"], ["optimize", "--objective", "maxmin"]])
+def test_custom_table_with_infinite_coordinate_exits_1(workdir, capsys, command):
+    lines = ["x,y,value"]
+    for x in (0.2, 1.0, "inf"):
+        for y in (0.2, 1.0, 2.5):
+            lines.append(f"{x},{y},0.5")
+    (workdir / "table.csv").write_text("\n".join(lines) + "\n")
+    assert main([*command, "--kernel", "custom:table.csv", "--grid", "20",
+                 "--out", "out.csv"]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not (workdir / "out.csv").exists()
 
 
 def test_signal_command_du(workdir):
@@ -338,18 +352,8 @@ def test_unknown_subcommand_exits_2(workdir):
     assert err.value.code == 2
 
 
-def _child_env():
-    # A child may run in a tmp dir, where a relative PYTHONPATH (such as
-    # `src`) no longer resolves; put the directory holding the package this
-    # process imported first, so the child imports the same copy.
-    env = dict(os.environ)
-    package_root = str(Path(magsample.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    return env
-
-
 def test_console_entry_point(workdir):
-    env = _child_env()
+    env = child_env()
     out = subprocess.run(
         [sys.executable, "-m", "magsample.cli", "kernel", "--grid", "11",
          "--out", "c.csv"],
@@ -364,6 +368,6 @@ def test_console_entry_point(workdir):
 def test_cli_import_leaves_scipy_unloaded():
     code = "import sys, magsample.cli; print('scipy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=_child_env())
+                         env=child_env())
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"

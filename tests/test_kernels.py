@@ -207,23 +207,6 @@ def test_constant_tabulated_kernel_potential():
     assert k.transfer_potential(1.0, r) == pytest.approx(0.5 * 1.75, abs=1e-12)
 
 
-def test_base_quadrature_fallback_for_subclasses(mag_range):
-    # kernels without a closed form inherit the 1000-interval trapezoid
-    from magsample.kernels import Kernel
-
-    class GaussianKernel(Kernel):
-        name = "gauss"
-
-        def _evaluate(self, x, y):
-            return np.exp(-((x - y) ** 2))
-
-    k = GaussianKernel()
-    oracle = quadrature_potential(
-        lambda x, y: np.exp(-((x - np.asarray(y)) ** 2)), 0.25, 2.0, 1.0
-    )
-    assert k.transfer_potential(1.0, mag_range) == pytest.approx(oracle, abs=1e-6)
-
-
 def test_tabulated_validation():
     xs = np.linspace(0.25, 2.0, 4)
     with pytest.raises(ParameterError):
@@ -232,6 +215,19 @@ def test_tabulated_validation():
         TabulatedKernel(xs, xs, np.zeros((4, 4)))
     with pytest.raises(ParameterError):
         TabulatedKernel(xs[::-1], xs, np.ones((4, 4)))
+
+
+@pytest.mark.parametrize(
+    "coords",
+    [[0.2, 1.0, math.inf], [0.2, math.inf, 2.5], [math.nan, 1.0, 2.5], [0.2, math.nan, 2.5],
+     [0.0, 1.0, 2.5], [-1.0, 1.0, 2.5]],
+)
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_tabulated_coordinates_must_be_positive_and_finite(coords, axis):
+    good = [0.2, 1.0, 2.5]
+    xs, ys = (coords, good) if axis == "x" else (good, coords)
+    with pytest.raises(DomainError, match="positive and finite"):
+        TabulatedKernel(xs, ys, np.ones((3, 3)))
 
 
 def test_tabulated_csv_roundtrip(tmp_path):

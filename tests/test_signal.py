@@ -1,7 +1,12 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from scipy.interpolate import RegularGridInterpolator
 
 from magsample import (
+    AbsDistanceKernel,
     InfoOverlapKernel,
     MagRange,
     ParameterError,
@@ -14,7 +19,13 @@ from magsample import (
     total_signal,
 )
 
-from conftest import STANDARDS, quadrature_potential, raw_abs_kernel, raw_info_kernel
+from conftest import (
+    STANDARDS,
+    child_env,
+    quadrature_potential,
+    raw_abs_kernel,
+    raw_info_kernel,
+)
 
 # Exact values for the four-atom discrete-uniform strategy with the overlap
 # kernel on [0.25, 2]:
@@ -88,8 +99,11 @@ def test_total_signal_du(du_dist, info_kernel):
 
 
 def test_total_signal_cu(cu_dist, info_kernel):
-    # for the uniform density, S(p) coincides with the average potential
-    assert total_signal(cu_dist, info_kernel) == pytest.approx(cu_total_exact(), abs=1e-5)
+    # for the uniform density, S(p) coincides with the average potential;
+    # the potential's antiderivative makes it exact on any cell count
+    assert total_signal(cu_dist, info_kernel) == pytest.approx(cu_total_exact(), abs=1e-12)
+    seven = SamplingDistribution.uniform(cu_dist.range, 7)
+    assert total_signal(seven, info_kernel) == pytest.approx(cu_total_exact(), abs=1e-12)
 
 
 def test_fubini_consistency(mag_range, info_kernel, abs_kernel):
@@ -107,6 +121,86 @@ def test_fubini_consistency(mag_range, info_kernel, abs_kernel):
         kernel = info_kernel if g.random() < 0.5 else abs_kernel
         diff = abs(total_signal(d, kernel) - accumulated_signal(d, kernel, 1000).total)
         assert diff < 1e-3
+
+
+def _random_table(g, lo=0.2, hi=2.1, n=9):
+    xs = np.concatenate(([lo], np.sort(g.uniform(lo, hi, n - 2)), [hi]))
+    ys = np.concatenate(([lo], np.sort(g.uniform(lo, hi, n - 2)), [hi]))
+    values = g.uniform(0.2, 1.0, (n, n))
+    raw = RegularGridInterpolator((xs, ys), values)
+    oracle = lambda x, y: raw(np.stack(np.broadcast_arrays(x, y), axis=-1))
+    return TabulatedKernel(xs, ys, values), oracle, xs
+
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+
+
+def dense_profile_oracle(raw, dist, ys, kinks=()):
+    """S(y) by 8-point Gauss-Legendre on every piece between the cell edges,
+    the target y and the kernel's kinks in x, on which the raw kernel is
+    smooth (or, for a table, linear); atoms summed directly."""
+    edges = dist.cell_edges()
+    out = []
+    for y in ys:
+        cuts = np.unique(np.concatenate([edges, [y], kinks]))
+        cuts = cuts[(cuts >= edges[0]) & (cuts <= edges[-1])]
+        mid, half = 0.5 * (cuts[1:] + cuts[:-1]), 0.5 * (cuts[1:] - cuts[:-1])
+        x = mid[:, None] + half[:, None] * _GL_NODES
+        dens = dist.density_at(mid)[:, None] * half[:, None] * _GL_WEIGHTS
+        atoms = np.dot(dist.atom_weights, raw(dist.atom_locations, y))
+        out.append(float(np.sum(dens * raw(x, y)) + atoms))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("name", ["info", "abs", "table"])
+def test_profile_matches_dense_oracle(mag_range, name):
+    # 37 cells, so the table's nodes fall inside cells, and 41 targets that
+    # are neither cell edges nor table nodes
+    g = np.random.default_rng(5)
+    kinks = ()
+    if name == "table":
+        kernel, raw, kinks = _random_table(g)
+    else:
+        kernel = InfoOverlapKernel() if name == "info" else AbsDistanceKernel()
+        raw = raw_info_kernel if name == "info" else raw_abs_kernel
+    dist = SamplingDistribution(mag_range, atoms=[(0.7, 0.2)], density=g.random(37) + 0.05)
+    profile = accumulated_signal(dist, kernel, 41)
+    oracle = dense_profile_oracle(raw, dist, profile.ys, kinks)
+    assert np.allclose(profile.values, oracle, rtol=0.0, atol=1e-12)
+
+
+def test_total_signal_matches_fine_profile_total(mag_range):
+    g = np.random.default_rng(29)
+    table = _random_table(g)[0]
+    for kernel in (InfoOverlapKernel(), AbsDistanceKernel(), table):
+        for cells in (1, 13, 200):
+            atoms = [(g.uniform(0.25, 2.0), g.uniform(0.1, 1.0)) for _ in range(3)]
+            d = SamplingDistribution(mag_range, atoms=atoms, density=g.random(cells) + 0.1)
+            fine = accumulated_signal(d, kernel, 20001).total
+            assert abs(total_signal(d, kernel) - fine) < 1e-7
+
+
+_BLAS_PROBE = """
+import hashlib, numpy as np
+from magsample import InfoOverlapKernel, MagRange, SamplingDistribution, accumulated_signal
+g, r, k = np.random.default_rng(3), MagRange(), InfoOverlapKernel()
+dense = SamplingDistribution(r, density=g.random(5000) + 0.01)
+atoms = SamplingDistribution(r, atoms=list(zip(g.uniform(0.25, 2.0, 3000), g.random(3000))))
+for d in (dense, atoms):
+    print(hashlib.sha256(accumulated_signal(d, k, 3001).values.tobytes()).hexdigest())
+"""
+
+
+def test_profile_bytes_do_not_depend_on_blas_threads():
+    # at most two BLAS threads; the digests of both profiles must match
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(child_env(), OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env,
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        digests.append(out.stdout.split())
+    assert digests[0] == digests[1]
 
 
 def test_mixture_linearity(mag_range, info_kernel):
@@ -169,15 +263,15 @@ def test_grid_validation(cu_dist, info_kernel):
 
 def test_blockwise_profile_equals_single_product(mag_range, info_kernel):
     # 1024 targets span four kernel blocks; the density term must come out
-    # bit for bit as one product over the whole node-by-target matrix.
-    from magsample.signal import _TARGET_BLOCK, _density_nodes
+    # bit for bit as one product over the whole cell-by-target matrix.
+    from magsample.signal import _TARGET_BLOCK
 
     grid_n = 4 * _TARGET_BLOCK
     dist = SamplingDistribution(
         mag_range, density=np.random.default_rng(11).random(300) + 0.1
     )
-    nodes, weights = _density_nodes(dist, grid_n)
     ys = mag_range.grid(grid_n)
-    single = weights @ info_kernel(nodes[:, None], ys[None, :])
+    cells = np.diff(info_kernel._antiderivative(dist.cell_edges(), ys), axis=0)
+    single = np.einsum("i,ij->j", dist.density, cells)
     profile = accumulated_signal(dist, info_kernel, grid_n)
     assert profile.values.tobytes() == single.tobytes()
