@@ -199,7 +199,7 @@ class TabulatedKernel(Kernel):
     def from_csv(cls, path) -> "TabulatedKernel":
         """Load a kernel from a CSV file with header ``x,y,value``.
 
-        The rows must cover a complete rectangular grid.
+        The rows must cover a complete rectangular grid, each sample once.
         """
         points = {}
         with open(path, "r", newline="") as f:
@@ -216,6 +216,8 @@ class TabulatedKernel(Kernel):
                     x, y, v = (float(c) for c in row)
                 except ValueError:
                     raise FormatError(f"{path}: non-numeric entry {row!r}", line=lineno) from None
+                if (x, y) in points:
+                    raise FormatError(f"{path}: repeated sample x={x}, y={y}", line=lineno)
                 points[(x, y)] = v
         if not points:
             raise FormatError(f"{path}: no kernel samples found")

@@ -9,14 +9,25 @@ Two objectives are supported:
   solved as a matrix game on a uniform grid of cell midpoints.
 
 The max-min problem ``max t s.t. K q >= t, sum q = 1, q >= 0`` is a game
-with value 1/Z. If K u = 1 and K'y = 1 have strictly positive solutions,
-the game is completely mixed and its unique solution is the equalizer
-q = u / Z, r = y / Z with Z = sum(u) (Kaplansky 1945): two linear solves.
-Otherwise the LP pair ``min 1'u : K u >= 1`` / ``max 1'y : K'y <= 1`` goes
-to the dense simplex, which starts feasible at the slack basis. Either way,
-the masses q and the adversary weights r certify optimality independently
-of the solver: min(K q) <= t* <= max(K'r) pins the optimum between two
-directly checkable numbers.
+with value 1/Z, solved on one of three paths, which ``MaxMinSolution.solver``
+names:
+
+* ``"equalizer"``: if K u = 1 and K'y = 1 have strictly positive solutions,
+  the game is completely mixed and its unique solution is q = u / Z,
+  r = y / Z with Z = sum(u) (Kaplansky 1945): two linear solves, and the
+  second is skipped when u already has a nonpositive entry.
+* ``"double_oracle"``: otherwise the game is solved on a few sources and
+  targets, grown by full-grid best responses (McMahan, Gordon & Blum 2003).
+  Each restricted game is the LP pair ``min 1'u : K u >= 1`` /
+  ``max 1'y : K'y <= 1`` on the dense simplex, which starts feasible at the
+  slack basis. This suits sparse solutions, such as those of tabulated
+  kernels, whose support is a few cells.
+* ``"simplex"``: the same LP pair on the full grid, only for a restricted
+  game that outgrows ``grid_n // _DO_SIZE_DIVISOR`` cells.
+
+On every path the masses q and the adversary weights r certify optimality
+independently of the solver: min(K q) <= t* <= max(K'r) pins the optimum
+between two directly checkable numbers.
 """
 
 from __future__ import annotations
@@ -35,6 +46,15 @@ MAX_AVG_ENTROPY = "maxavg"
 MAX_MIN = "maxmin"
 
 _CERT_GAP_TOL = 1e-6
+
+# The double oracle gives up on the restricted game once its targets or sources
+# number more than grid_n // _DO_SIZE_DIVISOR. Its cost grows steeply with that
+# size k (k rounds, each a k x k LP); a completely mixed game would take n
+# rounds, far more than the full-grid simplex's n pivots. At grid 1000 on
+# 2 vCPU, growing to k = 125 takes about 0.8 s, as long as a full simplex of
+# some 60 pivots on the sparse tabulated games, so the bound sits near
+# break-even.
+_DO_SIZE_DIVISOR = 8
 
 
 @dataclass
@@ -66,8 +86,9 @@ class MaxMinSolution:
     achieved_t: float
     active_set: np.ndarray      # grid indices where the signal sits at achieved_t
     certificate_gap: float      # max(K r) - min(K q), bounds suboptimality
-    iterations: int             # simplex pivots; 0 on the equalizer path
-    solver: str                 # "equalizer" or "simplex"
+    iterations: int             # simplex pivots over every LP solved; 0 on the equalizer path
+    rounds: int                 # double-oracle rounds; 0 on the equalizer path
+    solver: str                 # "equalizer", "double_oracle" or "simplex"
 
 
 def optimize_max_avg(cfg: OptimizationConfig) -> SamplingDistribution:
@@ -86,7 +107,7 @@ def optimize_max_avg(cfg: OptimizationConfig) -> SamplingDistribution:
 
 
 def optimize_max_min(cfg: OptimizationConfig) -> MaxMinSolution:
-    """Maximizer of the worst-case signal over the grid: equalizer, else the LP."""
+    """Maximizer of the worst-case signal over the grid: equalizer, else double oracle."""
     if cfg.objective != MAX_MIN:
         raise ParameterError(f"config objective is {cfg.objective!r}, not {MAX_MIN!r}")
     mids = cfg.mag_range.cell_midpoints(cfg.grid_n)
@@ -94,20 +115,12 @@ def optimize_max_min(cfg: OptimizationConfig) -> MaxMinSolution:
     if np.any(K <= 0.0):
         raise DomainError("max-min optimization requires a strictly positive kernel")
 
-    ones = np.ones(cfg.grid_n)
-    solver, iterations = "equalizer", 0
-    try:
-        u, y = np.linalg.solve(K, ones), np.linalg.solve(K.T, ones)
-        ok = u.min() > 0.0 and y.min() > 0.0
-    except np.linalg.LinAlgError:
-        ok = False
-    if ok:
-        q, signal, t_lo, t_hi = _bounds(K, u, y)
-        ok = -1e-12 <= t_hi - t_lo <= _CERT_GAP_TOL
-    if not ok:
-        sol = solve_inequality_lp(ones, K.T, ones)  # the module global, which tracers hook
-        solver, iterations = "simplex", sol.iterations
-        q, signal, t_lo, t_hi = _bounds(K, np.maximum(sol.duals, 0.0), np.maximum(sol.x, 0.0))
+    solver, rounds, iterations = "equalizer", 0, 0
+    bounds = _equalizer(K)
+    if bounds is None:
+        solver, rounds, iterations, u, y = _double_oracle(K, cfg.grid_n // _DO_SIZE_DIVISOR)
+        bounds = _bounds(K, u, y)
+    q, signal, t_lo, t_hi = bounds
     gap = t_hi - t_lo
     if not (-1e-12 <= gap <= _CERT_GAP_TOL):
         raise SolverError(
@@ -124,8 +137,60 @@ def optimize_max_min(cfg: OptimizationConfig) -> MaxMinSolution:
         active_set=active,
         certificate_gap=gap,
         iterations=iterations,
+        rounds=rounds,
         solver=solver,
     )
+
+
+def _equalizer(K):
+    """Bounds of the completely mixed solution q = K^-1 1 / Z, or None if there is none."""
+    ones = np.ones(K.shape[0])
+    try:
+        u = np.linalg.solve(K, ones)
+        if not u.min() > 0.0:  # not completely mixed; K'y = 1 cannot help
+            return None
+        y = np.linalg.solve(K.T, ones)
+    except np.linalg.LinAlgError:
+        return None
+    if not y.min() > 0.0:
+        return None
+    bounds = _bounds(K, u, y)
+    return bounds if -1e-12 <= bounds[3] - bounds[2] <= _CERT_GAP_TOL else None
+
+
+def _double_oracle(K, max_size):
+    """Solve the game on growing source and target sets (McMahan, Gordon & Blum 2003).
+
+    Each round solves the game restricted to targets T (rows) and sources S
+    (columns), then adds the full-grid best responses to its two solutions:
+    the target argmin(K q) and the source argmax(K'r). When both are already
+    in T and S, the restricted solutions are optimal on the full grid. If T or
+    S grows past ``max_size``, the full-grid simplex solves the game instead.
+    Returns the solver name, the rounds, the total pivots, and the
+    unnormalized source masses u and target weights y on the full grid.
+    """
+    n = K.shape[0]
+    S = [int(np.argmax(K.min(axis=0)))]
+    T = [int(np.argmin(K[:, S[0]]))]
+    rounds = pivots = 0
+    while max(len(S), len(T)) <= max_size:
+        # the module global, which tracers hook
+        sol = solve_inequality_lp(np.ones(len(T)), K[np.ix_(T, S)].T, np.ones(len(S)))
+        rounds, pivots = rounds + 1, pivots + sol.iterations
+        u_s, y_t = np.maximum(sol.duals, 0.0), np.maximum(sol.x, 0.0)
+        i, j = int(np.argmin(K[:, S] @ u_s)), int(np.argmax(K[T].T @ y_t))
+        if i in T and j in S:
+            u, y = np.zeros(n), np.zeros(n)
+            u[S], y[T] = u_s, y_t
+            return "double_oracle", rounds, pivots, u, y
+        if i not in T:
+            T.append(i)
+        if j not in S:
+            S.append(j)
+    ones = np.ones(n)
+    sol = solve_inequality_lp(ones, K.T, ones)
+    u, y = np.maximum(sol.duals, 0.0), np.maximum(sol.x, 0.0)
+    return "simplex", rounds, pivots + sol.iterations, u, y
 
 
 def _bounds(K, u, y):

@@ -45,6 +45,7 @@ class LpSolution:
     objective: float
     iterations: int
     basis: np.ndarray
+    residuals: dict        # eq, neg, dual, gap, comp: the verified residuals
 
 
 def solve_inequality_lp(c, A, b, max_iter: int = 100000) -> LpSolution:
@@ -128,6 +129,9 @@ def solve_inequality_lp(c, A, b, max_iter: int = 100000) -> LpSolution:
     gap = abs(objective - float(b @ y))
     comp = float(np.max(np.abs(xfull * reduced))) if xfull.size else 0.0
 
+    residuals = {"eq": eq_residual, "neg": neg_residual, "dual": dual_residual,
+                 "gap": gap, "comp": comp}
+
     if (
         eq_residual > 1e-6
         or neg_residual > _PRIMAL_TOL
@@ -136,9 +140,8 @@ def solve_inequality_lp(c, A, b, max_iter: int = 100000) -> LpSolution:
         or comp > 1e-6 * max(1.0, abs(objective))
     ):
         raise SolverError(
-            "final basis failed verification "
-            f"(eq={eq_residual:.2e}, neg={neg_residual:.2e}, "
-            f"dual={dual_residual:.2e}, gap={gap:.2e}, comp={comp:.2e})",
+            "final basis failed verification ("
+            + ", ".join(f"{k}={v:.2e}" for k, v in residuals.items()) + ")",
             residual=max(eq_residual, neg_residual, dual_residual, comp),
         )
 
@@ -149,4 +152,5 @@ def solve_inequality_lp(c, A, b, max_iter: int = 100000) -> LpSolution:
         objective=objective,
         iterations=iterations,
         basis=basis.copy(),
+        residuals=residuals,
     )

@@ -118,6 +118,20 @@ def test_custom_table_with_infinite_coordinate_exits_1(workdir, capsys, command)
     assert not (workdir / "out.csv").exists()
 
 
+@pytest.mark.parametrize("command", [["kernel"], ["optimize", "--objective", "maxmin"]])
+def test_custom_table_with_repeated_sample_exits_2(workdir, capsys, command):
+    lines = ["x,y,value"]
+    for x in (0.2, 1.0, 2.5):
+        for y in (0.2, 1.0, 2.5):
+            lines.append(f"{x},{y},0.5")
+    lines.insert(3, "0.2,0.2,7")
+    (workdir / "table.csv").write_text("\n".join(lines) + "\n")
+    assert main([*command, "--kernel", "custom:table.csv", "--grid", "20",
+                 "--out", "out.csv"]) == 2
+    assert "line 4" in capsys.readouterr().err
+    assert not (workdir / "out.csv").exists()
+
+
 def test_signal_command_du(workdir):
     assert main(["signal", "--dist", "du.msdist", "--kernel", "info",
                  "--grid", "1000", "--out", "profile.csv"]) == 0

@@ -252,6 +252,17 @@ def test_tabulated_csv_roundtrip(tmp_path):
         TabulatedKernel.from_csv(missing)
 
 
+@pytest.mark.parametrize("repeat", ["0.25,1.0,0.5", "0.25,1.0,0.7", "0.250,1e0,0.5"])
+def test_tabulated_csv_rejects_repeated_sample(tmp_path, repeat):
+    path = tmp_path / "dup.csv"
+    path.write_text(
+        "x,y,value\n0.25,0.25,1\n0.25,1.0,0.5\n1.0,0.25,0.5\n1.0,1.0,1\n" + repeat + "\n"
+    )
+    with pytest.raises(FormatError, match="line 6: .*repeated sample x=0.25, y=1.0") as info:
+        TabulatedKernel.from_csv(path)
+    assert info.value.line == 6
+
+
 def test_kernel_from_string(tmp_path):
     assert kernel_from_string("abs").name == "abs"
     assert kernel_from_string("info").name == "info"

@@ -1,5 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magsample import (
     DomainError,
@@ -15,6 +19,7 @@ from magsample import (
     regularized_objective,
     signal_summary,
 )
+from magsample.cli import main
 from magsample.optimize import MAX_AVG_ENTROPY, MAX_MIN, OptimizationConfig
 from magsample.simplex import solve_inequality_lp
 
@@ -193,7 +198,7 @@ def test_maxmin_signal_nearly_flat(maxmin_info, info_kernel):
     assert profile.values.max() - profile.values.min() < 0.05 * profile.values.min()
 
 
-# -- max-min solver paths: equalizer, else simplex ---------------------------------
+# -- max-min solver paths: equalizer, double oracle, full simplex ------------------
 
 
 def _game(kernel, grid_n):
@@ -220,7 +225,7 @@ def _check_certified(sol, K):
 def test_maxmin_builtin_kernels_take_the_equalizer(name, info_kernel, abs_kernel):
     kernel = {"info": info_kernel, "abs": abs_kernel}[name]
     sol = optimize_max_min(OptimizationConfig(objective=MAX_MIN, kernel=kernel, grid_n=200))
-    assert sol.solver == "equalizer" and sol.iterations == 0
+    assert sol.solver == "equalizer" and sol.iterations == 0 and sol.rounds == 0
     K = _game(kernel, 200)
     q = _check_certified(sol, K)
     q_lp, t_lp = _lp_oracle(K)
@@ -237,26 +242,94 @@ def _asymmetric_table(seed, n=64):
     return TabulatedKernel(xs, xs, base * noise)
 
 
-def test_maxmin_sparse_game_falls_back_to_simplex():
+def test_maxmin_sparse_game_takes_the_double_oracle():
     kernel = _asymmetric_table(2)
-    K = _game(kernel, 40)
-    assert np.linalg.solve(K, np.ones(40)).min() < -1.0  # not completely mixed
-    sol = optimize_max_min(OptimizationConfig(objective=MAX_MIN, kernel=kernel, grid_n=40))
-    assert sol.solver == "simplex" and sol.iterations > 0
+    K = _game(kernel, 200)
+    assert np.linalg.solve(K, np.ones(200)).min() < 0.0  # not completely mixed
+    sol = optimize_max_min(OptimizationConfig(objective=MAX_MIN, kernel=kernel, grid_n=200))
+    assert sol.solver == "double_oracle" and sol.rounds > 0 and sol.iterations > 0
+    q = _check_certified(sol, K)
+    assert sol.achieved_t == pytest.approx(_lp_oracle(K)[1], abs=1e-12)
+    assert np.count_nonzero(q) <= 200 // 8  # the support stays small
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5, 6, 7])
+@pytest.mark.parametrize("grid_n", [200, 317])
+def test_maxmin_double_oracle_matches_full_lp(seed, grid_n):
+    kernel = _asymmetric_table(seed)
+    K = _game(kernel, grid_n)
+    sol = optimize_max_min(OptimizationConfig(objective=MAX_MIN, kernel=kernel, grid_n=grid_n))
+    assert sol.solver == "double_oracle" and sol.rounds > 0
     _check_certified(sol, K)
     assert sol.achieved_t == pytest.approx(_lp_oracle(K)[1], abs=1e-12)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(2, 7),
+    st.lists(st.floats(0.05, 2.0), min_size=49, max_size=49),
+    st.integers(10, 120),
+)
+def test_maxmin_value_matches_full_lp_on_random_tables(nodes, values, grid_n):
+    xs = np.linspace(0.25, 2.0, nodes)
+    table = np.array(values[: nodes * nodes]).reshape(nodes, nodes)
+    kernel = TabulatedKernel(xs, xs, table)
+    K = _game(kernel, grid_n)
+    sol = optimize_max_min(OptimizationConfig(objective=MAX_MIN, kernel=kernel, grid_n=grid_n))
+    _check_certified(sol, K)
+    assert sol.achieved_t == pytest.approx(_lp_oracle(K)[1], abs=1e-12)
+
+
+def test_maxmin_large_support_falls_back_to_simplex(info_kernel):
+    # A game on the cell midpoints: the info kernel with source 0 replaced by
+    # half of source 1. K is singular, so the equalizer fails, and the optimal
+    # support keeps most of the grid, so the restricted game outgrows its bound.
+    n = 80
+    mids = MagRange().cell_midpoints(n)
+    values = np.asarray(info_kernel(mids[:, None], mids[None, :]), dtype=float)
+    values[:, 0] = 0.5 * values[:, 1]
+    kernel = TabulatedKernel(mids, mids, values)
+    K = _game(kernel, n)
+    assert np.array_equal(K, values)
+    sol = optimize_max_min(OptimizationConfig(objective=MAX_MIN, kernel=kernel, grid_n=n))
+    assert sol.solver == "simplex" and sol.rounds > 0
+    q = _check_certified(sol, K)
+    assert np.count_nonzero(q) > n // 8
+    assert sol.achieved_t == pytest.approx(_lp_oracle(K)[1], abs=1e-12)
+
+
 def test_maxmin_singular_game_falls_back_to_simplex():
+    # Interpolating the constant table leaves 1-ulp noise in K, so the best
+    # responses move, and at grid 10 the bound (one cell) is soon outgrown.
     xs = np.array([0.25, 2.0])
     const = TabulatedKernel(xs, xs, np.full((2, 2), 0.37))
     K = _game(const, 10)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(K, np.ones(10))
     sol = optimize_max_min(OptimizationConfig(objective=MAX_MIN, kernel=const, grid_n=10))
-    assert sol.solver == "simplex"
+    assert sol.solver == "simplex" and sol.rounds > 0
     _check_certified(sol, K)
     assert sol.achieved_t == pytest.approx(0.37, abs=1e-12)
+
+
+# Bytes of `optimize --objective maxmin` on a tabulated kernel, written by the
+# double oracle. The optimal q of such a game is not unique, so a different
+# solver path may give other bytes at the same achieved_t.
+TABULATED_MAXMIN_SHA256 = "6a206898e79a91b3f6fd53b90d7de384d5246a08223334b0148d1f8392828467"
+
+
+def test_tabulated_maxmin_msdist_golden_digest(tmp_path, monkeypatch):
+    kernel = _asymmetric_table(2, n=16)
+    lines = ["x,y,value"]
+    for i, x in enumerate(kernel.xs):
+        for j, y in enumerate(kernel.ys):
+            lines.append(f"{float(x)!r},{float(y)!r},{float(kernel.values[i, j])!r}")
+    (tmp_path / "tab.csv").write_text("\n".join(lines) + "\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["optimize", "--objective", "maxmin", "--grid", "200",
+                 "--kernel", "custom:tab.csv", "--out", "tab.msdist"]) == 0
+    digest = hashlib.sha256((tmp_path / "tab.msdist").read_bytes()).hexdigest()
+    assert digest == TABULATED_MAXMIN_SHA256
 
 
 def test_regularized_objective_is_signal_plus_entropy(info_kernel, mag_range):

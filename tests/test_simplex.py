@@ -23,6 +23,13 @@ def test_known_duals():
     assert sol.objective == pytest.approx(float(np.dot([4.0, 2.0], sol.duals)), abs=1e-9)
 
 
+def test_solution_carries_its_verified_residuals():
+    sol = solve_inequality_lp(c=[1.0, 2.0], A=[[1.0, 1.0], [0.0, 1.0]], b=[4.0, 2.0])
+    assert sorted(sol.residuals) == ["comp", "dual", "eq", "gap", "neg"]
+    assert all(0.0 <= v <= 1e-12 for v in sol.residuals.values())
+    assert sol.residuals["gap"] == abs(sol.objective - float(np.dot([4.0, 2.0], sol.duals)))
+
+
 def test_beale_degenerate_lp_terminates():
     # Classic cycling-prone instance; the stall guard must switch to Bland's
     # rule and still reach the optimum 1/20.
