@@ -246,8 +246,11 @@ class TabulatedKernel(Kernel):
         return i, frac
 
     def _evaluate(self, x, y):
-        x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
-        if (
+        # Each axis is located on its own array, and only the bilinear
+        # expression broadcasts; an empty broadcast queries nothing.
+        x = np.asarray(x, float)
+        y = np.asarray(y, float)
+        if math.prod(np.broadcast_shapes(x.shape, y.shape)) and (
             np.any(x < self.xs[0])
             or np.any(x > self.xs[-1])
             or np.any(y < self.ys[0])

@@ -25,6 +25,7 @@ File formats owned by this module:
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 import warnings
@@ -302,23 +303,38 @@ def _invalid_rows(rows: np.ndarray) -> np.ndarray:
     return ~ok
 
 
+def _parse_line(line: str, lineno: int) -> np.ndarray:
+    """One data line as a one-row array; a FormatError names the line if it
+    does not parse or breaks the plan invariants."""
+    if line.count(",") != len(PLAN_CSV_FIELDS) - 1:
+        raise FormatError("wrong number of plan columns", line=lineno)
+    try:
+        row = _parse_rows([line])
+    except ValueError:
+        raise FormatError("bad plan entry", line=lineno) from None
+    if _invalid_rows(row)[0]:
+        raise FormatError("plan entry violates its invariants", line=lineno)
+    return row
+
+
 def _first_bad_line(path) -> FormatError:
     """The error for the first data line that fails to parse or breaks the
     invariants; reads the file again line by line, so only on failure."""
     with open(path, "r", encoding="utf-8", newline="") as f:
         next(f)
         for lineno, line in enumerate(f, start=2):
-            if not line.strip("\r\n"):
-                continue
-            if line.count(",") != len(PLAN_CSV_FIELDS) - 1:
-                return FormatError("wrong number of plan columns", line=lineno)
-            try:
-                row = _parse_rows([line])
-            except ValueError:
-                return FormatError("bad plan entry", line=lineno)
-            if _invalid_rows(row)[0]:
-                return FormatError("plan entry violates its invariants", line=lineno)
+            if line.strip("\r\n"):
+                try:
+                    _parse_line(line, lineno)
+                except FormatError as error:
+                    return error
     return FormatError("bad plan entry")
+
+
+def _check_header(f):
+    header = f.readline()
+    if tuple(h.strip() for h in header.split(",")) != PLAN_CSV_FIELDS:
+        raise FormatError(f"expected plan header {','.join(PLAN_CSV_FIELDS)!r}", line=1)
 
 
 def read_plan_csv(path) -> CropPlan:
@@ -330,11 +346,7 @@ def read_plan_csv(path) -> CropPlan:
     names the first offending line.
     """
     with open(path, "r", encoding="utf-8", newline="") as f:
-        header = f.readline()
-        if tuple(h.strip() for h in header.split(",")) != PLAN_CSV_FIELDS:
-            raise FormatError(
-                f"expected plan header {','.join(PLAN_CSV_FIELDS)!r}", line=1
-            )
+        _check_header(f)
         try:
             rows = _parse_rows(f)
         except ValueError:
@@ -344,29 +356,78 @@ def read_plan_csv(path) -> CropPlan:
     return CropPlan(rows)
 
 
+def read_plan_row(path, index: int) -> CropPlanEntry:
+    """The plan entry with ``index``, parsing one line when it can.
+
+    A generated plan holds entry ``i`` on line ``i + 2``. That line alone is
+    parsed, and the lines before it are skipped unparsed; its row is returned
+    when its index field is ``index``. The header and that line are checked
+    as :func:`read_plan_csv` checks them, and a bad line raises a FormatError
+    naming it; no other line is checked. When the line is missing, blank or
+    holds another index (a negative ``index``, a short plan, blank lines or
+    rows out of order), the whole plan is read and its first row with
+    ``index`` returned; ParameterError reports an index with no entry.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as f:
+        _check_header(f)
+        line = next(itertools.islice(f, index, None), "") if index >= 0 else ""
+    if line.strip("\r\n"):
+        row = _parse_line(line, index + 2)
+        if row["index"][0] == index:
+            return CropPlan(row)[0]
+    plan = read_plan_csv(path)
+    matching = np.flatnonzero(plan.index == index)
+    if not matching.size:
+        raise ParameterError(f"plan has no entry with index {index}")
+    return plan[matching[0]]
+
+
 # -- applying plans -----------------------------------------------------------
 
 
+# Output rows per block of the resize: the float64 row pass of one block
+# (32 x crop x C) stays in cache while its columns are gathered.
+_RESIZE_BLOCK_ROWS = 32
+
+
 def _resize_bilinear(window: np.ndarray, out_size: int) -> np.ndarray:
-    """Corner-aligned separable bilinear resize of a square window."""
-    crop = window.shape[0]
+    """Corner-aligned separable bilinear resize of a square window.
+
+    Output rows are made a block at a time, so the float64 row pass never
+    spans the whole window. Each element still comes from the same float64
+    operations in the same order, ``a * lo + b * hi`` on rows, then on
+    columns, then the cast, so the result is bit-identical to the whole-array
+    form.
+    """
+    crop, _, channels = window.shape
     if crop == 1:
-        return np.broadcast_to(window, (out_size, out_size, window.shape[2])).copy()
+        return np.broadcast_to(window, (out_size, out_size, channels)).copy()
     # np.linspace hits both corners exactly
     pos = np.linspace(0.0, crop - 1.0, out_size)
     i0 = np.minimum(np.floor(pos).astype(np.intp), crop - 2)
     hi = pos - i0
     lo = 1.0 - hi
-    # gather the rows first and widen only them to float64, inside the ufunc;
-    # in-place sums skip temporaries but round exactly as a + b does
-    a = np.multiply(window[i0], lo[:, None, None], dtype=np.float64)
-    a += np.multiply(window[i0 + 1], hi[:, None, None], dtype=np.float64)
-    b = a[:, i0]
-    b *= lo[None, :, None]
-    c = a[:, i0 + 1]
-    c *= hi[None, :, None]
-    b += c
-    return b.astype(window.dtype, copy=False)
+    # a row of the window as one axis of crop * C values; column i0 of a
+    # row is the C values from i0 * C on
+    rows = window.reshape(crop, crop * channels)
+    cols = (i0[:, None] * channels + np.arange(channels)).ravel()
+    next_cols = cols + channels
+    lo_cols = np.repeat(lo, channels)
+    hi_cols = np.repeat(hi, channels)
+    out = np.empty((out_size, out_size * channels), dtype=window.dtype)
+    for start in range(0, out_size, _RESIZE_BLOCK_ROWS):
+        block = slice(start, start + _RESIZE_BLOCK_ROWS)
+        # gather the rows first and widen only them to float64, inside the
+        # ufunc; in-place sums skip temporaries but round exactly as a + b does
+        a = np.multiply(rows[i0[block]], lo[block, None], dtype=np.float64)
+        a += np.multiply(rows[i0[block] + 1], hi[block, None], dtype=np.float64)
+        b = a.take(cols, axis=1)
+        b *= lo_cols
+        c = a.take(next_cols, axis=1)
+        c *= hi_cols
+        b += c
+        out[block] = b
+    return out.reshape(out_size, out_size, channels)
 
 
 def apply_crop(image: np.ndarray, entry: CropPlanEntry) -> np.ndarray:

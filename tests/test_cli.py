@@ -334,6 +334,53 @@ def test_crop_apply_missing_index(workdir, capsys):
                  "--index", "5", "--out", "o.msim"]) == 2
 
 
+@pytest.fixture()
+def crop_inputs(workdir):
+    g = np.random.default_rng(6)
+    img = g.random((512, 512, 3)).astype(np.float32)
+    write_image_array("img.msim", img)
+    (workdir / "cu.msdist").write_text(CU_TEXT)
+    assert main(["plan", "--dist", "cu.msdist", "--n", "8", "--seed", "2",
+                 "--out", "plan.csv"]) == 0
+    return img
+
+
+def _crop_apply(index):
+    return main(["crop-apply", "--image", "img.msim", "--plan", "plan.csv",
+                 "--index", str(index), "--out", "o.msim"])
+
+
+@pytest.mark.parametrize("index", [8, -1])
+def test_crop_apply_index_without_entry_exits_2(crop_inputs, capsys, index):
+    assert _crop_apply(index) == 2
+    assert f"plan has no entry with index {index}" in capsys.readouterr().err
+
+
+def test_crop_apply_bad_target_row_exits_2(crop_inputs, workdir, capsys):
+    path = workdir / "plan.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[4] = lines[4].replace(",", ";", 1)
+    path.write_text("".join(lines))
+    assert _crop_apply(3) == 2
+    assert "line 5: wrong number of plan columns" in capsys.readouterr().err
+
+
+def test_crop_apply_ignores_bad_rows_elsewhere(crop_inputs, workdir):
+    """crop-apply parses only its own row, so a bad row elsewhere in the plan
+    does not fail it; the manifest still digests the whole file."""
+    from magsample import apply_crop, read_image_array, read_plan_csv
+
+    entry = read_plan_csv("plan.csv")[5]
+    path = workdir / "plan.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[2] = "1,x,1.0,512,336,224,0.0,0.0\n"
+    path.write_text("".join(lines))
+    assert _crop_apply(5) == 0
+    assert np.array_equal(read_image_array("o.msim"), apply_crop(crop_inputs, entry))
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert f"digest.plan sha256:{digest}\n" in (workdir / "o.msim.manifest.txt").read_text()
+
+
 @pytest.mark.parametrize(
     "error, code",
     [

@@ -200,6 +200,29 @@ def test_tabulated_query_outside_grid_raises():
         k.transfer_potential(1.0, MagRange(0.25, 2.0))
 
 
+
+def test_tabulated_outer_grid_equals_broadcast_points():
+    g = np.random.default_rng(9)
+    xs = np.sort(g.uniform(0.2, 2.2, 9))
+    ys = np.sort(g.uniform(0.2, 2.2, 7))
+    k = TabulatedKernel(xs, ys, g.uniform(0.1, 2.0, (9, 7)))
+    qx = g.uniform(xs[0], xs[-1], 40)[:, None]
+    qy = np.append(g.uniform(ys[0], ys[-1], 30), ys)[None, :]
+    outer = k(qx, qy)
+    assert outer.shape == (40, 37)
+    assert outer.tobytes() == k(*np.broadcast_arrays(qx, qy)).tobytes()
+
+
+def test_tabulated_range_check_follows_the_broadcast():
+    xs = np.linspace(0.5, 1.5, 11)
+    k = TabulatedKernel(xs, xs, np.ones((11, 11)))
+    # an empty broadcast queries no point, however far out the other axis lies
+    assert k(np.empty((0, 1)), np.array([[9.0, 1.0]])).shape == (0, 2)
+    with pytest.raises(RangeError):
+        k(np.array([[1.0], [1.2]]), np.array([[1.0, 1.6]]))
+    with pytest.raises(ValueError, match="broadcast"):
+        k(np.ones(3), np.ones(4))
+
 def test_constant_tabulated_kernel_potential():
     xs = np.linspace(0.25, 2.0, 5)
     k = TabulatedKernel(xs, xs, np.full((5, 5), 0.5))

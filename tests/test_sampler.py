@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from magsample import (
     CropPlan,
@@ -19,12 +21,14 @@ from magsample import (
     plan_crop,
     read_image_array,
     read_plan_csv,
+    read_plan_row,
     sample_targets,
     write_image_array,
     write_plan_csv,
 )
 from magsample.rng import CounterRng
-from magsample.sampler import _resize_bilinear, format_plan_csv
+from magsample import sampler
+from magsample.sampler import _RESIZE_BLOCK_ROWS, _resize_bilinear, format_plan_csv
 
 from conftest import STANDARDS, chi_square_gof
 
@@ -266,6 +270,93 @@ def test_plan_csv_skips_blank_lines(tmp_path, config):
     assert len(read_plan_csv(path)) == 0
 
 
+
+# -- one plan row -------------------------------------------------------------------
+
+
+@pytest.fixture()
+def plan_file(tmp_path, config):
+    plan = generate_plan(config, 12)
+    path = tmp_path / "plan.csv"
+    write_plan_csv(plan, path)
+    return plan, path
+
+
+@pytest.fixture()
+def full_reads(monkeypatch):
+    """Counts the whole-plan reads that read_plan_row falls back on."""
+    calls = []
+
+    def counted(path):
+        calls.append(path)
+        return read_plan_csv(path)
+
+    monkeypatch.setattr(sampler, "read_plan_csv", counted)
+    return calls
+
+
+def test_plan_row_equals_full_read(plan_file, full_reads):
+    plan, path = plan_file
+    full = read_plan_csv(path)
+    for i in range(len(plan)):
+        assert read_plan_row(path, i) == full[i] == plan[i]
+    assert not full_reads
+
+
+def test_plan_row_falls_back_on_blank_lines(plan_file, full_reads):
+    plan, path = plan_file
+    head, *rows = path.read_text().splitlines(keepends=True)
+    path.write_text(head + "".join(rows[:3]) + "\n\n" + "".join(rows[3:]))
+    for i in range(len(plan)):
+        assert read_plan_row(path, i) == plan[i]
+    assert len(full_reads) == len(plan) - 3  # rows 3.. moved down two lines
+
+
+def test_plan_row_falls_back_on_another_index(plan_file, full_reads):
+    plan, path = plan_file
+    head, *rows = path.read_text().splitlines(keepends=True)
+    path.write_text(head + "".join(reversed(rows)))
+    assert read_plan_row(path, 2) == plan[2]
+    assert len(full_reads) == 1
+
+
+@pytest.mark.parametrize("index", [12, 10**6, -1, -12])
+def test_plan_row_without_entry(plan_file, full_reads, index):
+    _, path = plan_file
+    with pytest.raises(ParameterError, match=f"plan has no entry with index {index}"):
+        read_plan_row(path, index)
+    assert len(full_reads) == 1
+
+
+@pytest.mark.parametrize(
+    "row, reason",
+    [
+        ("3,1.5,1.0,512,336,224.0,0.0,0.0", "bad plan entry"),
+        ("3,1.5,1.0,512,336", "wrong number of plan columns"),
+        ("3,1.5,1.0,512,600,224,0.0,0.0", "plan entry violates its invariants"),
+    ],
+)
+def test_plan_row_reports_its_bad_line(plan_file, row, reason):
+    plan, path = plan_file
+    head, *rows = path.read_text().splitlines(keepends=True)
+    rows[3] = row + "\n"
+    path.write_text(head + "".join(rows))
+    with pytest.raises(FormatError, match=f"line 5: {reason}"):
+        read_plan_row(path, 3)
+    # the other rows are not checked
+    assert read_plan_row(path, 4) == plan[4]
+    with pytest.raises(FormatError, match="line 5"):
+        read_plan_csv(path)
+
+
+def test_plan_row_checks_the_header(plan_file):
+    _, path = plan_file
+    head, *rows = path.read_text().splitlines(keepends=True)
+    path.write_text(head.replace("index", "idx") + "".join(rows))
+    with pytest.raises(FormatError, match="line 1: expected plan header"):
+        read_plan_row(path, 0)
+
+
 def test_crop_plan_views(config):
     plan = generate_plan(config, 10)
     assert isinstance(plan, CropPlan) and len(plan) == 10
@@ -302,6 +393,40 @@ def test_resize_bilinear_matches_reference_bytes(crop):
     got = _resize_bilinear(window, 224)
     assert got.dtype == np.float32
     assert got.tobytes() == _resize_reference(window, 224).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    crop=st.integers(2, 512),
+    out_size=st.one_of(
+        st.integers(1, 512),
+        st.sampled_from([_RESIZE_BLOCK_ROWS - 1, _RESIZE_BLOCK_ROWS, _RESIZE_BLOCK_ROWS + 1]),
+    ),
+    channels=st.sampled_from([1, 3, 4]),
+    step=st.sampled_from([1, 2]),
+    offset=st.integers(0, 7),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(crop=2, out_size=1, channels=1, step=1, offset=0, dtype=np.float32, seed=0)
+@example(crop=512, out_size=512, channels=4, step=1, offset=0, dtype=np.float32, seed=1)
+@example(crop=300, out_size=_RESIZE_BLOCK_ROWS, channels=3, step=2, offset=3,
+         dtype=np.float32, seed=2)
+@example(crop=37, out_size=5 * _RESIZE_BLOCK_ROWS + 7, channels=3, step=1, offset=5,
+         dtype=np.float32, seed=3)
+def test_resize_bilinear_is_the_reference_bit_for_bit(
+    crop, out_size, channels, step, offset, dtype, seed
+):
+    # the window is a strided view cut from a larger image, as apply_crop cuts it
+    side = offset + step * crop + 3
+    img = np.random.default_rng(seed).random((side, side, channels)).astype(dtype)
+    window = img[offset::step, offset + 1 :: step][:crop, :crop]
+    assert window.shape == (crop, crop, channels)
+    got = _resize_bilinear(window, out_size)
+    want = _resize_reference(window, out_size)
+    assert got.shape == want.shape == (out_size, out_size, channels)
+    assert got.dtype == want.dtype == dtype
+    assert got.tobytes() == want.tobytes()
 
 
 def test_apply_crop_rejects_bad_offsets():
