@@ -10,12 +10,18 @@ is the aggregate benefit of one sample taken at x. Kernels also give the
 antiderivatives in x of K(., y) and of tp, so signal integrals over density
 cells are exact differences. All are closed forms; a tabulated kernel's are
 exact for its bilinear interpolant, which is piecewise linear in x and y.
+
+The antiderivatives and the tabulated interpolation run in place, in reused
+buffers, to spare full-size temporaries. They keep every operation of the
+plain expression and its order, so each value, and every output written
+from it, is the same bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,8 +136,14 @@ class AbsDistanceKernel(Kernel):
         return np.log1p(xa - mag_range.a) + np.log1p(mag_range.b - xa)
 
     def _antiderivative(self, x, y):
+        # sign(d) * log1p(|d|) in two arrays, with the operations of that
+        # expression in its order, so the result is the same bit for bit.
         d = x[:, None] - y[None, :]
-        return np.sign(d) * np.log1p(np.abs(d))
+        out = np.abs(d)
+        np.log1p(out, out=out)
+        np.sign(d, out=d)
+        np.multiply(d, out, out=out)
+        return out
 
     def _potential_antiderivative(self, xa, mag_range):
         u, v = xa - mag_range.a, mag_range.b - xa
@@ -157,8 +169,19 @@ class InfoOverlapKernel(Kernel):
         return (xa**3 - a**3) / (3.0 * xa**2) + xa - xa**2 / b
 
     def _antiderivative(self, x, y):
+        # min(x, y)^3 / (3 y^2) + y * max(0, 1 - y/x) in two arrays, with the
+        # operations of that expression in its order, so the result is the
+        # same bit for bit.
         x, y = x[:, None], y[None, :]
-        return np.minimum(x, y) ** 3 / (3.0 * y * y) + y * np.maximum(0.0, 1.0 - y / x)
+        out = np.minimum(x, y)
+        np.power(out, 3, out=out)
+        out /= 3.0 * y * y
+        tail = np.divide(y, x)
+        np.subtract(1.0, tail, out=tail)
+        np.maximum(0.0, tail, out=tail)
+        np.multiply(y, tail, out=tail)
+        out += tail
+        return out
 
     def _potential_antiderivative(self, xa, mag_range):
         a, b = mag_range.a, mag_range.b
@@ -199,37 +222,14 @@ class TabulatedKernel(Kernel):
     def from_csv(cls, path) -> "TabulatedKernel":
         """Load a kernel from a CSV file with header ``x,y,value``.
 
-        The rows must cover a complete rectangular grid, each sample once.
+        The rows must cover a complete rectangular grid, each sample once, in
+        any order; blank rows are skipped. The body is parsed in one bulk pass.
+        If that pass fails or the grid is incomplete, the file is read again
+        line by line, and that reader alone decides the result, so its errors
+        name the offending line.
         """
-        points = {}
-        with open(path, "r", newline="") as f:
-            reader = csv.reader(f)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != ["x", "y", "value"]:
-                raise FormatError(f"{path}: expected header 'x,y,value'", line=1)
-            for lineno, row in enumerate(reader, start=2):
-                if not row or all(not c.strip() for c in row):
-                    continue
-                if len(row) != 3:
-                    raise FormatError(f"{path}: expected 3 columns", line=lineno)
-                try:
-                    x, y, v = (float(c) for c in row)
-                except ValueError:
-                    raise FormatError(f"{path}: non-numeric entry {row!r}", line=lineno) from None
-                if (x, y) in points:
-                    raise FormatError(f"{path}: repeated sample x={x}, y={y}", line=lineno)
-                points[(x, y)] = v
-        if not points:
-            raise FormatError(f"{path}: no kernel samples found")
-        xs = np.array(sorted({x for x, _ in points}))
-        ys = np.array(sorted({y for _, y in points}))
-        values = np.empty((xs.size, ys.size))
-        for i, x in enumerate(xs):
-            for j, y in enumerate(ys):
-                if (x, y) not in points:
-                    raise FormatError(f"{path}: grid is missing the sample x={x}, y={y}")
-                values[i, j] = points[(x, y)]
-        return cls(xs, ys, values)
+        table = _read_table_bulk(path)
+        return cls(*(table if table is not None else _read_table_lines(path)))
 
     def covers(self, mag_range: MagRange) -> bool:
         return (
@@ -250,7 +250,8 @@ class TabulatedKernel(Kernel):
         # expression broadcasts; an empty broadcast queries nothing.
         x = np.asarray(x, float)
         y = np.asarray(y, float)
-        if math.prod(np.broadcast_shapes(x.shape, y.shape)) and (
+        shape = np.broadcast_shapes(x.shape, y.shape)
+        if math.prod(shape) and (
             np.any(x < self.xs[0])
             or np.any(x > self.xs[-1])
             or np.any(y < self.ys[0])
@@ -259,13 +260,38 @@ class TabulatedKernel(Kernel):
             raise RangeError("query outside the tabulated kernel grid")
         i, fx = self._locate(self.xs, x)
         j, fy = self._locate(self.ys, y)
-        v = self.values
-        return (
-            v[i, j] * (1.0 - fx) * (1.0 - fy)
-            + v[i + 1, j] * fx * (1.0 - fy)
-            + v[i, j + 1] * (1.0 - fx) * fy
-            + v[i + 1, j + 1] * fx * fy
-        )
+        # When x varies only along leading axes and y only along trailing ones,
+        # the result is the outer table of x.ravel() by y.ravel(). A corner is
+        # then the table rows at i, then their columns at j: two takes, with no
+        # index array over the grid. Other shapes index the table point by point.
+        xp = (1,) * (len(shape) - x.ndim) + x.shape
+        yp = (1,) * (len(shape) - y.ndim) + y.shape
+        split = max((a + 1 for a, n in enumerate(xp) if n != 1), default=0)
+        outer = all(n == 1 for n in yp[:split])
+        if outer:
+            i, fx = i.reshape(-1, 1), fx.reshape(-1, 1)
+            j, fy = j.reshape(1, -1), fy.reshape(1, -1)
+        # Each corner term is (v * wx) * wy, made in a reused buffer, and the
+        # terms are summed in the order v00, v10, v01, v11. These are the
+        # operations of the plain bilinear expression in its order, so values
+        # are the same bit for bit.
+        wx, wy = (1.0 - fx, fx), (1.0 - fy, fy)
+        out = np.empty(np.broadcast_shapes(i.shape, j.shape))
+        term = np.empty_like(out)
+        for n, (di, dj) in enumerate(((0, 0), (1, 0), (0, 1), (1, 1))):
+            dst = term if n else out
+            if outer:
+                # v * wx on the gathered rows, then their columns; the indices
+                # are in range, and "clip" lets take write into dst unbuffered
+                rows = self.values.take(i[:, 0] + di, axis=0)
+                rows *= wx[di]
+                rows.take(j[0] + dj, axis=1, out=dst, mode="clip")
+            else:
+                np.multiply(self.values[i + di, j + dj], wx[di], out=dst)
+            dst *= wy[dj]
+            if n:
+                out += term
+        return out.reshape(shape)
 
     def _transfer_potential(self, xa, mag_range):
         # Trapezoid on the tabulated y-nodes clipped to the range; exact for
@@ -289,6 +315,76 @@ class TabulatedKernel(Kernel):
         i, t = self._locate(self.xs, x)
         t = t[:, None]
         return cum[i] + h[i] * t * (f[i] + 0.5 * t * (f[i + 1] - f[i]))
+
+
+def _has_table_header(f) -> bool:
+    header = next(csv.reader(f), None)
+    return header is not None and [h.strip() for h in header] == ["x", "y", "value"]
+
+
+def _read_table_bulk(path):
+    """Grid, in the form ``(xs, ys, values)``, of a table parsed by one loadtxt.
+
+    Returns None, leaving the verdict to :func:`_read_table_lines`, when the
+    header or any row does not parse, a coordinate is not finite, or a sample
+    is repeated or missing. Cells parse as ``float`` parses them, and the
+    grid is the sorted distinct coordinates, as the line reader builds it.
+    """
+    with open(path, "r", newline="") as f:
+        if not _has_table_header(f):
+            return None
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # loadtxt warns on a body with no rows
+                data = np.loadtxt(f, delimiter=",", comments=None, ndmin=2)
+        except (ValueError, UserWarning):
+            return None
+    if data.shape[1] != 3 or not np.all(np.isfinite(data[:, :2])):
+        return None
+    xs, ix = np.unique(data[:, 0], return_inverse=True)
+    ys, iy = np.unique(data[:, 1], return_inverse=True)
+    cell = ix * ys.size + iy
+    if np.any(np.bincount(cell, minlength=xs.size * ys.size) != 1):
+        return None  # a sample is repeated or missing
+    values = np.empty(xs.size * ys.size)
+    values[cell] = data[:, 2]
+    return xs, ys, values.reshape(xs.size, ys.size)
+
+
+def _read_table_lines(path):
+    """Grid, in the form ``(xs, ys, values)``, of a table read row by row.
+
+    Raises FormatError on a bad header, a row of other than three numbers
+    (naming its line), a repeated sample (naming its line), an empty body or
+    a missing sample.
+    """
+    points = {}
+    with open(path, "r", newline="") as f:
+        if not _has_table_header(f):
+            raise FormatError(f"{path}: expected header 'x,y,value'", line=1)
+        for lineno, row in enumerate(csv.reader(f), start=2):
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) != 3:
+                raise FormatError(f"{path}: expected 3 columns", line=lineno)
+            try:
+                x, y, v = (float(c) for c in row)
+            except ValueError:
+                raise FormatError(f"{path}: non-numeric entry {row!r}", line=lineno) from None
+            if (x, y) in points:
+                raise FormatError(f"{path}: repeated sample x={x}, y={y}", line=lineno)
+            points[(x, y)] = v
+    if not points:
+        raise FormatError(f"{path}: no kernel samples found")
+    xs = np.array(sorted({x for x, _ in points}))
+    ys = np.array(sorted({y for _, y in points}))
+    values = np.empty((xs.size, ys.size))
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            if (x, y) not in points:
+                raise FormatError(f"{path}: grid is missing the sample x={x}, y={y}")
+            values[i, j] = points[(x, y)]
+    return xs, ys, values
 
 
 @dataclass(frozen=True)

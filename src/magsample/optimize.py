@@ -14,8 +14,11 @@ names:
 
 * ``"equalizer"``: if K u = 1 and K'y = 1 have strictly positive solutions,
   the game is completely mixed and its unique solution is q = u / Z,
-  r = y / Z with Z = sum(u) (Kaplansky 1945): two linear solves, and the
-  second is skipped when u already has a nonpositive entry.
+  r = y / Z with Z = sum(u) (Kaplansky 1945): two linear solves. The second
+  is skipped when u already has a nonpositive entry, and also when K equals
+  its transpose exactly (the info and abs kernels on the midpoint grid):
+  then the solve of K'y = 1 would hand LAPACK the same input as K u = 1, so
+  y is u bit for bit and is taken as u.
 * ``"double_oracle"``: otherwise the game is solved on a few sources and
   targets, grown by full-grid best responses (McMahan, Gordon & Blum 2003).
   Each restricted game is the LP pair ``min 1'u : K u >= 1`` /
@@ -149,7 +152,8 @@ def _equalizer(K):
         u = np.linalg.solve(K, ones)
         if not u.min() > 0.0:  # not completely mixed; K'y = 1 cannot help
             return None
-        y = np.linalg.solve(K.T, ones)
+        # an exactly symmetric K gives LAPACK the same input twice
+        y = u if np.array_equal(K, K.T) else np.linalg.solve(K.T, ones)
     except np.linalg.LinAlgError:
         return None
     if not y.min() > 0.0:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from magsample import (
     AbsDistanceKernel,
@@ -15,6 +17,8 @@ from magsample import (
     kernel_from_string,
     transfer_potential_curve,
 )
+
+from magsample import kernels as kernels_module
 
 from conftest import quadrature_potential, raw_abs_kernel, raw_info_kernel
 
@@ -223,6 +227,120 @@ def test_tabulated_range_check_follows_the_broadcast():
     with pytest.raises(ValueError, match="broadcast"):
         k(np.ones(3), np.ones(4))
 
+def _tabulated_reference(k, x, y):
+    """The bilinear expression as first written, fancy-indexed on the broadcast grid."""
+
+    def locate(grid, q):
+        i = np.clip(np.searchsorted(grid, q, side="right") - 1, 0, grid.size - 2)
+        return i, (q - grid[i]) / (grid[i + 1] - grid[i])
+
+    i, fx = locate(k.xs, x)
+    j, fy = locate(k.ys, y)
+    v = k.values
+    return (
+        v[i, j] * (1.0 - fx) * (1.0 - fy)
+        + v[i + 1, j] * fx * (1.0 - fy)
+        + v[i, j + 1] * (1.0 - fx) * fy
+        + v[i + 1, j + 1] * fx * fy
+    )
+
+
+# query shapes (x, y) for sizes n and m; "nodes" is the transfer-potential call
+# xa[..., None] against 1-d nodes, and the last three take the point-by-point gather
+_QUERY_SHAPES = {
+    "outer": lambda n, m: ((n, 1), (1, m)),
+    "nodes": lambda n, m: ((n, 1), (m,)),
+    "scalars": lambda n, m: ((), ()),
+    "scalar x": lambda n, m: ((), (m,)),
+    "scalar y": lambda n, m: ((n, 1), ()),
+    "outer 3-d": lambda n, m: ((n, 1, 1), (1, m, 2)),
+    "pairs": lambda n, m: ((n,), (n,)),
+    "reversed outer": lambda n, m: ((1, m), (n, 1)),
+    "interleaved 3-d": lambda n, m: ((n, 1, 2), (1, m, 1)),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    layout=st.sampled_from(sorted(_QUERY_SHAPES)),
+    n=st.integers(0, 40),
+    m=st.integers(0, 40),
+    nx=st.integers(2, 9),
+    ny=st.integers(2, 9),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(layout="outer", n=0, m=5, nx=3, ny=4, seed=0)
+@example(layout="pairs", n=0, m=0, nx=2, ny=2, seed=1)
+@example(layout="outer", n=37, m=33, nx=64, ny=64, seed=2)
+def test_tabulated_evaluate_is_the_reference_bit_for_bit(layout, n, m, nx, ny, seed):
+    g = np.random.default_rng(seed)
+    xs = np.sort(g.choice(np.linspace(0.2, 2.2, 200), nx, replace=False))
+    ys = np.sort(g.choice(np.linspace(0.2, 2.2, 200), ny, replace=False))
+    k = TabulatedKernel(xs, ys, g.uniform(0.05, 2.0, (nx, ny)))
+
+    def queries(shape, nodes):
+        # uniform points, with a third of them on the table's nodes
+        q = g.uniform(nodes[0], nodes[-1], shape)
+        on_node = g.random(shape) < 1 / 3
+        return np.where(on_node, g.choice(nodes, shape), q)
+
+    x_shape, y_shape = _QUERY_SHAPES[layout](n, m)
+    x, y = queries(x_shape, xs), queries(y_shape, ys)
+    got = k._evaluate(x, y)
+    want = _tabulated_reference(k, x, y)
+    assert np.shape(got) == np.shape(want) and np.result_type(got) == np.float64
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def _info_antiderivative_reference(x, y):
+    x, y = x[:, None], y[None, :]
+    return np.minimum(x, y) ** 3 / (3.0 * y * y) + y * np.maximum(0.0, 1.0 - y / x)
+
+
+def _abs_antiderivative_reference(x, y):
+    d = x[:, None] - y[None, :]
+    return np.sign(d) * np.log1p(np.abs(d))
+
+
+_ANTIDERIVATIVE_REFERENCES = {
+    "info": (InfoOverlapKernel(), _info_antiderivative_reference),
+    "abs": (AbsDistanceKernel(), _abs_antiderivative_reference),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_ANTIDERIVATIVE_REFERENCES)),
+    n=st.integers(0, 300),
+    m=st.integers(0, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(name="info", n=1001, m=256, seed=0)
+@example(name="abs", n=1001, m=256, seed=0)
+def test_antiderivatives_are_the_reference_bit_for_bit(name, n, m, seed):
+    kernel, reference = _ANTIDERIVATIVE_REFERENCES[name]
+    g = np.random.default_rng(seed)
+    x = g.uniform(0.05, 6.0, n)
+    # some targets sit exactly on x, where min, max and sign switch
+    y = np.where(g.random(m) < 0.25, g.choice(x, m) if n else 1.0, g.uniform(0.05, 6.0, m))
+    got = kernel._antiderivative(x, y)
+    want = reference(x, y)
+    assert got.shape == want.shape == (n, m)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_antiderivatives_match_the_reference_on_signal_blocks(mag_range):
+    # the blocks accumulated_signal builds for a 1000-cell density on 3000 targets
+    edges = mag_range.cell_edges(1000)
+    ys = mag_range.grid(3000)
+    for kernel, reference in _ANTIDERIVATIVE_REFERENCES.values():
+        for lo in range(0, 3000, 256):
+            block = ys[lo : lo + 256]
+            assert kernel._antiderivative(edges, block).tobytes() == (
+                reference(edges, block).tobytes()
+            )
+
+
 def test_constant_tabulated_kernel_potential():
     xs = np.linspace(0.25, 2.0, 5)
     k = TabulatedKernel(xs, xs, np.full((5, 5), 0.5))
@@ -284,6 +402,131 @@ def test_tabulated_csv_rejects_repeated_sample(tmp_path, repeat):
     with pytest.raises(FormatError, match="line 6: .*repeated sample x=0.25, y=1.0") as info:
         TabulatedKernel.from_csv(path)
     assert info.value.line == 6
+
+
+_GRID = "0.25,0.25,1\n0.25,1.0,0.5\n1.0,0.25,0.5\n1.0,1.0,1\n"
+_HEAD = "x,y,value\n"
+
+# body: (error class, message with {path}, line), as the line-by-line reader
+# reports them; test_tabulated_csv_rejects_repeated_sample covers repeats
+_TABLE_ERRORS = {
+    "bad header": ("x,y,val\n" + _GRID, FormatError,
+                   "line 1: {path}: expected header 'x,y,value'", 1),
+    "empty file": ("", FormatError, "line 1: {path}: expected header 'x,y,value'", 1),
+    "two columns": (_HEAD + "0.25,0.25,1\n0.25,1.0\n1.0,0.25,0.5\n1.0,1.0,1\n",
+                    FormatError, "line 3: {path}: expected 3 columns", 3),
+    "four columns": (_HEAD + "0.25,0.25,1\n0.25,1.0,0.5,7\n1.0,0.25,0.5\n1.0,1.0,1\n",
+                     FormatError, "line 3: {path}: expected 3 columns", 3),
+    "four columns on every row": (_HEAD + _GRID.replace("\n", ",0\n"), FormatError,
+                                  "line 2: {path}: expected 3 columns", 2),
+    "non-numeric cell": (_HEAD + "0.25,0.25,1\n0.25,abc,0.5\n1.0,0.25,0.5\n1.0,1.0,1\n",
+                         FormatError, "line 3: {path}: non-numeric entry ['0.25', 'abc', '0.5']",
+                         3),
+    "empty cell": (_HEAD + "0.25,0.25,1\n0.25,,0.5\n1.0,0.25,0.5\n1.0,1.0,1\n", FormatError,
+                   "line 3: {path}: non-numeric entry ['0.25', '', '0.5']", 3),
+    "comment row": (_HEAD + "# note\n" + _GRID, FormatError,
+                    "line 2: {path}: expected 3 columns", 2),
+    "missing sample": (_HEAD + "0.25,0.25,1\n0.25,1.0,0.5\n1.0,0.25,0.5\n", FormatError,
+                       "{path}: grid is missing the sample x=1.0, y=1.0", None),
+    "nan coordinate": (_HEAD + "0.25,0.25,1\n0.25,nan,0.5\n1.0,0.25,0.5\n1.0,nan,1\n",
+                       FormatError, "{path}: grid is missing the sample x=0.25, y=nan", None),
+    "no samples": (_HEAD, FormatError, "{path}: no kernel samples found", None),
+    "only blank rows": (_HEAD + "\n,,\n  \n", FormatError,
+                        "{path}: no kernel samples found", None),
+    "nonpositive value": (_HEAD + "0.25,0.25,1\n0.25,1.0,-0.5\n1.0,0.25,0.5\n1.0,1.0,1\n",
+                          DomainError, "tabulated kernel values must be positive and finite",
+                          None),
+    "zero value": (_HEAD + "0.25,0.25,1\n0.25,1.0,0\n1.0,0.25,0.5\n1.0,1.0,1\n",
+                   DomainError, "tabulated kernel values must be positive and finite", None),
+    "one row": (_HEAD + "0.25,0.25,1\n", ParameterError,
+                "tabulated kernel needs at least a 2x2 grid", None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TABLE_ERRORS))
+def test_tabulated_csv_errors_name_their_line(tmp_path, case):
+    body, cls, message, line = _TABLE_ERRORS[case]
+    path = tmp_path / "k.csv"
+    path.write_text(body, newline="")
+    with pytest.raises(cls) as info:
+        TabulatedKernel.from_csv(path)
+    assert type(info.value) is cls
+    assert str(info.value) == message.format(path=path)
+    assert getattr(info.value, "line", None) == line
+
+
+# bodies that hold the same 2 x 2 table as _GRID
+_SAME_TABLE = {
+    "blank lines": "\n0.25,0.25,1\n\n0.25,1.0,0.5\n1.0,0.25,0.5\n\n1.0,1.0,1\n\n",
+    "empty and whitespace rows": "0.25,0.25,1\n,,\n0.25,1.0,0.5\n  ,  , \n\t\n"
+    "1.0,0.25,0.5\n   \n1.0,1.0,1\n",
+    "crlf": _GRID.replace("\n", "\r\n"),
+    "shuffled rows": "1.0,1.0,1\n0.25,1.0,0.5\n1.0,0.25,0.5\n0.25,0.25,1\n",
+    "spaces around cells": " 0.25 , 0.25 ,1\n0.25,1.0 ,0.5\n1.0,0.25,0.5\n1.0,1.0,1",
+    "quoted cells": '"0.25",0.25,1\n0.25,"1.0",0.5\n1.0,0.25,0.5\n1.0,1.0,1\n',
+    "other float spellings": ".25,+0.25,1.\n0.25,1E0,5e-1\n1.,0.25,0.5\n1.0,1.0,1e0\n",
+}
+
+
+def _table_bytes(k):
+    return k.xs.tobytes(), k.ys.tobytes(), k.values.tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(_SAME_TABLE))
+def test_tabulated_csv_body_forms(tmp_path, case):
+    clean, other = tmp_path / "clean.csv", tmp_path / "other.csv"
+    clean.write_text(_HEAD + _GRID, newline="")
+    other.write_text(_HEAD + _SAME_TABLE[case], newline="")
+    assert _table_bytes(TabulatedKernel.from_csv(other)) == _table_bytes(
+        TabulatedKernel.from_csv(clean)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nx=st.integers(1, 12),
+    ny=st.integers(1, 12),
+    blank_rows=st.integers(0, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bulk_table_read_is_the_line_reader(tmp_path_factory, nx, ny, blank_rows, seed):
+    # A complete table, rows shuffled and written as repr or %.17g, with blank
+    # rows: the bulk pass must accept it and build the line reader's grid.
+    g = np.random.default_rng(seed)
+    xs = np.unique(g.uniform(0.05, 5.0, nx))
+    ys = np.unique(g.uniform(0.05, 5.0, ny))
+    values = g.uniform(0.01, 3.0, (xs.size, ys.size))
+    fmt = [repr, lambda v: "%.17g" % v]
+    rows = [
+        ",".join(fmt[g.integers(2)](float(v)) for v in (x, y, values[i, j]))
+        for i, x in enumerate(xs)
+        for j, y in enumerate(ys)
+    ]
+    rows += [""] * blank_rows
+    g.shuffle(rows)
+    path = tmp_path_factory.mktemp("bulk") / "k.csv"
+    path.write_text("x,y,value\n" + "\n".join(rows) + "\n")
+    bulk = kernels_module._read_table_bulk(path)
+    assert bulk is not None
+    lines = kernels_module._read_table_lines(path)
+    assert [a.tobytes() for a in bulk] == [a.tobytes() for a in lines]
+    assert np.array_equal(bulk[2], values)
+
+
+def test_clean_table_takes_one_bulk_pass(tmp_path, monkeypatch):
+    path = tmp_path / "k.csv"
+    path.write_text(_HEAD + _GRID)
+    reads = []
+    line_reader = kernels_module._read_table_lines
+    monkeypatch.setattr(kernels_module, "_read_table_lines",
+                        lambda p: reads.append(p) or line_reader(p))
+    TabulatedKernel.from_csv(path)
+    assert reads == []
+    path.write_text(_HEAD + _GRID + "\n,,\n")  # a row of empty cells fails the bulk pass
+    assert _table_bytes(TabulatedKernel.from_csv(path)) == _table_bytes(
+        TabulatedKernel(*line_reader(path))
+    )
+    assert reads == [path]
 
 
 def test_kernel_from_string(tmp_path):

@@ -19,6 +19,7 @@ from magsample import (
     regularized_objective,
     signal_summary,
 )
+from magsample import optimize as optimize_module
 from magsample.cli import main
 from magsample.optimize import MAX_AVG_ENTROPY, MAX_MIN, OptimizationConfig
 from magsample.simplex import solve_inequality_lp
@@ -233,6 +234,66 @@ def test_maxmin_builtin_kernels_take_the_equalizer(name, info_kernel, abs_kernel
     assert sol.achieved_t == pytest.approx(t_lp, abs=1e-12)
 
 
+def _equalizer_reference(K):
+    """The equalizer as first written: always two solves when u > 0."""
+    ones = np.ones(K.shape[0])
+    u = np.linalg.solve(K, ones)
+    if not u.min() > 0.0:
+        return None
+    y = np.linalg.solve(K.T, ones)
+    if not y.min() > 0.0:
+        return None
+    return optimize_module._bounds(K, u, y)
+
+
+def _bounds_bytes(bounds):
+    q, signal, t_lo, t_hi = bounds
+    return q.tobytes(), signal.tobytes(), t_lo, t_hi
+
+
+@pytest.fixture()
+def solves(monkeypatch):
+    """Every (u, y) the equalizer certifies, and the number of linear solves."""
+    record = {"pairs": [], "solves": 0}
+    solve, bounds = np.linalg.solve, optimize_module._bounds
+
+    def counted_solve(*args):
+        record["solves"] += 1
+        return solve(*args)
+
+    def recorded_bounds(K, u, y):
+        record["pairs"].append((u, y))
+        return bounds(K, u, y)
+
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    monkeypatch.setattr(optimize_module, "_bounds", recorded_bounds)
+    return record
+
+
+@pytest.mark.parametrize("name", ["info", "abs"])
+def test_symmetric_game_takes_one_solve(name, info_kernel, abs_kernel, solves):
+    K = _game({"info": info_kernel, "abs": abs_kernel}[name], 300)
+    assert np.array_equal(K, K.T)
+    got = optimize_module._equalizer(K)
+    assert solves["solves"] == 1
+    (u, y), = solves["pairs"]
+    assert y is u
+    # a second solve of K'y = 1 gives u bit for bit, so the bounds are unchanged
+    assert _bounds_bytes(got) == _bounds_bytes(_equalizer_reference(K))
+
+
+def test_asymmetric_mixed_game_takes_two_solves(info_kernel, solves):
+    # D1 K D2 with smooth positive diagonals: still completely mixed, not symmetric
+    mids = MagRange().cell_midpoints(300)
+    K = (1.0 + 0.05 * mids)[:, None] * _game(info_kernel, 300) * (1.0 - 0.03 * mids)[None, :]
+    assert not np.array_equal(K, K.T)
+    got = optimize_module._equalizer(K)
+    assert got is not None and solves["solves"] == 2
+    (u, y), = solves["pairs"]
+    assert y is not u and y.min() > 0.0
+    assert _bounds_bytes(got) == _bounds_bytes(_equalizer_reference(K))
+
+
 def _asymmetric_table(seed, n=64):
     """Positive, asymmetric, noisy table with a sparse max-min solution."""
     xs = np.linspace(0.2, 2.1, n)
@@ -330,6 +391,23 @@ def test_tabulated_maxmin_msdist_golden_digest(tmp_path, monkeypatch):
                  "--kernel", "custom:tab.csv", "--out", "tab.msdist"]) == 0
     digest = hashlib.sha256((tmp_path / "tab.msdist").read_bytes()).hexdigest()
     assert digest == TABULATED_MAXMIN_SHA256
+
+
+# Bytes of `optimize --objective maxmin` on the built-in kernels at grid 200,
+# written by the equalizer.
+BUILTIN_MAXMIN_SHA256 = {
+    "info": "27f471417afb42600b3172bf64bed2d42b9521735167fb2b53e1ca5c2cb24747",
+    "abs": "c24c49acf537b3fb4b0584d15044cd86016997c03b95232b5e968c026274ce58",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_MAXMIN_SHA256))
+def test_builtin_maxmin_msdist_golden_digest(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    assert main(["optimize", "--objective", "maxmin", "--grid", "200",
+                 "--kernel", name, "--out", "mm.msdist"]) == 0
+    digest = hashlib.sha256((tmp_path / "mm.msdist").read_bytes()).hexdigest()
+    assert digest == BUILTIN_MAXMIN_SHA256[name]
 
 
 def test_regularized_objective_is_signal_plus_entropy(info_kernel, mag_range):

@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 
@@ -18,6 +19,8 @@ from magsample import (
     signal_summary,
     total_signal,
 )
+
+from magsample.cli import main
 
 from conftest import (
     STANDARDS,
@@ -275,3 +278,63 @@ def test_blockwise_profile_equals_single_product(mag_range, info_kernel):
     single = np.einsum("i,ij->j", dist.density, cells)
     profile = accumulated_signal(dist, info_kernel, grid_n)
     assert profile.values.tobytes() == single.tobytes()
+
+
+# -- golden CLI outputs ------------------------------------------------------------
+
+_GOLDEN_DISTS = {
+    "du.msdist": "#msdist v1\nrange 0.25 2.0\n"
+    "atom 0.25 0.25\natom 0.5 0.25\natom 1.0 0.25\natom 2.0 0.25\n",
+    "cu.msdist": "#msdist v1\nrange 0.25 2.0\ndensity 1\n1.0\n",
+}
+
+# sha256 of each output file, written by the exact per-cell integrals.
+SIGNAL_SHA256 = {
+    "signal.csv": "7bdb444750b54c7eb9ba5026a8f95723146a01391a9c7e34550d0ea0e8fedea8",
+    "signal.summary.csv": "d8d267b7acc2ecdd704dd4512115f8820d93f3d7b8c98719c5d13733e07fcd22",
+}
+COMPARE_SHA256 = {
+    "abs": "0ec76f19a3c64ac5142fe4ada2c206705d65bf82ea7200a9136ec0d878af9541",
+    "custom:tab.csv": "e9b1d081474bb84e9f542bd64c90fd45eed8489d16ebc4a3848ae366c461e336",
+}
+
+
+@pytest.fixture()
+def golden_dists(tmp_path, monkeypatch):
+    """The two uniform strategies, max-min on info and abs, and a Gibbs density."""
+    monkeypatch.chdir(tmp_path)
+    for name, text in _GOLDEN_DISTS.items():
+        (tmp_path / name).write_text(text, encoding="utf-8", newline="")
+    for kernel in ("info", "abs"):
+        assert main(["optimize", "--objective", "maxmin", "--grid", "120",
+                     "--kernel", kernel, "--out", f"mm_{kernel}.msdist"]) == 0
+    assert main(["optimize", "--objective", "maxavg", "--lambda", "0.1", "--grid", "120",
+                 "--out", "ma.msdist"]) == 0
+    # a positive, asymmetric 12 x 12 table over [0.2, 2.1]
+    xs = np.linspace(0.2, 2.1, 12)
+    d = np.log(xs[:, None] / xs[None, :])
+    values = np.exp(-0.5 * np.abs(d) * np.where(d > 0, 1.4, 0.6))
+    values *= np.random.default_rng(5).uniform(0.95, 1.05, size=values.shape)
+    lines = ["x,y,value"] + [
+        f"{float(x)!r},{float(y)!r},{float(values[i, j])!r}"
+        for i, x in enumerate(xs) for j, y in enumerate(xs)
+    ]
+    (tmp_path / "tab.csv").write_text("\n".join(lines) + "\n")
+    return tmp_path
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_signal_csv_golden_digest(golden_dists):
+    assert main(["signal", "--grid", "300", "--kernel", "info", "--dist", "mm_info.msdist",
+                 "--out", "signal.csv"]) == 0
+    assert {name: _sha256(golden_dists / name) for name in SIGNAL_SHA256} == SIGNAL_SHA256
+
+
+@pytest.mark.parametrize("kernel", sorted(COMPARE_SHA256))
+def test_compare_csv_golden_digest(golden_dists, kernel):
+    assert main(["compare", "--grid", "200", "--kernel", kernel, "--out", "compare.csv",
+                 "du.msdist", "cu.msdist", "mm_abs.msdist", "ma.msdist"]) == 0
+    assert _sha256(golden_dists / "compare.csv") == COMPARE_SHA256[kernel]
