@@ -1,0 +1,118 @@
+"""The one CSV dialect of the package's inputs, and its bulk reader.
+
+Kernel tables, crop plans and embedding CSVs share one dialect: UTF-8,
+comma-separated, with a header line; cells may be in double quotes and may
+have spaces around them; a line whose cells are all blank is skipped.
+
+A body is read into a structured array by one ``np.loadtxt`` pass. Only when
+that pass fails, or a reader's row mask flags a row, are its lines walked:
+blank lines are dropped and the rest parsed again in one pass. If that fails
+too, bulk passes over halves of the lines find the first bad one, so that an
+error names it.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+import warnings
+
+import numpy as np
+
+from .errors import FormatError
+
+
+def open_csv(path):
+    return open(path, "r", encoding="utf-8", newline="")
+
+
+def _load(lines, dtype) -> np.ndarray:
+    with warnings.catch_warnings():
+        # a body with no rows is empty, not an error
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(
+            lines, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1
+        )
+
+
+def _cells(line: str) -> list:
+    return _load([line], object).tolist()
+
+
+def _blank(line: str) -> bool:
+    if line.strip(' \t\r\n,"'):
+        return False  # only a line of spaces, commas and quotes can be blank
+    return not any(cell.strip() for cell in _cells(line))
+
+
+def read_header(f) -> list[str]:
+    """The stripped cells of the next line of ``f``; empty at the end of the file."""
+    return [c.strip() for c in _cells(f.readline())]
+
+
+def parse_line(line: str, lineno: int, dtype, what: str, invalid=None):
+    """One body line as a one-row array, or None for a blank line.
+
+    A FormatError names the line when its number of cells is not the
+    dtype's, a cell does not parse, or the row mask ``invalid`` flags it.
+    """
+    if _blank(line):
+        return None
+    try:
+        row = _load([line], dtype)
+    except ValueError:
+        columns = sum(math.prod(dtype[name].shape) for name in dtype.names)
+        if len(_cells(line)) != columns:
+            raise FormatError(f"wrong number of {what} columns", line=lineno) from None
+        raise FormatError(f"bad {what} entry", line=lineno) from None
+    if invalid is not None and invalid(row)[0]:
+        raise FormatError(f"{what} entry violates its invariants", line=lineno)
+    return row
+
+
+def _bulk(lines, dtype, invalid):
+    """The rows of one pass over ``lines``; None if one fails or is flagged."""
+    try:
+        rows = _load(lines, dtype)
+    except ValueError:
+        return None
+    return rows if invalid is None or not invalid(rows).any() else None
+
+
+def read_body(f, dtype, what: str, invalid=None) -> np.ndarray:
+    """The rows after the header line of ``f``, as an array of ``dtype``.
+
+    ``invalid`` maps rows to a mask of those that break the reader's own
+    invariants. The first line that does not parse or is flagged raises the
+    FormatError of :func:`parse_line`.
+    """
+    start = f.tell()
+    rows = _bulk(f, dtype, invalid)
+    if rows is not None:
+        return rows
+    f.seek(start)  # walk the lines: drop blank ones, then parse the rest in one pass
+    numbered = [(n, line) for n, line in enumerate(f, start=2) if not _blank(line)]
+    lines = [line for _, line in numbered]
+    rows = _bulk(lines, dtype, invalid)
+    if rows is not None:
+        return rows
+    # Some line is bad, and a run of lines parses in bulk only if each parses
+    # alone. Bisect: lines[:lo] parse, and lines[lo:hi] hold a bad one.
+    lo, hi = 0, len(lines)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _bulk(lines[lo:mid], dtype, invalid) is None:
+            hi = mid
+        else:
+            lo = mid
+    n, line = numbered[lo]
+    parse_line(line, n, dtype, what, invalid)
+    raise AssertionError(f"line {n} parses alone but not in bulk")
+
+
+def line_of_row(path, k: int) -> int:
+    """The line number of data row ``k``, counted from 0, of the file at ``path``."""
+    with open_csv(path) as f:
+        f.readline()
+        body = (n for n, line in enumerate(f, start=2) if not _blank(line))
+        return next(itertools.islice(body, k, None))

@@ -10,6 +10,7 @@ is the aggregate benefit of one sample taken at x. Kernels also give the
 antiderivatives in x of K(., y) and of tp, so signal integrals over density
 cells are exact differences. All are closed forms; a tabulated kernel's are
 exact for its bilinear interpolant, which is piecewise linear in x and y.
+Its table is a CSV in the dialect of :mod:`magsample.csvio`.
 
 The antiderivatives and the tabulated interpolation run in place, in reused
 buffers, to spare full-size temporaries. They keep every operation of the
@@ -19,13 +20,12 @@ from it, is the same bit for bit.
 
 from __future__ import annotations
 
-import csv
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import csvio
 from .errors import DomainError, FormatError, ParameterError, RangeError
 
 @dataclass(frozen=True)
@@ -223,13 +223,10 @@ class TabulatedKernel(Kernel):
         """Load a kernel from a CSV file with header ``x,y,value``.
 
         The rows must cover a complete rectangular grid, each sample once, in
-        any order; blank rows are skipped. The body is parsed in one bulk pass.
-        If that pass fails or the grid is incomplete, the file is read again
-        line by line, and that reader alone decides the result, so its errors
-        name the offending line.
+        any order, in the CSV dialect of :mod:`magsample.csvio`. Errors in
+        the file name its offending line where there is one.
         """
-        table = _read_table_bulk(path)
-        return cls(*(table if table is not None else _read_table_lines(path)))
+        return cls(*_read_table(path))
 
     def covers(self, mag_range: MagRange) -> bool:
         return (
@@ -317,74 +314,41 @@ class TabulatedKernel(Kernel):
         return cum[i] + h[i] * t * (f[i] + 0.5 * t * (f[i + 1] - f[i]))
 
 
-def _has_table_header(f) -> bool:
-    header = next(csv.reader(f), None)
-    return header is not None and [h.strip() for h in header] == ["x", "y", "value"]
+_TABLE_DTYPE = np.dtype([("x", "f8"), ("y", "f8"), ("value", "f8")])
 
 
-def _read_table_bulk(path):
-    """Grid, in the form ``(xs, ys, values)``, of a table parsed by one loadtxt.
+def _read_table(path):
+    """Grid, in the form ``(xs, ys, values)``, of a kernel table CSV.
 
-    Returns None, leaving the verdict to :func:`_read_table_lines`, when the
-    header or any row does not parse, a coordinate is not finite, or a sample
-    is repeated or missing. Cells parse as ``float`` parses them, and the
-    grid is the sorted distinct coordinates, as the line reader builds it.
+    The grid is the sorted distinct coordinates. FormatError reports a bad
+    header, a row that does not parse or has a NaN coordinate (naming its
+    line), a repeated sample (naming its line), an empty body or a missing
+    sample.
     """
-    with open(path, "r", newline="") as f:
-        if not _has_table_header(f):
-            return None
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # loadtxt warns on a body with no rows
-                data = np.loadtxt(f, delimiter=",", comments=None, ndmin=2)
-        except (ValueError, UserWarning):
-            return None
-    if data.shape[1] != 3 or not np.all(np.isfinite(data[:, :2])):
-        return None
-    xs, ix = np.unique(data[:, 0], return_inverse=True)
-    ys, iy = np.unique(data[:, 1], return_inverse=True)
-    cell = ix * ys.size + iy
-    if np.any(np.bincount(cell, minlength=xs.size * ys.size) != 1):
-        return None  # a sample is repeated or missing
-    values = np.empty(xs.size * ys.size)
-    values[cell] = data[:, 2]
-    return xs, ys, values.reshape(xs.size, ys.size)
-
-
-def _read_table_lines(path):
-    """Grid, in the form ``(xs, ys, values)``, of a table read row by row.
-
-    Raises FormatError on a bad header, a row of other than three numbers
-    (naming its line), a repeated sample (naming its line), an empty body or
-    a missing sample.
-    """
-    points = {}
-    with open(path, "r", newline="") as f:
-        if not _has_table_header(f):
+    with csvio.open_csv(path) as f:
+        if csvio.read_header(f) != ["x", "y", "value"]:
             raise FormatError(f"{path}: expected header 'x,y,value'", line=1)
-        for lineno, row in enumerate(csv.reader(f), start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 3:
-                raise FormatError(f"{path}: expected 3 columns", line=lineno)
-            try:
-                x, y, v = (float(c) for c in row)
-            except ValueError:
-                raise FormatError(f"{path}: non-numeric entry {row!r}", line=lineno) from None
-            if (x, y) in points:
-                raise FormatError(f"{path}: repeated sample x={x}, y={y}", line=lineno)
-            points[(x, y)] = v
-    if not points:
+        rows = csvio.read_body(f, _TABLE_DTYPE, "kernel table",
+                               lambda r: np.isnan(r["x"]) | np.isnan(r["y"]))
+    if not rows.size:
         raise FormatError(f"{path}: no kernel samples found")
-    xs = np.array(sorted({x for x, _ in points}))
-    ys = np.array(sorted({y for _, y in points}))
-    values = np.empty((xs.size, ys.size))
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            if (x, y) not in points:
-                raise FormatError(f"{path}: grid is missing the sample x={x}, y={y}")
-            values[i, j] = points[(x, y)]
-    return xs, ys, values
+    xs, ix = np.unique(rows["x"], return_inverse=True)
+    ys, iy = np.unique(rows["y"], return_inverse=True)
+    cell = ix * ys.size + iy
+    counts = np.bincount(cell, minlength=xs.size * ys.size)
+    if counts.max() > 1:
+        # the first row whose sample came before
+        k = np.setdiff1d(np.arange(cell.size), np.unique(cell, return_index=True)[1])[0]
+        x, y = float(rows["x"][k]), float(rows["y"][k])
+        raise FormatError(
+            f"{path}: repeated sample x={x}, y={y}", line=csvio.line_of_row(path, k)
+        )
+    if counts.min() == 0:
+        i, j = divmod(int(np.argmin(counts)), ys.size)
+        raise FormatError(f"{path}: grid is missing the sample x={xs[i]}, y={ys[j]}")
+    values = np.empty(xs.size * ys.size)
+    values[cell] = rows["value"]
+    return xs, ys, values.reshape(xs.size, ys.size)
 
 
 @dataclass(frozen=True)

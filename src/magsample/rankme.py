@@ -12,7 +12,8 @@ importantly, reproducible.
 
 File formats owned by this module:
 
-* embeddings CSV with header ``id,mpp,d0,d1,...,d{K-1}``;
+* embeddings CSV, in the dialect of :mod:`magsample.csvio`, with header
+  ``id,mpp,d0,d1,...,d{K-1}``;
 * embeddings binary (``.mseb``): magic ``MSEB``, u16 version (1), u64 N,
   u32 K, then N records of (f64 mpp, K x f32 components), little-endian;
   ids are the row indices;
@@ -23,7 +24,6 @@ File formats owned by this module:
 
 from __future__ import annotations
 
-import csv
 import struct
 import warnings
 from dataclasses import dataclass
@@ -31,6 +31,7 @@ from typing import NamedTuple, Sequence, TextIO
 
 import numpy as np
 
+from . import csvio
 from .errors import DegenerateInputError, DomainError, FormatError, ParameterError
 
 _EMB_MAGIC = b"MSEB"
@@ -206,32 +207,21 @@ def minmax_normalize_profiles(profiles: Sequence[RankMeProfile]) -> np.ndarray:
 
 
 def read_embeddings_csv(path) -> EmbeddingSet:
-    with open(path, "r", newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if (
-            header is None
-            or len(header) < 3
-            or [h.strip() for h in header[:2]] != ["id", "mpp"]
-            or [h.strip() for h in header[2:]] != [f"d{i}" for i in range(len(header) - 2)]
-        ):
-            raise FormatError("expected header 'id,mpp,d0,d1,...'", line=1)
+    """Read an embeddings CSV, in the dialect of :mod:`magsample.csvio`."""
+    with csvio.open_csv(path) as f:
+        header = csvio.read_header(f)
         dim = len(header) - 2
-        ids, mpps, rows = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != dim + 2:
-                raise FormatError("wrong number of embedding columns", line=lineno)
-            try:
-                ids.append(row[0])
-                mpps.append(float(row[1]))
-                rows.append([float(v) for v in row[2:]])
-            except ValueError:
-                raise FormatError("non-numeric embedding entry", line=lineno) from None
-    if not rows:
+        if dim < 1 or header != ["id", "mpp", *(f"d{i}" for i in range(dim))]:
+            raise FormatError("expected header 'id,mpp,d0,d1,...'", line=1)
+        dtype = np.dtype([("id", object), ("mpp", "f8"), ("vec", "f8", (dim,))])
+        rows = csvio.read_body(f, dtype, "embedding")
+    if not rows.size:
         raise FormatError("embedding file contains no rows")
-    return EmbeddingSet(mpps=np.array(mpps), vectors=np.array(rows), ids=ids)
+    return EmbeddingSet(
+        mpps=np.ascontiguousarray(rows["mpp"]),
+        vectors=np.ascontiguousarray(rows["vec"]),
+        ids=rows["id"].tolist(),
+    )
 
 
 def read_embeddings_binary(path) -> EmbeddingSet:

@@ -16,7 +16,7 @@ and read in bulk rather than row by row.
 
 File formats owned by this module:
 
-* plan CSV with header
+* plan CSV, in the dialect of :mod:`magsample.csvio`, with header
   ``index,target_mpp,source_mpp,source_size_px,crop_size_px,output_size_px,offset_x_frac,offset_y_frac``;
 * raw image arrays (``.msim``): 16-byte header of magic ``MSIM``, u32 height,
   u32 width, u32 channels (little-endian), then float32 pixels in row-major
@@ -28,12 +28,12 @@ from __future__ import annotations
 import itertools
 import math
 import struct
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from . import csvio
 from .distributions import SamplingDistribution
 from .errors import FeasibilityError, FormatError, ParameterError, ShapeError
 from .rng import CounterRng
@@ -167,11 +167,6 @@ class SamplerConfig:
                 )
 
 
-def draw_target_mpp(dist: SamplingDistribution, rng: CounterRng, counter: int = 0) -> float:
-    """Inverse-CDF draw of one target magnification."""
-    return dist.quantile(rng.uniform(counter))
-
-
 def sample_targets(
     dist: SamplingDistribution, seed: int, n: int, start_index: int = 0
 ) -> np.ndarray:
@@ -278,12 +273,6 @@ def write_plan_csv(plan: CropPlan, path):
         f.writelines(_csv_chunks(plan))
 
 
-def _parse_rows(lines) -> np.ndarray:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # a plan with no rows is empty, not an error
-        return np.loadtxt(lines, delimiter=",", dtype=PLAN_DTYPE, comments=None, ndmin=1)
-
-
 def _positive_finite(x: np.ndarray) -> np.ndarray:
     return (x > 0) & (x < np.inf)
 
@@ -303,57 +292,25 @@ def _invalid_rows(rows: np.ndarray) -> np.ndarray:
     return ~ok
 
 
-def _parse_line(line: str, lineno: int) -> np.ndarray:
-    """One data line as a one-row array; a FormatError names the line if it
-    does not parse or breaks the plan invariants."""
-    if line.count(",") != len(PLAN_CSV_FIELDS) - 1:
-        raise FormatError("wrong number of plan columns", line=lineno)
-    try:
-        row = _parse_rows([line])
-    except ValueError:
-        raise FormatError("bad plan entry", line=lineno) from None
-    if _invalid_rows(row)[0]:
-        raise FormatError("plan entry violates its invariants", line=lineno)
-    return row
-
-
-def _first_bad_line(path) -> FormatError:
-    """The error for the first data line that fails to parse or breaks the
-    invariants; reads the file again line by line, so only on failure."""
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        next(f)
-        for lineno, line in enumerate(f, start=2):
-            if line.strip("\r\n"):
-                try:
-                    _parse_line(line, lineno)
-                except FormatError as error:
-                    return error
-    return FormatError("bad plan entry")
-
-
-def _check_header(f):
-    header = f.readline()
-    if tuple(h.strip() for h in header.split(",")) != PLAN_CSV_FIELDS:
+def _open_plan(path):
+    """The plan file, open after its header line, which must be the plan's."""
+    f = csvio.open_csv(path)
+    if csvio.read_header(f) != list(PLAN_CSV_FIELDS):
+        f.close()
         raise FormatError(f"expected plan header {','.join(PLAN_CSV_FIELDS)!r}", line=1)
+    return f
 
 
 def read_plan_csv(path) -> CropPlan:
-    """Parse a plan CSV in one bulk pass; blank lines are skipped.
+    """Parse a plan CSV, in the dialect of :mod:`magsample.csvio`, in bulk.
 
     Every row must parse (integers in the integer columns) and keep the plan
     invariants: finite positive mpps, ``1 <= crop_size_px <= source_size_px``,
     ``output_size_px >= 1`` and offsets in [0, 1]. Otherwise a FormatError
     names the first offending line.
     """
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        _check_header(f)
-        try:
-            rows = _parse_rows(f)
-        except ValueError:
-            rows = None
-    if rows is None or _invalid_rows(rows).any():
-        raise _first_bad_line(path)
-    return CropPlan(rows)
+    with _open_plan(path) as f:
+        return CropPlan(csvio.read_body(f, PLAN_DTYPE, "plan", _invalid_rows))
 
 
 def read_plan_row(path, index: int) -> CropPlanEntry:
@@ -368,13 +325,11 @@ def read_plan_row(path, index: int) -> CropPlanEntry:
     rows out of order), the whole plan is read and its first row with
     ``index`` returned; ParameterError reports an index with no entry.
     """
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        _check_header(f)
+    with _open_plan(path) as f:
         line = next(itertools.islice(f, index, None), "") if index >= 0 else ""
-    if line.strip("\r\n"):
-        row = _parse_line(line, index + 2)
-        if row["index"][0] == index:
-            return CropPlan(row)[0]
+    row = csvio.parse_line(line, index + 2, PLAN_DTYPE, "plan", _invalid_rows)
+    if row is not None and row["index"][0] == index:
+        return CropPlan(row)[0]
     plan = read_plan_csv(path)
     matching = np.flatnonzero(plan.index == index)
     if not matching.size:

@@ -7,12 +7,39 @@ import pytest
 import magsample
 from magsample import (
     AbsDistanceKernel,
+    CropPlan,
+    EmbeddingSet,
     InfoOverlapKernel,
     MagRange,
     SamplingDistribution,
+    TabulatedKernel,
+    read_plan_csv,
 )
+from magsample.rankme import read_embeddings_csv
+from magsample.sampler import PLAN_CSV_FIELDS
 
 STANDARDS = (0.25, 0.5, 1.0, 2.0)
+
+# The three CSV readers: name -> (header, valid body rows, reader). Each body
+# holds at least two rows and is valid as a whole.
+CSV_READERS = {
+    "plan": (",".join(PLAN_CSV_FIELDS),
+             ["0,1.0,1.0,512,224,224,0.0,0.0", "1,1.5,1.0,512,336,224,0.5,0.25"],
+             read_plan_csv),
+    "table": ("x,y,value", ["0.25,0.25,1", "0.25,1.0,0.5", "1.0,0.25,0.5", "1.0,1.0,1"],
+              TabulatedKernel.from_csv),
+    "embeddings": ("id,mpp,d0,d1", ["p0,0.5,1.0,0.0", "p1,0.5,0.0,1.0"], read_embeddings_csv),
+}
+
+
+def csv_result(obj):
+    """What a CSV reader returned, as comparable bytes."""
+    if isinstance(obj, CropPlan):
+        return obj.rows.tobytes()
+    if isinstance(obj, TabulatedKernel):
+        return obj.xs.tobytes(), obj.ys.tobytes(), obj.values.tobytes()
+    assert isinstance(obj, EmbeddingSet)
+    return obj.ids, obj.mpps.tobytes(), obj.vectors.tobytes()
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -18,9 +19,15 @@ from magsample import (
     transfer_potential_curve,
 )
 
-from magsample import kernels as kernels_module
+from magsample import csvio, kernels
 
-from conftest import quadrature_potential, raw_abs_kernel, raw_info_kernel
+from conftest import (
+    CSV_READERS,
+    csv_result,
+    quadrature_potential,
+    raw_abs_kernel,
+    raw_info_kernel,
+)
 
 # Closed-form potential at x = 1.125 on [0.25, 2]:
 # (x^3 - a^3)/(3 x^2) = 721/1944, plus x - x^2/b = 0.4921875.
@@ -407,29 +414,28 @@ def test_tabulated_csv_rejects_repeated_sample(tmp_path, repeat):
 _GRID = "0.25,0.25,1\n0.25,1.0,0.5\n1.0,0.25,0.5\n1.0,1.0,1\n"
 _HEAD = "x,y,value\n"
 
-# body: (error class, message with {path}, line), as the line-by-line reader
-# reports them; test_tabulated_csv_rejects_repeated_sample covers repeats
+# body: (error class, message with {path}, line); test_tabulated_csv_rejects_repeated_sample
+# covers repeats
 _TABLE_ERRORS = {
     "bad header": ("x,y,val\n" + _GRID, FormatError,
                    "line 1: {path}: expected header 'x,y,value'", 1),
     "empty file": ("", FormatError, "line 1: {path}: expected header 'x,y,value'", 1),
     "two columns": (_HEAD + "0.25,0.25,1\n0.25,1.0\n1.0,0.25,0.5\n1.0,1.0,1\n",
-                    FormatError, "line 3: {path}: expected 3 columns", 3),
+                    FormatError, "line 3: wrong number of kernel table columns", 3),
     "four columns": (_HEAD + "0.25,0.25,1\n0.25,1.0,0.5,7\n1.0,0.25,0.5\n1.0,1.0,1\n",
-                     FormatError, "line 3: {path}: expected 3 columns", 3),
+                     FormatError, "line 3: wrong number of kernel table columns", 3),
     "four columns on every row": (_HEAD + _GRID.replace("\n", ",0\n"), FormatError,
-                                  "line 2: {path}: expected 3 columns", 2),
+                                  "line 2: wrong number of kernel table columns", 2),
     "non-numeric cell": (_HEAD + "0.25,0.25,1\n0.25,abc,0.5\n1.0,0.25,0.5\n1.0,1.0,1\n",
-                         FormatError, "line 3: {path}: non-numeric entry ['0.25', 'abc', '0.5']",
-                         3),
+                         FormatError, "line 3: bad kernel table entry", 3),
     "empty cell": (_HEAD + "0.25,0.25,1\n0.25,,0.5\n1.0,0.25,0.5\n1.0,1.0,1\n", FormatError,
-                   "line 3: {path}: non-numeric entry ['0.25', '', '0.5']", 3),
+                   "line 3: bad kernel table entry", 3),
     "comment row": (_HEAD + "# note\n" + _GRID, FormatError,
-                    "line 2: {path}: expected 3 columns", 2),
+                    "line 2: wrong number of kernel table columns", 2),
     "missing sample": (_HEAD + "0.25,0.25,1\n0.25,1.0,0.5\n1.0,0.25,0.5\n", FormatError,
                        "{path}: grid is missing the sample x=1.0, y=1.0", None),
     "nan coordinate": (_HEAD + "0.25,0.25,1\n0.25,nan,0.5\n1.0,0.25,0.5\n1.0,nan,1\n",
-                       FormatError, "{path}: grid is missing the sample x=0.25, y=nan", None),
+                       FormatError, "line 3: kernel table entry violates its invariants", 3),
     "no samples": (_HEAD, FormatError, "{path}: no kernel samples found", None),
     "only blank rows": (_HEAD + "\n,,\n  \n", FormatError,
                         "{path}: no kernel samples found", None),
@@ -482,51 +488,82 @@ def test_tabulated_csv_body_forms(tmp_path, case):
     )
 
 
+def _read_table_lines_reference(path):
+    """The table reader as it was before the shared CSV reader: csv.reader
+    and float() per row, the grid from sorted sets of coordinates."""
+    points = {}
+    with open(path, "r", newline="") as f:
+        reader = csv.reader(f)
+        assert [h.strip() for h in next(reader)] == ["x", "y", "value"]
+        for row in reader:
+            if not row or all(not c.strip() for c in row):
+                continue
+            x, y, v = (float(c) for c in row)
+            assert (x, y) not in points
+            points[(x, y)] = v
+    xs = np.array(sorted({x for x, _ in points}))
+    ys = np.array(sorted({y for _, y in points}))
+    values = np.array([[points[(x, y)] for y in ys] for x in xs])
+    return xs, ys, values
+
+
+_NUMBER_FORMS = [repr, lambda v: "%.17g" % v, lambda v: f'"{v!r}"', lambda v: f" {v!r} "]
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     nx=st.integers(1, 12),
     ny=st.integers(1, 12),
-    blank_rows=st.integers(0, 5),
+    blank_rows=st.lists(st.sampled_from(["", ",,", " , ,", "  "]), max_size=5),
+    newline=st.sampled_from(["\n", "\r\n"]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_bulk_table_read_is_the_line_reader(tmp_path_factory, nx, ny, blank_rows, seed):
-    # A complete table, rows shuffled and written as repr or %.17g, with blank
-    # rows: the bulk pass must accept it and build the line reader's grid.
+def test_bulk_table_read_is_the_line_reader(tmp_path_factory, nx, ny, blank_rows, newline,
+                                             seed):
+    # A complete table, rows shuffled, numbers written as repr or %.17g, some
+    # quoted or padded, with blank rows: the table reader must build the grid
+    # of the reference line reader, byte for byte. It is called directly, as
+    # the kernel rejects 1-wide grids.
     g = np.random.default_rng(seed)
     xs = np.unique(g.uniform(0.05, 5.0, nx))
     ys = np.unique(g.uniform(0.05, 5.0, ny))
     values = g.uniform(0.01, 3.0, (xs.size, ys.size))
-    fmt = [repr, lambda v: "%.17g" % v]
     rows = [
-        ",".join(fmt[g.integers(2)](float(v)) for v in (x, y, values[i, j]))
+        ",".join(_NUMBER_FORMS[g.integers(len(_NUMBER_FORMS))](float(v))
+                 for v in (x, y, values[i, j]))
         for i, x in enumerate(xs)
         for j, y in enumerate(ys)
     ]
-    rows += [""] * blank_rows
+    rows += blank_rows
     g.shuffle(rows)
-    path = tmp_path_factory.mktemp("bulk") / "k.csv"
-    path.write_text("x,y,value\n" + "\n".join(rows) + "\n")
-    bulk = kernels_module._read_table_bulk(path)
-    assert bulk is not None
-    lines = kernels_module._read_table_lines(path)
-    assert [a.tobytes() for a in bulk] == [a.tobytes() for a in lines]
-    assert np.array_equal(bulk[2], values)
+    path = tmp_path_factory.mktemp("table") / "k.csv"
+    path.write_text("x,y,value" + newline + newline.join(rows) + newline, newline="")
+    want = _read_table_lines_reference(path)
+    got = kernels._read_table(path)
+    assert tuple(a.tobytes() for a in got) == tuple(a.tobytes() for a in want)
+    assert np.array_equal(want[2], values)
 
 
 def test_clean_table_takes_one_bulk_pass(tmp_path, monkeypatch):
-    path = tmp_path / "k.csv"
-    path.write_text(_HEAD + _GRID)
-    reads = []
-    line_reader = kernels_module._read_table_lines
-    monkeypatch.setattr(kernels_module, "_read_table_lines",
-                        lambda p: reads.append(p) or line_reader(p))
-    TabulatedKernel.from_csv(path)
-    assert reads == []
-    path.write_text(_HEAD + _GRID + "\n,,\n")  # a row of empty cells fails the bulk pass
-    assert _table_bytes(TabulatedKernel.from_csv(path)) == _table_bytes(
-        TabulatedKernel(*line_reader(path))
-    )
-    assert reads == [path]
+    # for each reader: a clean file never enters the line walk; a row of
+    # blank cells sends it there, where the lines left are parsed in one pass,
+    # not one at a time, for the same result
+    calls = []
+    for name in ("_blank", "parse_line"):
+        fn = getattr(csvio, name)
+        monkeypatch.setattr(csvio, name,
+                            lambda line, *a, fn=fn, name=name: calls.append((name, line))
+                            or fn(line, *a))
+    for name, (header, rows, read) in CSV_READERS.items():
+        clean, blank = tmp_path / f"{name}.csv", tmp_path / f"{name}_blank.csv"
+        clean.write_text("\n".join([header, *rows]) + "\n")
+        blank_cells = "," * header.count(",")
+        blank.write_text("\n".join([header, rows[0], blank_cells, *rows[1:]]) + "\n")
+        want = csv_result(read(clean))
+        assert calls == []
+        assert csv_result(read(blank)) == want
+        assert calls == [("_blank", line + "\n") for line in [rows[0], blank_cells, *rows[1:]]]
+        calls.clear()
 
 
 def test_kernel_from_string(tmp_path):

@@ -1,5 +1,9 @@
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magsample import (
     DegenerateInputError,
@@ -287,6 +291,61 @@ def test_embeddings_csv_roundtrip(tmp_path):
     bad.write_text("id,mpp,d0\nx,0.5\n")
     with pytest.raises(FormatError):
         read_embeddings_csv(bad)
+
+
+def _read_embeddings_reference(path):
+    """The embeddings reader as it was before the shared CSV reader:
+    csv.reader and float() per cell; returns (ids, mpps, vectors)."""
+    with open(path, "r", newline="") as f:
+        reader = csv.reader(f)
+        dim = len(next(reader)) - 2
+        ids, mpps, rows = [], [], []
+        for row in reader:
+            if not row:
+                continue
+            assert len(row) == dim + 2
+            ids.append(row[0])
+            mpps.append(float(row[1]))
+            rows.append([float(v) for v in row[2:]])
+    return ids, np.array(mpps), np.array(rows)
+
+
+_NUMBER_FORMS = [repr, lambda v: "%.17g" % v, lambda v: f" {v!r} "]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ids=st.lists(st.text(alphabet='ab ,"\';', max_size=6), min_size=1, max_size=12),
+    dim=st.integers(1, 6),
+    quoting=st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    blank_rows=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_embeddings_csv_matches_the_reference(
+    tmp_path_factory, ids, dim, quoting, newline, blank_rows, seed
+):
+    # ids with quotes, commas and spaces; numbers as repr, %.17g or padded,
+    # possibly quoted; CRLF; empty lines: the same ids, mpps and vectors,
+    # byte for byte, as the reference reader
+    g = np.random.default_rng(seed)
+    mpps = g.uniform(0.1, 4.0, len(ids))
+    vectors = g.standard_normal((len(ids), dim))
+    path = tmp_path_factory.mktemp("emb") / "emb.csv"
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f, quoting=quoting, lineterminator=newline)
+        writer.writerow(["id", "mpp", *(f"d{i}" for i in range(dim))])
+        for name, mpp, vec in zip(ids, mpps, vectors):
+            cells = [float(mpp), *map(float, vec)]
+            writer.writerow([name, *(_NUMBER_FORMS[g.integers(3)](v) for v in cells)])
+            if g.integers(2) and blank_rows:
+                f.write(newline)
+                blank_rows -= 1
+    want_ids, want_mpps, want_vectors = _read_embeddings_reference(path)
+    es = read_embeddings_csv(path)
+    assert es.ids == want_ids == ids
+    assert es.mpps.tobytes() == want_mpps.tobytes()
+    assert es.vectors.tobytes() == want_vectors.tobytes()
 
 
 def test_embeddings_binary_roundtrip(tmp_path):

@@ -16,7 +16,6 @@ from magsample import (
     SamplingDistribution,
     ShapeError,
     apply_crop,
-    draw_target_mpp,
     generate_plan,
     plan_crop,
     read_image_array,
@@ -58,8 +57,7 @@ def _entry(**kwargs):
 
 def test_draw_single_atom_is_constant(mag_range):
     d = SamplingDistribution.discrete(mag_range, [0.5])
-    rng = CounterRng(99)
-    assert all(draw_target_mpp(d, rng, c) == 0.5 for c in range(50))
+    assert np.all(sample_targets(d, 99, 50) == 0.5)
 
 
 def test_draw_uniform_median(cu_dist):
@@ -266,6 +264,9 @@ def test_plan_csv_skips_blank_lines(tmp_path, config):
     head, *rows = path.read_text().splitlines(keepends=True)
     path.write_text(head + "\n" + "".join(rows[:2]) + "\n\n" + "".join(rows[2:]) + "\n")
     assert read_plan_csv(path) == plan
+    # whitespace and blank cells are blank lines too
+    path.write_text(head + " \t\n" + "".join(rows[:2]) + ",,,,,,,\n" + "".join(rows[2:]))
+    assert read_plan_csv(path) == plan
     path.write_text(head)
     assert len(read_plan_csv(path)) == 0
 
@@ -306,10 +307,13 @@ def test_plan_row_equals_full_read(plan_file, full_reads):
 def test_plan_row_falls_back_on_blank_lines(plan_file, full_reads):
     plan, path = plan_file
     head, *rows = path.read_text().splitlines(keepends=True)
-    path.write_text(head + "".join(rows[:3]) + "\n\n" + "".join(rows[3:]))
-    for i in range(len(plan)):
-        assert read_plan_row(path, i) == plan[i]
-    assert len(full_reads) == len(plan) - 3  # rows 3.. moved down two lines
+    # an empty line, then one of blank cells, as the full read skips both
+    for blank in ["  \n", ",,,,,,,\n"]:
+        full_reads.clear()
+        path.write_text(head + "".join(rows[:3]) + "\n" + blank + "".join(rows[3:]))
+        for i in range(len(plan)):
+            assert read_plan_row(path, i) == plan[i]
+        assert len(full_reads) == len(plan) - 3  # rows 3.. moved down two lines
 
 
 def test_plan_row_falls_back_on_another_index(plan_file, full_reads):
