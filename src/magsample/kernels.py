@@ -103,6 +103,12 @@ class Kernel:
         """Whether the kernel is defined on all of ``mag_range`` (both axes)."""
         return True
 
+    def green_factors(self, x):
+        """``(p(x), q(x))`` if K(x, y) = p(min(x, y)) * q(max(x, y)) with p / q
+        increasing, else None. Such a K is a Green's kernel, whose matrix on
+        increasing points has a tridiagonal inverse."""
+        return None
+
     def transfer_potential(self, x, mag_range: MagRange = MagRange()):
         """Integral of K(x, .) over the range, at one or many query points.
 
@@ -163,6 +169,11 @@ class InfoOverlapKernel(Kernel):
     def _evaluate(self, x, y):
         r = np.minimum(x, y) / np.maximum(x, y)
         return r * r
+
+    def green_factors(self, x):
+        # (min / max)^2 = min^2 * max^-2, and p / q = x^4 increases
+        x2 = x * x
+        return x2, 1.0 / x2
 
     def _transfer_potential(self, xa, mag_range):
         a, b = mag_range.a, mag_range.b

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magsample import (
+    AbsDistanceKernel,
     DomainError,
+    InfoOverlapKernel,
     MagRange,
     ParameterError,
     SamplingDistribution,
@@ -199,7 +201,28 @@ def test_maxmin_signal_nearly_flat(maxmin_info, info_kernel):
     assert profile.values.max() - profile.values.min() < 0.05 * profile.values.min()
 
 
-# -- max-min solver paths: equalizer, double oracle, full simplex ------------------
+@pytest.mark.parametrize("a, b", [(0.25, 2.0), (0.5, 1.0), (1.0, 4.0)])
+@pytest.mark.parametrize("n", [100, 400, 1000])
+def test_maxmin_info_approaches_the_continuum_solution(a, b, n, info_kernel):
+    # On [a, b] the max-min distribution of the overlap kernel is the density
+    # t*/x plus atoms of mass t*/2 at a and at b, with t* = 1 / (1 + ln(b/a)):
+    # the density gives the signal t (1 - a^2/2x^2 - x^2/2b^2) and the atoms
+    # add back t/2 (a/x)^2 + t/2 (x/b)^2. The grid solution converges at O(1/n),
+    # with the atoms in the end cells.
+    t_star = 1.0 / (1.0 + np.log(b / a))
+    sol = optimize_max_min(
+        OptimizationConfig(objective=MAX_MIN, kernel=info_kernel, mag_range=MagRange(a, b), grid_n=n)
+    )
+    dist = sol.distribution
+    q = dist.density * dist.cell_width
+    assert abs(sol.achieved_t - t_star) <= 1.0 / n
+    # an end cell's mass is off by at most a cell width relative to a
+    assert np.max(np.abs(q[[0, -1]] - t_star / 2)) <= dist.cell_width / a
+    x = dist.cell_midpoints()
+    assert np.max(np.abs(x[1:-1] * dist.density[1:-1] - t_star)) <= 1.0 / n
+
+
+# -- max-min solver paths: Green's solve, equalizer, double oracle, full simplex ---
 
 
 def _game(kernel, grid_n):
@@ -226,12 +249,29 @@ def _check_certified(sol, K):
 def test_maxmin_builtin_kernels_take_the_equalizer(name, info_kernel, abs_kernel):
     kernel = {"info": info_kernel, "abs": abs_kernel}[name]
     sol = optimize_max_min(OptimizationConfig(objective=MAX_MIN, kernel=kernel, grid_n=200))
-    assert sol.solver == "equalizer" and sol.iterations == 0 and sol.rounds == 0
+    # info declares its Green's factors, so its equalizer takes the O(n) solve
+    solver = {"info": "green", "abs": "equalizer"}[name]
+    assert sol.solver == solver and sol.iterations == 0 and sol.rounds == 0
     K = _game(kernel, 200)
     q = _check_certified(sol, K)
     q_lp, t_lp = _lp_oracle(K)
     assert np.max(np.abs(q - q_lp)) <= 1e-12
     assert sol.achieved_t == pytest.approx(t_lp, abs=1e-12)
+
+
+class _MisdeclaredKernel(AbsDistanceKernel):
+    """The abs kernel, declaring the info kernel's Green's factors."""
+
+    green_factors = InfoOverlapKernel.green_factors
+
+
+def test_green_solve_that_fails_its_certificate_falls_through(abs_kernel):
+    # the factors give a positive u, but not of this K: its certificate fails
+    cfg = OptimizationConfig(objective=MAX_MIN, kernel=_MisdeclaredKernel(), grid_n=200)
+    sol = optimize_max_min(cfg)
+    assert sol.solver == "equalizer"
+    cfg.kernel = abs_kernel
+    assert sol.distribution.density.tobytes() == optimize_max_min(cfg).distribution.density.tobytes()
 
 
 def _equalizer_reference(K):
@@ -253,13 +293,13 @@ def _bounds_bytes(bounds):
 
 @pytest.fixture()
 def solves(monkeypatch):
-    """Every (u, y) the equalizer certifies, and the number of linear solves."""
-    record = {"pairs": [], "solves": 0}
+    """Every (u, y) the certificate checks, and the matrix shape of each linear solve."""
+    record = {"pairs": [], "shapes": []}
     solve, bounds = np.linalg.solve, optimize_module._bounds
 
-    def counted_solve(*args):
-        record["solves"] += 1
-        return solve(*args)
+    def counted_solve(a, *args):
+        record["shapes"].append(np.shape(a))
+        return solve(a, *args)
 
     def recorded_bounds(K, u, y):
         record["pairs"].append((u, y))
@@ -270,35 +310,77 @@ def solves(monkeypatch):
     return record
 
 
+def _full_solves(record, n):
+    return record["shapes"].count((n, n))
+
+
 @pytest.mark.parametrize("name", ["info", "abs"])
 def test_symmetric_game_takes_one_solve(name, info_kernel, abs_kernel, solves):
     K = _game({"info": info_kernel, "abs": abs_kernel}[name], 300)
     assert np.array_equal(K, K.T)
-    got = optimize_module._equalizer(K)
-    assert solves["solves"] == 1
+    # no Green's factors: the path a symmetric K takes without them
+    solver, rounds, _, got = optimize_module._solve_game(K, None, 300 // 8)
+    assert (solver, rounds) == ("equalizer", 0)
+    assert solves["shapes"] == [(300, 300)]
     (u, y), = solves["pairs"]
     assert y is u
     # a second solve of K'y = 1 gives u bit for bit, so the bounds are unchanged
     assert _bounds_bytes(got) == _bounds_bytes(_equalizer_reference(K))
 
 
+def _mixed_asymmetric_game(info_kernel, n):
+    """D1 K D2 with smooth positive diagonals: still completely mixed, not symmetric."""
+    mids = MagRange().cell_midpoints(n)
+    return (1.0 + 0.05 * mids)[:, None] * _game(info_kernel, n) * (1.0 - 0.03 * mids)[None, :]
+
+
 def test_asymmetric_mixed_game_takes_two_solves(info_kernel, solves):
-    # D1 K D2 with smooth positive diagonals: still completely mixed, not symmetric
-    mids = MagRange().cell_midpoints(300)
-    K = (1.0 + 0.05 * mids)[:, None] * _game(info_kernel, 300) * (1.0 - 0.03 * mids)[None, :]
+    K = _mixed_asymmetric_game(info_kernel, 300)
     assert not np.array_equal(K, K.T)
-    got = optimize_module._equalizer(K)
-    assert got is not None and solves["solves"] == 2
+    got = optimize_module._equalizer(K, False)
+    assert got is not None and _full_solves(solves, 300) == 2
     (u, y), = solves["pairs"]
     assert y is not u and y.min() > 0.0
     assert _bounds_bytes(got) == _bounds_bytes(_equalizer_reference(K))
 
 
-def _asymmetric_table(seed, n=64):
+def test_asymmetric_mixed_game_ends_on_the_equalizer(info_kernel, solves):
+    # through optimize_max_min, on a table whose nodes are the cell midpoints
+    n = 300
+    mids = MagRange().cell_midpoints(n)
+    values = _mixed_asymmetric_game(info_kernel, n)
+    kernel = TabulatedKernel(mids, mids, values)
+    assert np.array_equal(_game(kernel, n), values)
+    sol = optimize_max_min(OptimizationConfig(objective=MAX_MIN, kernel=kernel, grid_n=n))
+    # the probe cannot finish a completely mixed game, so it runs all its rounds
+    assert sol.solver == "equalizer" and sol.rounds == optimize_module._PROBE_ROUNDS
+    assert _full_solves(solves, n) == 2
+    q, _, t_lo, t_hi = _equalizer_reference(values)
+    expected = SamplingDistribution(MagRange(), density=q / (MagRange().width / n))
+    assert sol.distribution.density.tobytes() == expected.density.tobytes()
+    assert (sol.achieved_t, sol.certificate_gap) == (t_lo, t_hi - t_lo)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.05, 4.0), st.floats(1.5, 40.0), st.integers(10, 1500))
+def test_green_solve_matches_the_lu(a, ratio, n):
+    mag_range = MagRange(a, a * ratio)
+    mids = mag_range.cell_midpoints(n)
+    kernel = InfoOverlapKernel()
+    K = np.asarray(kernel(mids[:, None], mids[None, :]), dtype=float)
+    u = optimize_module._green_solve(*kernel.green_factors(mids))
+    u_lu = np.linalg.solve(K, np.ones(n))
+    assert np.max(np.abs(u - u_lu) / u_lu) <= 1e-7
+    assert u.min() > 0.0
+    _, _, t_lo, t_hi = optimize_module._bounds(K, u, u)
+    assert abs(t_hi - t_lo) <= 1e-12
+
+
+def _asymmetric_table(seed, n=64, decay=0.5):
     """Positive, asymmetric, noisy table with a sparse max-min solution."""
     xs = np.linspace(0.2, 2.1, n)
     d = np.log(xs[:, None] / xs[None, :])
-    base = np.exp(-0.5 * np.abs(d) * np.where(d > 0, 1.4, 0.6))
+    base = np.exp(-decay * np.abs(d) * np.where(d > 0, 1.4, 0.6))
     noise = np.random.default_rng(seed).uniform(0.95, 1.05, size=base.shape)
     return TabulatedKernel(xs, xs, base * noise)
 
@@ -312,6 +394,29 @@ def test_maxmin_sparse_game_takes_the_double_oracle():
     q = _check_certified(sol, K)
     assert sol.achieved_t == pytest.approx(_lp_oracle(K)[1], abs=1e-12)
     assert np.count_nonzero(q) <= 200 // 8  # the support stays small
+
+
+def test_sparse_game_makes_no_full_solve(solves):
+    # the probe finishes the game, so no n x n equalizer solve is tried
+    kernel = _asymmetric_table(2)
+    sol = optimize_max_min(OptimizationConfig(objective=MAX_MIN, kernel=kernel, grid_n=200))
+    assert sol.solver == "double_oracle" and 0 < sol.rounds <= optimize_module._PROBE_ROUNDS
+    assert solves["shapes"] and _full_solves(solves, 200) == 0
+
+
+def test_long_double_oracle_resumes_after_the_probe(solves):
+    # a faster decay spreads the support: more rounds than the probe gives
+    kernel, n = _asymmetric_table(2, decay=2.0), 400
+    K = _game(kernel, n)
+    sol = optimize_max_min(OptimizationConfig(objective=MAX_MIN, kernel=kernel, grid_n=n))
+    assert sol.solver == "double_oracle" and sol.rounds > optimize_module._PROBE_ROUNDS
+    assert _full_solves(solves, n) == 1  # the equalizer's, which finds u not positive
+    rounds, pivots, uy = optimize_module._double_oracle(K, [], [], n // 8)
+    assert (sol.rounds, sol.iterations) == (rounds, pivots)
+    q, _, t_lo, t_hi = optimize_module._bounds(K, *uy)
+    expected = SamplingDistribution(MagRange(), density=q / (MagRange().width / n))
+    assert sol.distribution.density.tobytes() == expected.density.tobytes()
+    assert (sol.achieved_t, sol.certificate_gap) == (t_lo, t_hi - t_lo)
 
 
 @pytest.mark.parametrize("seed", [3, 4, 5, 6, 7])
@@ -394,9 +499,9 @@ def test_tabulated_maxmin_msdist_golden_digest(tmp_path, monkeypatch):
 
 
 # Bytes of `optimize --objective maxmin` on the built-in kernels at grid 200,
-# written by the equalizer.
+# written by the Green's solve (info) and the equalizer (abs).
 BUILTIN_MAXMIN_SHA256 = {
-    "info": "27f471417afb42600b3172bf64bed2d42b9521735167fb2b53e1ca5c2cb24747",
+    "info": "79dc475952ae1ce42d977e76aeb08e6b91508e1b31bca8dfc0e8ba3cd0c86be4",
     "abs": "c24c49acf537b3fb4b0584d15044cd86016997c03b95232b5e968c026274ce58",
 }
 

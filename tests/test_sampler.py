@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import types
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from magsample import (
     write_plan_csv,
 )
 from magsample.rng import CounterRng
-from magsample import sampler
+from magsample import csvio, sampler
 from magsample.sampler import _RESIZE_BLOCK_ROWS, _resize_bilinear, format_plan_csv
 
 from conftest import STANDARDS, chi_square_gof
@@ -348,6 +350,63 @@ def test_plan_row_reports_its_bad_line(plan_file, row, reason):
     with pytest.raises(FormatError, match=f"line 5: {reason}"):
         read_plan_row(path, 3)
     # the other rows are not checked
+    assert read_plan_row(path, 4) == plan[4]
+    with pytest.raises(FormatError, match="line 5"):
+        read_plan_csv(path)
+
+
+def _line_at_text(f, k):
+    """The line skip as first written: universal newlines, in text mode."""
+    f.seek(0)
+    return next(itertools.islice(f, k, None), "")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.text("ab,é\r", max_size=6), st.sampled_from(["\n", "\r\n", "\r", ""])),
+        max_size=8,
+    ),
+    st.integers(0, 9),
+    st.integers(1, 9),
+)
+def test_line_skip_is_the_text_mode_skip(tmp_path_factory, lines, k, chunk):
+    path = tmp_path_factory.mktemp("skip") / "lines.csv"
+    path.write_bytes("".join(text + end for text, end in lines).encode("utf-8"))
+    got, want = [], []
+    for out, read in ((got, sampler._line_at), (want, _line_at_text)):
+        with csvio.open_csv(path) as f:
+            f.readline()  # as after the header check
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(sampler, "_SKIP_CHUNK", chunk)  # lines across chunk edges
+                out.append(read(f, k))
+    assert got == want
+
+
+def test_lf_plan_row_skips_in_binary(plan_file, monkeypatch):
+    plan, path = plan_file
+
+    def text_skip(*args):
+        raise AssertionError("an LF plan took the text-mode skip")
+
+    monkeypatch.setattr(sampler, "itertools", types.SimpleNamespace(islice=text_skip))
+    for i in range(len(plan)):
+        assert read_plan_row(path, i) == plan[i]
+
+
+@pytest.mark.parametrize("newline", ["\r", "\r\n"])
+def test_cr_plan_rows_match_the_lf_plan(plan_file, full_reads, newline):
+    # CR-only and CRLF plans give the rows, errors and lines of the LF plan
+    plan, path = plan_file
+    head, *rows = path.read_text().splitlines()
+    path.write_text(newline.join([head, *rows]) + newline, newline="")
+    for i in range(len(plan)):
+        assert read_plan_row(path, i) == plan[i]
+    assert not full_reads
+    rows[3] = "3,1.5,1.0,512,336"
+    path.write_text(newline.join([head, *rows]) + newline, newline="")
+    with pytest.raises(FormatError, match="line 5: wrong number of plan columns"):
+        read_plan_row(path, 3)
     assert read_plan_row(path, 4) == plan[4]
     with pytest.raises(FormatError, match="line 5"):
         read_plan_csv(path)
