@@ -7,9 +7,10 @@ Its transfer potential over a range [a, b],
     tp(x) = integral of K(x, y) dy over [a, b],
 
 is the aggregate benefit of one sample taken at x. Kernels also give the
-antiderivatives in x of K(., y) and of tp, so signal integrals over density
-cells are exact differences. All are closed forms; a tabulated kernel's are
-exact for its bilinear interpolant, which is piecewise linear in x and y.
+antiderivatives in x of tp and of K(., y), or of a Green's kernel's factors,
+so signal integrals over density cells are exact differences. All are closed
+forms; a tabulated kernel's are exact for its bilinear interpolant, which is
+piecewise linear in x and y.
 Its table is a CSV in the dialect of :mod:`magsample.csvio`.
 
 The antiderivatives and the tabulated interpolation run in place, in reused
@@ -74,9 +75,11 @@ class Kernel:
     """Base class for magnification-similarity kernels.
 
     A subclass defines, on positive mpp arrays, ``_evaluate(x, y)`` (K),
-    ``_transfer_potential(x, r)`` (tp over range r), ``_antiderivative(x, y)``
-    (for 1-D x, y: F[i, j] = integral up to x[i] of K(s, y[j]) ds) and
-    ``_potential_antiderivative(x, r)`` (integral up to x of tp), each up to a constant.
+    ``_transfer_potential(x, r)`` (tp over range r) and
+    ``_potential_antiderivative(x, r)`` (integral up to x of tp), up to a
+    constant. Unless it declares Green's factors and their integrals, it also
+    defines ``_antiderivative(x, y)`` (for 1-D x, y: F[i, j] = integral up to
+    x[i] of K(s, y[j]) ds, up to a constant).
     """
 
     name = "kernel"
@@ -107,6 +110,11 @@ class Kernel:
         """``(p(x), q(x))`` if K(x, y) = p(min(x, y)) * q(max(x, y)) with p / q
         increasing, else None. Such a K is a Green's kernel, whose matrix on
         increasing points has a tridiagonal inverse."""
+        return None
+
+    def green_integrals(self, x):
+        """``(P(x), Q(x))``, antiderivatives of the Green's factors p and q up
+        to a constant, or None if the kernel declares none."""
         return None
 
     def transfer_potential(self, x, mag_range: MagRange = MagRange()):
@@ -175,24 +183,12 @@ class InfoOverlapKernel(Kernel):
         x2 = x * x
         return x2, 1.0 / x2
 
+    def green_integrals(self, x):
+        return x**3 / 3.0, -1.0 / x
+
     def _transfer_potential(self, xa, mag_range):
         a, b = mag_range.a, mag_range.b
         return (xa**3 - a**3) / (3.0 * xa**2) + xa - xa**2 / b
-
-    def _antiderivative(self, x, y):
-        # min(x, y)^3 / (3 y^2) + y * max(0, 1 - y/x) in two arrays, with the
-        # operations of that expression in its order, so the result is the
-        # same bit for bit.
-        x, y = x[:, None], y[None, :]
-        out = np.minimum(x, y)
-        np.power(out, 3, out=out)
-        out /= 3.0 * y * y
-        tail = np.divide(y, x)
-        np.subtract(1.0, tail, out=tail)
-        np.maximum(0.0, tail, out=tail)
-        np.multiply(y, tail, out=tail)
-        out += tail
-        return out
 
     def _potential_antiderivative(self, xa, mag_range):
         a, b = mag_range.a, mag_range.b

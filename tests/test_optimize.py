@@ -26,6 +26,8 @@ from magsample.cli import main
 from magsample.optimize import MAX_AVG_ENTROPY, MAX_MIN, OptimizationConfig
 from magsample.simplex import solve_inequality_lp
 
+from conftest import MisdeclaredKernel
+
 # Worst-case equalizer for the overlap kernel: in log-magnification the
 # kernel is exp(-2|u - v|), whose equalizing distribution is flat plus
 # boundary atoms, with worst-case value 1 / (1 + log(b/a)).
@@ -259,15 +261,9 @@ def test_maxmin_builtin_kernels_take_the_equalizer(name, info_kernel, abs_kernel
     assert sol.achieved_t == pytest.approx(t_lp, abs=1e-12)
 
 
-class _MisdeclaredKernel(AbsDistanceKernel):
-    """The abs kernel, declaring the info kernel's Green's factors."""
-
-    green_factors = InfoOverlapKernel.green_factors
-
-
 def test_green_solve_that_fails_its_certificate_falls_through(abs_kernel):
     # the factors give a positive u, but not of this K: its certificate fails
-    cfg = OptimizationConfig(objective=MAX_MIN, kernel=_MisdeclaredKernel(), grid_n=200)
+    cfg = OptimizationConfig(objective=MAX_MIN, kernel=MisdeclaredKernel(), grid_n=200)
     sol = optimize_max_min(cfg)
     assert sol.solver == "equalizer"
     cfg.kernel = abs_kernel

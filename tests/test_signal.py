@@ -1,9 +1,13 @@
 import hashlib
+import math
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import RegularGridInterpolator
 
 from magsample import (
@@ -20,10 +24,12 @@ from magsample import (
     total_signal,
 )
 
+from magsample import signal as signal_module
 from magsample.cli import main
 
 from conftest import (
     STANDARDS,
+    MisdeclaredKernel,
     child_env,
     quadrature_potential,
     raw_abs_kernel,
@@ -185,12 +191,14 @@ def test_total_signal_matches_fine_profile_total(mag_range):
 
 _BLAS_PROBE = """
 import hashlib, numpy as np
-from magsample import InfoOverlapKernel, MagRange, SamplingDistribution, accumulated_signal
+from magsample import (AbsDistanceKernel, InfoOverlapKernel, MagRange, SamplingDistribution,
+                       accumulated_signal)
 g, r, k = np.random.default_rng(3), MagRange(), InfoOverlapKernel()
 dense = SamplingDistribution(r, density=g.random(5000) + 0.01)
 atoms = SamplingDistribution(r, atoms=list(zip(g.uniform(0.25, 2.0, 3000), g.random(3000))))
-for d in (dense, atoms):
-    print(hashlib.sha256(accumulated_signal(d, k, 3001).values.tobytes()).hexdigest())
+# the abs kernel's density profile takes the dense edge-by-target path
+for d, kernel in ((dense, k), (atoms, k), (dense, AbsDistanceKernel())):
+    print(hashlib.sha256(accumulated_signal(d, kernel, 3001).values.tobytes()).hexdigest())
 """
 
 
@@ -264,7 +272,7 @@ def test_grid_validation(cu_dist, info_kernel):
         accumulated_signal(cu_dist, info_kernel, 1)
 
 
-def test_blockwise_profile_equals_single_product(mag_range, info_kernel):
+def test_blockwise_profile_equals_single_product(mag_range, abs_kernel):
     # 1024 targets span four kernel blocks; the density term must come out
     # bit for bit as one product over the whole cell-by-target matrix.
     from magsample.signal import _TARGET_BLOCK
@@ -274,10 +282,144 @@ def test_blockwise_profile_equals_single_product(mag_range, info_kernel):
         mag_range, density=np.random.default_rng(11).random(300) + 0.1
     )
     ys = mag_range.grid(grid_n)
-    cells = np.diff(info_kernel._antiderivative(dist.cell_edges(), ys), axis=0)
+    cells = np.diff(abs_kernel._antiderivative(dist.cell_edges(), ys), axis=0)
     single = np.einsum("i,ij->j", dist.density, cells)
-    profile = accumulated_signal(dist, info_kernel, grid_n)
+    profile = accumulated_signal(dist, abs_kernel, grid_n)
     assert profile.values.tobytes() == single.tobytes()
+
+
+def test_factors_without_integrals_keep_the_dense_path(mag_range, abs_kernel):
+    # Green's factors alone do not select the Green's path: the kernel is
+    # integrated by its own antiderivative, so this is abs bit for bit
+    density = np.random.default_rng(13).random(300) + 0.1
+    dist = SamplingDistribution(mag_range, atoms=[(0.7, 0.2)], density=density)
+    got = accumulated_signal(dist, MisdeclaredKernel(), 700).values
+    assert got.tobytes() == accumulated_signal(dist, abs_kernel, 700).values.tobytes()
+
+
+# -- the Green's path of the info kernel -----------------------------------------
+
+
+def _info_antiderivative_reference(x, y):
+    x, y = x[:, None], y[None, :]
+    return np.minimum(x, y) ** 3 / (3.0 * y * y) + y * np.maximum(0.0, 1.0 - y / x)
+
+
+def _info_reference(ys, edges, density, atom_x=(), atom_w=(), dtype=np.float64):
+    """S(y) of the info kernel as the dense path wrote it, in ``dtype``: each
+    cell's difference of the antiderivative, summed by einsum, plus the atoms."""
+    edges, density, ys = (np.asarray(v).astype(dtype) for v in (edges, density, ys))
+    atom_x, atom_w = (np.asarray(v, dtype=float).astype(dtype) for v in (atom_x, atom_w))
+    out = np.empty_like(ys)
+    for lo in range(0, ys.size, 500):
+        y = ys[lo : lo + 500]
+        ratio = np.minimum(atom_x[:, None], y) / np.maximum(atom_x[:, None], y)
+        per_cell = np.diff(_info_antiderivative_reference(edges, y), axis=0)
+        out[lo : lo + 500] = np.einsum("i,ij->j", atom_w, ratio * ratio) + np.einsum(
+            "i,ij->j", density, per_cell
+        )
+    return out
+
+
+# S(y) and each integral in it are sums of nonnegative terms, so the Green's
+# path is held to this error relative to each value against the long-double
+# reference. The float64 dense reference cancels in y * (1 - y / x) where y is
+# small against the cells above it (3e-12 of S(a) on a range out to 1e3), so
+# against it the error is relative to the profile's largest value.
+_GREEN_RTOL = 1e-13
+
+
+def _relative_error(got, want, pointwise=True):
+    want = np.asarray(want, dtype=np.longdouble)
+    scale = np.maximum(want if pointwise else want.max(), np.finfo(np.longdouble).tiny)
+    return float(np.max(np.abs(got - want) / scale))
+
+
+def _green_case(log_a, log_ratio, cells, seed):
+    """A range from 1e-3 to 1e3 at widest, a density with zero-valued cells,
+    and up to three atoms, some on cell edges."""
+    a = 10.0**log_a
+    r = MagRange(a, min(a * 10.0**log_ratio, 1e3))
+    g = np.random.default_rng(seed)
+    density = np.where(g.random(cells) < 0.2, 0.0, g.random(cells))
+    edges = r.cell_edges(cells)
+    n = int(g.integers(0, 4))
+    atom_x = np.where(g.random(n) < 0.5, g.choice(edges, n), g.uniform(r.a, r.b, n))
+    if not density.any() and not n:
+        density[-1] = 1.0
+    dist = SamplingDistribution(r, atoms=zip(atom_x, g.random(n) + 0.05), density=density)
+    return dist, edges
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    log_a=st.floats(-3.0, 2.8),
+    log_ratio=st.floats(0.18, 6.0),
+    cells=st.integers(1, 500),
+    grid=st.integers(2, 3000),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(log_a=-3.0, log_ratio=6.0, cells=500, grid=3000, seed=0)
+@example(log_a=-3.0, log_ratio=6.0, cells=1, grid=2, seed=1)
+@example(log_a=math.log10(0.25), log_ratio=math.log10(8.0), cells=500, grid=1501, seed=2)
+def test_green_profile_matches_the_references(log_a, log_ratio, cells, grid, seed):
+    dist, edges = _green_case(log_a, log_ratio, cells, seed)
+    ys = dist.range.grid(grid)
+    atoms = (dist.atom_locations, dist.atom_weights)
+    got = accumulated_signal(dist, InfoOverlapKernel(), grid).values
+    # the density term alone, at the grid and at every cell edge, a and b included
+    targets = np.union1d(ys, edges)
+    term = signal_module._green_density_signal(dist.density, edges, InfoOverlapKernel(), targets)
+    for dtype in (np.float64, np.longdouble):
+        pointwise = dtype is np.longdouble
+        want = _info_reference(ys, edges, dist.density, *atoms, dtype=dtype)
+        assert _relative_error(got, want, pointwise) <= _GREEN_RTOL
+        want = _info_reference(targets, edges, dist.density, dtype=dtype)
+        assert _relative_error(term, want, pointwise) <= _GREEN_RTOL
+
+
+def _wide_green_case():
+    return _green_case(-3.0, 6.0, 500, 4)
+
+
+def test_green_path_matches_mpmath_on_the_widest_range():
+    # the long-double reference is itself checked against 40-digit sums of
+    # each cell's exact integral, at a, b, cell edges and inner targets
+    dist, edges = _wide_green_case()
+    ys = np.concatenate((dist.range.grid(7), edges[[1, 2, 250, 498, 499]]))
+    got = signal_module._green_density_signal(dist.density, edges, InfoOverlapKernel(), ys)
+    want = _info_reference(ys, edges, dist.density, dtype=np.longdouble)
+    with mpmath.workdps(40):
+        e = [mpmath.mpf(float(v)) for v in edges]
+        for j, y in enumerate(map(mpmath.mpf, ys.tolist())):
+            exact = mpmath.fsum(
+                mpmath.mpf(float(d))
+                * ((min(hi, y) ** 3 - min(lo, y) ** 3) / (3 * y * y)
+                   + y * y * (1 / max(lo, y) - 1 / max(hi, y)))
+                for d, lo, hi in zip(dist.density, e[:-1], e[1:])
+            )
+            assert abs(mpmath.mpf(float(got[j])) - exact) <= _GREEN_RTOL * exact
+            assert abs(mpmath.mpf(str(want[j])) - exact) <= 1e-16 * exact
+
+
+def test_total_minus_prefix_fails_the_wide_range_oracle():
+    # The integral over x > y written as the total minus a prefix sum, with
+    # everything else as in the Green's path: on [1e-3, 1e3] it cancels where
+    # the tail is small against the total, and the oracle sees it.
+    dist, edges = _wide_green_case()
+    ys = dist.range.grid(700)
+    kernel, d = InfoOverlapKernel(), dist.density
+    (p_y, q_y), (P_e, Q_e) = kernel.green_factors(ys), kernel.green_integrals(edges)
+    P_y, Q_y = kernel.green_integrals(ys)
+    prefix_p = np.concatenate(([0.0], np.cumsum(d * np.diff(P_e))))
+    prefix_q = np.concatenate(([0.0], np.cumsum(d * np.diff(Q_e))))
+    k = np.clip(np.searchsorted(edges, ys, "right") - 1, 0, d.size - 1)
+    left = prefix_p[k] + d[k] * (P_y - P_e[k])
+    right = prefix_q[-1] - prefix_q[k + 1] + d[k] * (Q_e[k + 1] - Q_y)
+    want = _info_reference(ys, edges, d, dtype=np.longdouble)
+    assert _relative_error(q_y * left + p_y * right, want) > 100 * _GREEN_RTOL
+    got = signal_module._green_density_signal(d, edges, kernel, ys)
+    assert _relative_error(got, want) <= _GREEN_RTOL
 
 
 # -- golden CLI outputs ------------------------------------------------------------
@@ -288,13 +430,16 @@ _GOLDEN_DISTS = {
     "cu.msdist": "#msdist v1\nrange 0.25 2.0\ndensity 1\n1.0\n",
 }
 
-# sha256 of each output file, written by the exact per-cell integrals. The
-# signal is of mm_info.msdist, so it moves with the info max-min solve.
+# sha256 of each output file, written by the exact per-cell integrals: the
+# prefix and suffix sums of the Green's path for info, the edge-by-target
+# matrix for abs and the table. The signal is of mm_info.msdist, so it moves
+# with the info max-min solve.
 SIGNAL_SHA256 = {
-    "signal.csv": "db6f96776b6754381dd09d2a525f673cfb932de777e3be177cc5908ec988f8c3",
-    "signal.summary.csv": "0109399b50c59f55ca686d7f1030c421212f514272d5b3e7b26d1a7d1dc7ce59",
+    "signal.csv": "3847e2f6572309bc0920b17b783020f8391e9bd092db0c783e060f29b1a5daa5",
+    "signal.summary.csv": "a5c475dadc3240aff4c35e8239021c026848c31ece8391d1d6f4c9d70fdc2493",
 }
 COMPARE_SHA256 = {
+    "info": "f1dff05d62e3f085c40109c7566481ec9bf7824059ac0d87c5a4ea0b97c33c0b",
     "abs": "0ec76f19a3c64ac5142fe4ada2c206705d65bf82ea7200a9136ec0d878af9541",
     "custom:tab.csv": "e9b1d081474bb84e9f542bd64c90fd45eed8489d16ebc4a3848ae366c461e336",
 }
