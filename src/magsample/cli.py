@@ -76,7 +76,7 @@ from .sampler import (
     write_image_array,
     write_plan_csv,
 )
-from .signal import signal_summary, accumulated_signal, write_profile_csv, write_summary_csv
+from .signal import accumulated_signal, accumulated_signals, write_profile_csv, write_summary_csv
 
 _USAGE_ERRORS = (
     ParameterError,
@@ -221,11 +221,12 @@ def cmd_compare(args) -> list[str]:
     if len(args.dists) < 2:
         raise ParameterError("compare needs at least two distribution files")
     kernel = kernel_from_string(args.kernel)
-    rows = []
+    dists = []
     for path in args.dists:
-        dist = read_distribution(path)
-        _check_range_matches(args, dist, path)
-        rows.append((Path(path).stem, signal_summary(dist, kernel, args.grid)))
+        dists.append(read_distribution(path))
+        _check_range_matches(args, dists[-1], path)
+    profiles = accumulated_signals(dists, kernel, args.grid)
+    rows = [(Path(path).stem, p.summary()) for path, p in zip(args.dists, profiles)]
     with _open_out(args.out) as f:
         write_summary_csv(rows, f)
     return [args.out]

@@ -1,6 +1,7 @@
 """The one CSV dialect of the package's inputs, and its bulk reader.
 
-Kernel tables, crop plans and embedding CSVs share one dialect: UTF-8,
+Kernel tables, crop plans and embedding CSVs share one dialect: UTF-8
+(a file that is not is a FormatError naming the line of its first bad byte),
 comma-separated, with a header line; cells may be in double quotes and may
 have spaces around them; a line whose cells are all blank is skipped.
 
@@ -26,6 +27,21 @@ def open_csv(path):
     return open(path, "r", encoding="utf-8", newline="")
 
 
+def not_utf8(path) -> FormatError:
+    """The FormatError for the file at ``path``, which is not UTF-8 text,
+    naming the line of its first byte that does not decode."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]  # lines end at "\n", "\r" or "\r\n", as text mode reads them
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+    else:
+        line = None  # the file changed since it failed to decode
+    return FormatError(f"{path}: not UTF-8 text", line=line)
+
+
 def _load(lines, dtype) -> np.ndarray:
     with warnings.catch_warnings():
         # a body with no rows is empty, not an error
@@ -47,7 +63,11 @@ def _blank(line: str) -> bool:
 
 def read_header(f) -> list[str]:
     """The stripped cells of the next line of ``f``; empty at the end of the file."""
-    return [c.strip() for c in _cells(f.readline())]
+    try:
+        line = f.readline()
+    except UnicodeDecodeError:
+        raise not_utf8(f.name) from None
+    return [c.strip() for c in _cells(line)]
 
 
 def parse_line(line: str, lineno: int, dtype, what: str, invalid=None):
@@ -84,14 +104,18 @@ def read_body(f, dtype, what: str, invalid=None) -> np.ndarray:
 
     ``invalid`` maps rows to a mask of those that break the reader's own
     invariants. The first line that does not parse or is flagged raises the
-    FormatError of :func:`parse_line`.
+    FormatError of :func:`parse_line`, and a body that is not UTF-8 the
+    FormatError of :func:`not_utf8`.
     """
     start = f.tell()
-    rows = _bulk(f, dtype, invalid)
+    rows = _bulk(f, dtype, invalid)  # a decoding error is a ValueError: it fails the pass
     if rows is not None:
         return rows
     f.seek(start)  # walk the lines: drop blank ones, then parse the rest in one pass
-    numbered = [(n, line) for n, line in enumerate(f, start=2) if not _blank(line)]
+    try:
+        numbered = [(n, line) for n, line in enumerate(f, start=2) if not _blank(line)]
+    except UnicodeDecodeError:
+        raise not_utf8(f.name) from None
     lines = [line for _, line in numbered]
     rows = _bulk(lines, dtype, invalid)
     if rows is not None:

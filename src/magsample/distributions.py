@@ -24,6 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import csvio
 from .errors import FormatError, ParameterError, RangeError
 from .kernels import MagRange
 
@@ -375,7 +376,11 @@ def parse_distribution(text: str) -> SamplingDistribution:
 
 def read_distribution(path) -> SamplingDistribution:
     with open(path, "r", encoding="utf-8") as f:
-        return parse_distribution(f.read())
+        try:
+            text = f.read()
+        except UnicodeDecodeError:
+            raise csvio.not_utf8(path) from None
+    return parse_distribution(text)
 
 
 def format_distribution(dist: SamplingDistribution, comments: Sequence[str] = ()) -> str:

@@ -13,10 +13,10 @@ forms; a tabulated kernel's are exact for its bilinear interpolant, which is
 piecewise linear in x and y.
 Its table is a CSV in the dialect of :mod:`magsample.csvio`.
 
-The antiderivatives and the tabulated interpolation run in place, in reused
-buffers, to spare full-size temporaries. They keep every operation of the
-plain expression and its order, so each value, and every output written
-from it, is the same bit for bit.
+The abs kernel, the antiderivatives and the tabulated interpolation run in
+place, in reused buffers, to spare full-size temporaries. They keep every
+operation of the plain expression and its order, so each value, and every
+output written from it, is the same bit for bit.
 """
 
 from __future__ import annotations
@@ -83,6 +83,10 @@ class Kernel:
     """
 
     name = "kernel"
+    # Whether K(x, y) depends only on |x - y|. Such a K is symmetric, and its
+    # matrix on a grid symmetric about its midpoint is unchanged when the grid
+    # is reversed.
+    stationary = False
 
     def __call__(self, x, y):
         xa = np.asarray(x, dtype=float)
@@ -141,9 +145,18 @@ class AbsDistanceKernel(Kernel):
     """K(x, y) = 1 / (1 + |x - y|): similarity decays with mpp distance."""
 
     name = "abs"
+    stationary = True
 
     def _evaluate(self, x, y):
-        return 1.0 / (1.0 + np.abs(x - y))
+        # 1 / (1 + |x - y|) in one buffer, with the operations of that
+        # expression in its order, so the result is the same bit for bit. The
+        # buffer is an array even for two scalars, which ufuncs would return as
+        # a numpy scalar that cannot take out=.
+        out = np.empty(np.broadcast_shapes(np.shape(x), np.shape(y)))
+        np.subtract(x, y, out=out)
+        np.abs(out, out=out)
+        out += 1.0
+        return np.divide(1.0, out, out=out)
 
     def _transfer_potential(self, xa, mag_range):
         # antiderivative: log(1 + x - a) + log(1 + b - x)

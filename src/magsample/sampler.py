@@ -295,9 +295,12 @@ def _invalid_rows(rows: np.ndarray) -> np.ndarray:
 def _open_plan(path):
     """The plan file, open after its header line, which must be the plan's."""
     f = csvio.open_csv(path)
-    if csvio.read_header(f) != list(PLAN_CSV_FIELDS):
+    try:
+        if csvio.read_header(f) != list(PLAN_CSV_FIELDS):
+            raise FormatError(f"expected plan header {','.join(PLAN_CSV_FIELDS)!r}", line=1)
+    except BaseException:
         f.close()
-        raise FormatError(f"expected plan header {','.join(PLAN_CSV_FIELDS)!r}", line=1)
+        raise
     return f
 
 
@@ -368,10 +371,15 @@ def read_plan_row(path, index: int) -> CropPlanEntry:
     naming it; no other line is checked. When the line is missing, blank or
     holds another index (a negative ``index``, a short plan, blank lines or
     rows out of order), the whole plan is read and its first row with
-    ``index`` returned; ParameterError reports an index with no entry.
+    ``index`` returned; ParameterError reports an index with no entry. Bytes
+    that are not UTF-8, in what is decoded, raise the FormatError of
+    :func:`magsample.csvio.not_utf8`, which names the file's first such line.
     """
     with _open_plan(path) as f:
-        line = _line_at(f, index + 1) if index >= 0 else ""
+        try:
+            line = _line_at(f, index + 1) if index >= 0 else ""
+        except UnicodeDecodeError:
+            raise csvio.not_utf8(path) from None
     row = csvio.parse_line(line, index + 2, PLAN_DTYPE, "plan", _invalid_rows)
     if row is not None and row["index"][0] == index:
         return CropPlan(row)[0]

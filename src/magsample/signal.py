@@ -8,8 +8,10 @@ i.e. the kernel-weighted total exposure a model trained under p receives
 at magnification y. Each density cell [e, e'] contributes exactly its value
 times F(e', y) - F(e, y), F the kernel's antiderivative in x; the total is
 exact likewise through tp's antiderivative. The edge-by-target matrix is
-built 256 targets at a time, so memory does not grow with the grid. Sums
-are einsums in a fixed order, so bytes do not depend on BLAS threads.
+built 256 targets at a time, so memory does not grow with the grid, and
+once per block for all the densities on the same cells when several
+profiles are made together, as ``compare`` does. Sums are einsums in a
+fixed order, so bytes do not depend on BLAS threads.
 
 A Green's kernel, K(x, y) = p(min(x, y)) q(max(x, y)) (info is one), needs
 no such matrix. Its density term is
@@ -28,7 +30,7 @@ long-double reference, the suffix sum by 3e-15.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, TextIO
+from typing import Iterable, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -75,31 +77,58 @@ def accumulated_signal(
     dist: SamplingDistribution, kernel: Kernel, grid_n: int = 1000
 ) -> SignalProfile:
     """Evaluate S(y) on a uniform grid of ``grid_n`` targets over the range."""
-    ys = dist.range.grid(grid_n)  # rejects a bad grid before the range check
-    _check_ranges(dist, kernel)
-    values = np.zeros(grid_n)
-    edges = dist.cell_edges() if dist.has_density else None
-    green = _green_density_signal(dist.density, edges, kernel, ys) if dist.has_density else None
+    return accumulated_signals([dist], kernel, grid_n)[0]
+
+
+def accumulated_signals(
+    dists: Sequence[SamplingDistribution], kernel: Kernel, grid_n: int = 1000
+) -> list[SignalProfile]:
+    """The profile of :func:`accumulated_signal` for each distribution.
+
+    Densities on the same range and cells share each edge-by-target block,
+    which is built once and weighted by each density in turn. Each profile
+    is the same, bit for bit, as that distribution's alone.
+    """
+    ys = [dist.range.grid(grid_n) for dist in dists]  # rejects a bad grid first
+    for dist in dists:
+        _check_ranges(dist, kernel)
+    values = [np.zeros(grid_n) for _ in dists]
+    green = [
+        _green_density_signal(dist.density, dist.cell_edges(), kernel, y)
+        if dist.has_density else None
+        for dist, y in zip(dists, ys)
+    ]
+    # (range, cells) -> cell edges, targets and indices of the densities
+    # without a Green's path
+    dense = {}
+    for i, (dist, y, g) in enumerate(zip(dists, ys, green)):
+        if dist.has_density and g is None:
+            dense.setdefault((dist.range, dist.cells), (dist.cell_edges(), y, []))[2].append(i)
     for lo in range(0, grid_n, _TARGET_BLOCK):
         block = slice(lo, lo + _TARGET_BLOCK)
-        if dist.has_atoms:
-            km = kernel(dist.atom_locations[:, None], ys[None, block])
-            values[block] += np.einsum("i,ij->j", dist.atom_weights, km)
-        if dist.has_density and green is None:
-            per_cell = np.diff(kernel._antiderivative(edges, ys[block]), axis=0)
-            values[block] += np.einsum("i,ij->j", dist.density, per_cell)
-    if green is not None:
-        values += green
-    imin = int(np.argmin(values))
-    total = float(np.trapezoid(values, ys))
-    return SignalProfile(
-        ys=ys,
-        values=values,
-        min_value=float(values[imin]),
-        argmin_y=float(ys[imin]),
-        total=total,
-        mean=total / dist.range.width,
-    )
+        for dist, y, v in zip(dists, ys, values):
+            if dist.has_atoms:
+                km = kernel(dist.atom_locations[:, None], y[None, block])
+                v[block] += np.einsum("i,ij->j", dist.atom_weights, km)
+        for edges, y, members in dense.values():
+            per_cell = np.diff(kernel._antiderivative(edges, y[block]), axis=0)
+            for i in members:
+                values[i][block] += np.einsum("i,ij->j", dists[i].density, per_cell)
+    profiles = []
+    for dist, y, v, g in zip(dists, ys, values, green):
+        if g is not None:
+            v += g
+        imin = int(np.argmin(v))
+        total = float(np.trapezoid(v, y))
+        profiles.append(SignalProfile(
+            ys=y,
+            values=v,
+            min_value=float(v[imin]),
+            argmin_y=float(y[imin]),
+            total=total,
+            mean=total / dist.range.width,
+        ))
+    return profiles
 
 
 def _green_density_signal(density, edges, kernel, ys):

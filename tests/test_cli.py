@@ -25,7 +25,7 @@ from magsample.errors import (
 from magsample.kernels import MagRange
 from magsample.rankme import EmbeddingSet, write_embeddings_binary
 
-from conftest import child_env
+from conftest import CSV_READERS, child_env
 
 DU_TEXT = """#msdist v1
 range 0.25 2.0
@@ -379,6 +379,37 @@ def test_crop_apply_ignores_bad_rows_elsewhere(crop_inputs, workdir):
     assert np.array_equal(read_image_array("o.msim"), apply_crop(crop_inputs, entry))
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert f"digest.plan sha256:{digest}\n" in (workdir / "o.msim.manifest.txt").read_text()
+
+
+def _with_bad_byte(reader):
+    """A CSV for ``reader`` whose line 3 holds a byte that is not UTF-8."""
+    header, rows, _ = CSV_READERS[reader]
+    return f"{header}\n{rows[0]}\r\n".encode() + b"\xe9" + f"{rows[1]}\n".encode()
+
+
+# Per reader: the input, the command that reads it, and the line the error names.
+_NOT_UTF8_CASES = {
+    "table": (_with_bad_byte("table"),
+              ["kernel", "--kernel", "custom:bad.in", "--out", "k.csv"], 3),
+    "embeddings": (_with_bad_byte("embeddings"),
+                   ["rankme", "--embeddings", "bad.in", "--out", "r.csv"], 3),
+    # line 3 is entry 1, the only line crop-apply decodes
+    "plan": (_with_bad_byte("plan"),
+             ["crop-apply", "--image", "img.msim", "--plan", "bad.in", "--index", "1",
+              "--out", "o.msim"], 3),
+    # a UTF-16 byte-order mark
+    "msdist": (b"\xff\xfe" + CU_TEXT.encode("utf-16-le"),
+               ["signal", "--dist", "bad.in", "--out", "s.csv"], 1),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_NOT_UTF8_CASES))
+def test_input_that_is_not_utf8_exits_2(workdir, capsys, reader):
+    data, argv, line = _NOT_UTF8_CASES[reader]
+    (workdir / "bad.in").write_bytes(data)
+    write_image_array("img.msim", np.zeros((512, 512, 1), dtype=np.float32))
+    assert main(argv) == 2
+    assert f"error: line {line}: bad.in: not UTF-8 text" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -299,6 +299,30 @@ def test_tabulated_evaluate_is_the_reference_bit_for_bit(layout, n, m, nx, ny, s
     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    layout=st.sampled_from(sorted(_QUERY_SHAPES)),
+    n=st.integers(0, 40),
+    m=st.integers(0, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(layout="outer", n=1000, m=1000, seed=0)
+def test_abs_evaluate_is_the_reference_bit_for_bit(layout, n, m, seed):
+    g = np.random.default_rng(seed)
+    x_shape, y_shape = _QUERY_SHAPES[layout](n, m)
+    x = g.uniform(0.05, 6.0, x_shape)
+    # some points coincide, where |x - y| is 0
+    y = np.where(g.random(y_shape) < 0.25, x.flat[0] if x.size else 1.0,
+                 g.uniform(0.05, 6.0, y_shape))
+    got = AbsDistanceKernel()._evaluate(x, y)
+    want = raw_abs_kernel(x, y)
+    assert np.shape(got) == np.shape(want) and np.result_type(got) == np.float64
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    if layout == "scalars":  # Python floats in, a Python float out
+        value = AbsDistanceKernel()(float(x), float(y))
+        assert type(value) is float and value == float(want)
+
+
 def _abs_antiderivative_reference(x, y):
     d = x[:, None] - y[None, :]
     return np.sign(d) * np.log1p(np.abs(d))

@@ -9,6 +9,7 @@ from magsample import (
     AbsDistanceKernel,
     DomainError,
     InfoOverlapKernel,
+    Kernel,
     MagRange,
     ParameterError,
     SamplingDistribution,
@@ -251,8 +252,9 @@ def _check_certified(sol, K):
 def test_maxmin_builtin_kernels_take_the_equalizer(name, info_kernel, abs_kernel):
     kernel = {"info": info_kernel, "abs": abs_kernel}[name]
     sol = optimize_max_min(OptimizationConfig(objective=MAX_MIN, kernel=kernel, grid_n=200))
-    # info declares its Green's factors, so its equalizer takes the O(n) solve
-    solver = {"info": "green", "abs": "equalizer"}[name]
+    # info declares its Green's factors, so its equalizer takes the O(n) solve;
+    # abs declares itself stationary, so its equalizer takes the folded half
+    solver = {"info": "green", "abs": "mirror"}[name]
     assert sol.solver == solver and sol.iterations == 0 and sol.rounds == 0
     K = _game(kernel, 200)
     q = _check_certified(sol, K)
@@ -262,12 +264,90 @@ def test_maxmin_builtin_kernels_take_the_equalizer(name, info_kernel, abs_kernel
 
 
 def test_green_solve_that_fails_its_certificate_falls_through(abs_kernel):
-    # the factors give a positive u, but not of this K: its certificate fails
+    # the factors give a positive u, but not of this K: its certificate fails,
+    # and the path of the abs kernel, which it inherits, solves the game
     cfg = OptimizationConfig(objective=MAX_MIN, kernel=MisdeclaredKernel(), grid_n=200)
     sol = optimize_max_min(cfg)
-    assert sol.solver == "equalizer"
+    assert sol.solver == "mirror"
     cfg.kernel = abs_kernel
     assert sol.distribution.density.tobytes() == optimize_max_min(cfg).distribution.density.tobytes()
+
+
+def _refined_solution(K, steps=3):
+    """u of K u = 1: the LU's, refined by a few steps whose residuals
+    1 - K u are computed in long double."""
+    K_long, ones = K.astype(np.longdouble), np.ones(K.shape[0])
+    u = np.linalg.solve(K, ones)
+    for _ in range(steps):
+        residual = 1.0 - K_long @ u.astype(np.longdouble)
+        u = u + np.linalg.solve(K, residual.astype(float))
+    return u
+
+
+# The mirror solve gives the exact solution of K made mirror-invariant, which
+# differs from K by round-off (up to 9e-14 relative on [1e-3, 1e3]). So its
+# error is about cond(K) times that plus its own round-off. Against the
+# refined LU it measured at most 3.3 times the LU's own error (grid 1000 on
+# [1e-3, 1e3]), and less than the LU's on the narrow ranges.
+_MIRROR_ERROR_FACTOR = 8
+
+
+@pytest.mark.parametrize("a, b", [(0.25, 2.0), (0.5, 0.6), (1e-3, 1e3)])
+@pytest.mark.parametrize("n", [10, 11, 200, 999, 1000])
+def test_mirror_solve_matches_the_refined_lu(a, b, n, abs_kernel):
+    mids = MagRange(a, b).cell_midpoints(n)
+    K = np.asarray(abs_kernel(mids[:, None], mids[None, :]), dtype=float)
+    reference = _refined_solution(K)
+
+    def error(u):
+        return np.max(np.abs(u - reference) / reference)
+
+    u = optimize_module._mirror_solve(K)
+    assert u.shape == (n,) and u.min() > 0.0 and np.array_equal(u, u[::-1])
+    lu_error = error(np.linalg.solve(K, np.ones(n)))
+    assert error(u) <= _MIRROR_ERROR_FACTOR * max(lu_error, np.finfo(float).eps)
+    solver, rounds, pivots, (_, _, t_lo, t_hi) = optimize_module._solve_game(
+        K, None, n // 8, True
+    )
+    assert (solver, rounds, pivots) == ("mirror", 0, 0)
+    assert optimize_module._certified(t_hi - t_lo)
+
+
+class _StationaryInfoKernel(InfoOverlapKernel):
+    """The info kernel, declaring itself stationary and no Green's factors:
+    symmetric, but not mirror-invariant."""
+
+    stationary = True
+    green_factors = Kernel.green_factors
+
+
+class _StationaryTable(TabulatedKernel):
+    """A table declaring itself stationary: neither symmetric nor mirror-invariant."""
+
+    stationary = True
+
+
+@pytest.mark.parametrize("name", ["symmetric", "asymmetric"])
+def test_misdeclared_stationary_kernel_falls_through(name, info_kernel):
+    if name == "symmetric":
+        kernel, honest = _StationaryInfoKernel(), _StationaryInfoKernel()
+        honest.stationary = False
+        expected_solver = "equalizer"
+    else:
+        table = _asymmetric_table(2)
+        kernel = _StationaryTable(table.xs, table.ys, table.values)
+        honest, expected_solver = table, "double_oracle"
+    n = 200
+    K = _game(kernel, n)
+    assert not np.array_equal(K, K[::-1, ::-1])
+    assert optimize_module._mirror_solve(K) is not None  # the fold is not singular
+    sol = optimize_max_min(OptimizationConfig(objective=MAX_MIN, kernel=kernel, grid_n=n))
+    assert sol.solver == expected_solver
+    _check_certified(sol, K)
+    want = optimize_max_min(OptimizationConfig(objective=MAX_MIN, kernel=honest, grid_n=n))
+    assert want.solver == expected_solver
+    assert sol.distribution.density.tobytes() == want.distribution.density.tobytes()
+    assert (sol.rounds, sol.iterations) == (want.rounds, want.iterations)
 
 
 def _equalizer_reference(K):
@@ -315,7 +395,7 @@ def test_symmetric_game_takes_one_solve(name, info_kernel, abs_kernel, solves):
     K = _game({"info": info_kernel, "abs": abs_kernel}[name], 300)
     assert np.array_equal(K, K.T)
     # no Green's factors: the path a symmetric K takes without them
-    solver, rounds, _, got = optimize_module._solve_game(K, None, 300 // 8)
+    solver, rounds, _, got = optimize_module._solve_game(K, None, 300 // 8, False)
     assert (solver, rounds) == ("equalizer", 0)
     assert solves["shapes"] == [(300, 300)]
     (u, y), = solves["pairs"]
@@ -495,10 +575,10 @@ def test_tabulated_maxmin_msdist_golden_digest(tmp_path, monkeypatch):
 
 
 # Bytes of `optimize --objective maxmin` on the built-in kernels at grid 200,
-# written by the Green's solve (info) and the equalizer (abs).
+# written by the Green's solve (info) and the mirror solve (abs).
 BUILTIN_MAXMIN_SHA256 = {
     "info": "79dc475952ae1ce42d977e76aeb08e6b91508e1b31bca8dfc0e8ba3cd0c86be4",
-    "abs": "c24c49acf537b3fb4b0584d15044cd86016997c03b95232b5e968c026274ce58",
+    "abs": "36f1e214f9839944da1339261b6ce64d87346b5e9a766ca9732f6a85934df84c",
 }
 
 

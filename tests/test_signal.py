@@ -297,6 +297,69 @@ def test_factors_without_integrals_keep_the_dense_path(mag_range, abs_kernel):
     assert got.tobytes() == accumulated_signal(dist, abs_kernel, 700).values.tobytes()
 
 
+def _profile_alone_reference(dist, kernel, grid_n):
+    """S(y) of one distribution as accumulated_signal first wrote it, with
+    its own edge-by-target blocks."""
+    ys = dist.range.grid(grid_n)
+    values = np.zeros(grid_n)
+    edges = dist.cell_edges() if dist.has_density else None
+    green = None
+    if dist.has_density:
+        green = signal_module._green_density_signal(dist.density, edges, kernel, ys)
+    for lo in range(0, grid_n, signal_module._TARGET_BLOCK):
+        block = slice(lo, lo + signal_module._TARGET_BLOCK)
+        if dist.has_atoms:
+            km = kernel(dist.atom_locations[:, None], ys[None, block])
+            values[block] += np.einsum("i,ij->j", dist.atom_weights, km)
+        if dist.has_density and green is None:
+            per_cell = np.diff(kernel._antiderivative(edges, ys[block]), axis=0)
+            values[block] += np.einsum("i,ij->j", dist.density, per_cell)
+    if green is not None:
+        values += green
+    return values
+
+
+_SHARED_RANGES = (MagRange(0.25, 2.0), MagRange(0.5, 1.5))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kernel_name=st.sampled_from(["abs", "info", "table"]),
+    # (range index, cells or None, atom count) of each distribution; few cell
+    # counts, so that densities often share their cells, and often do not
+    parts=st.lists(
+        st.tuples(st.integers(0, 1), st.sampled_from([None, 1, 7, 300]), st.integers(0, 3)),
+        min_size=1, max_size=5,
+    ),
+    grid_n=st.integers(2, 700),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(kernel_name="abs", parts=[(0, None, 4), (0, 1, 0), (0, 300, 0), (0, 300, 0)],
+         grid_n=600, seed=0)
+def test_shared_profiles_are_each_alone_bit_for_bit(kernel_name, parts, grid_n, seed):
+    g = np.random.default_rng(seed)
+    kernel = {"abs": AbsDistanceKernel(), "info": InfoOverlapKernel(),
+              "table": _random_table(g)[0]}[kernel_name]
+    dists = []
+    for r, cells, atoms in parts:
+        mag_range = _SHARED_RANGES[r]
+        atoms = atoms if cells else max(atoms, 1)
+        xs = g.uniform(mag_range.a, mag_range.b, atoms)
+        density = None
+        if cells:
+            density = g.random(cells) * (g.random(cells) < 0.8)  # some cells are 0
+            density[0] += 0.1
+        dists.append(SamplingDistribution(mag_range, atoms=zip(xs, g.uniform(0.1, 1.0, atoms)),
+                                          density=density))
+    profiles = signal_module.accumulated_signals(dists, kernel, grid_n)
+    assert len(profiles) == len(dists)
+    for dist, profile in zip(dists, profiles):
+        assert profile.values.tobytes() == _profile_alone_reference(dist, kernel, grid_n).tobytes()
+        alone = accumulated_signal(dist, kernel, grid_n)
+        assert profile.ys.tobytes() == alone.ys.tobytes()
+        assert profile.summary() == alone.summary()
+
+
 # -- the Green's path of the info kernel -----------------------------------------
 
 
@@ -433,15 +496,16 @@ _GOLDEN_DISTS = {
 # sha256 of each output file, written by the exact per-cell integrals: the
 # prefix and suffix sums of the Green's path for info, the edge-by-target
 # matrix for abs and the table. The signal is of mm_info.msdist, so it moves
-# with the info max-min solve.
+# with the info max-min solve; compare reads mm_abs.msdist, so it moves with
+# the abs max-min solve.
 SIGNAL_SHA256 = {
     "signal.csv": "3847e2f6572309bc0920b17b783020f8391e9bd092db0c783e060f29b1a5daa5",
     "signal.summary.csv": "a5c475dadc3240aff4c35e8239021c026848c31ece8391d1d6f4c9d70fdc2493",
 }
 COMPARE_SHA256 = {
-    "info": "f1dff05d62e3f085c40109c7566481ec9bf7824059ac0d87c5a4ea0b97c33c0b",
-    "abs": "0ec76f19a3c64ac5142fe4ada2c206705d65bf82ea7200a9136ec0d878af9541",
-    "custom:tab.csv": "e9b1d081474bb84e9f542bd64c90fd45eed8489d16ebc4a3848ae366c461e336",
+    "info": "8e17813e7a2a309a2a2a81f2f63e5211e0aa5b157132f46a981d1317b8641d8a",
+    "abs": "c22eaad58d98906e71ab8995bc2c8a16e94187886ba79e6df1350551f3a6e38a",
+    "custom:tab.csv": "ba75c5e99f64545db1c4ba4da5435d7aee15fcc582d20f72eb9dc8f3cd936e0e",
 }
 
 
