@@ -20,6 +20,14 @@ and a missing, directory or unreadable file); 1 for computation failures
 and any other ``MagsampleError``). So not every ``ValueError`` exits 2:
 ``DomainError``, ``DegenerateInputError`` and ``ShapeError`` exit 1.
 
+``optimize --objective maxmin`` keeps memory linear in ``--grid`` on the
+paths that solve the built-in kernels and sparse tabulated games. A game that
+needs the dense grid x grid kernel matrix (the equalizer or the full simplex:
+a kernel that declares no structure, or a table whose game is not sparse) is
+bounded: past grid 11585 the matrix would take more than 1 GiB, and the game
+is a ``ParameterError`` (exit 2) naming the GiB it would need, raised before
+anything is allocated.
+
 ``crop-apply`` parses the plan's header and only the line of its entry
 (line ``index + 2`` of a generated plan; see ``sampler.read_plan_row``).
 So a malformed row elsewhere in the plan does not fail it (exit 0),
@@ -32,6 +40,7 @@ index with no entry is a ``ParameterError`` (exit 2).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 from pathlib import Path
@@ -127,7 +136,7 @@ def _write_manifest(args, outs):
     """
     entries = {"subcommand": args.command, "version": __version__}
     for key, value in vars(args).items():
-        if key not in ("command", "func") and value is not None:
+        if key != "command" and value is not None:
             entries[key] = str(value)  # str of a float is its repr
     inputs = {name: getattr(args, name) for name in _INPUT_ARGS if hasattr(args, name)}
     inputs.update(enumerate(getattr(args, "dists", ())))
@@ -303,18 +312,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kernel", help="tabulate a kernel's transfer potential")
     _add_common(p)
-    p.set_defaults(func=cmd_kernel, range="0.25:2.0")
+    p.set_defaults(range="0.25:2.0")
 
     p = sub.add_parser("signal", help="evaluate the signal profile of a distribution")
     _add_common(p)
     p.add_argument("--dist", required=True, help="distribution file (msdist)")
     p.add_argument("--summary-out", default=None, help="summary CSV path")
-    p.set_defaults(func=cmd_signal)
 
     p = sub.add_parser("compare", help="summarize several distributions side by side")
     _add_common(p)
     p.add_argument("dists", nargs="+", help="two or more distribution files")
-    p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("optimize", help="derive an optimized sampling distribution")
     _add_common(p)
@@ -322,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--objective", required=True, choices=["maxavg", "maxmin"], help="objective"
     )
     p.add_argument("--lambda", type=float, default=1.0, help="entropy weight (maxavg)")
-    p.set_defaults(func=cmd_optimize, range="0.25:2.0")
+    p.set_defaults(range="0.25:2.0")
 
     p = sub.add_parser("plan", help="generate a crop-and-resize sampling plan")
     p.add_argument("--dist", required=True, help="distribution file (msdist)")
@@ -334,36 +341,39 @@ def build_parser() -> argparse.ArgumentParser:
         "--standards", default="0.25,0.5,1.0,2.0", help="comma-separated standard mpps"
     )
     p.add_argument("--out", required=True, help="plan CSV path")
-    p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("rankme", help="profile embedding rank per magnification")
     p.add_argument("--embeddings", required=True, help="embedding file (CSV or MSEB)")
     p.add_argument("--epsilon", type=float, default=1e-7, help="stability constant")
     p.add_argument("--group-tol", type=float, default=1e-6, help="mpp grouping tolerance")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(func=cmd_rankme)
 
     p = sub.add_parser("similarity", help="centroid cosine similarities by magnification")
     p.add_argument("--embeddings", required=True, help="embedding file (CSV or MSEB)")
     p.add_argument("--group-tol", type=float, default=1e-6, help="mpp grouping tolerance")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(func=cmd_similarity)
 
     p = sub.add_parser("crop-apply", help="apply one plan entry to a raw image array")
     p.add_argument("--image", required=True, help="input image (.msim)")
     p.add_argument("--plan", required=True, help="plan CSV")
     p.add_argument("--index", type=int, default=0, help="plan entry index to apply")
     p.add_argument("--out", required=True, help="output image (.msim)")
-    p.set_defaults(func=cmd_crop_apply)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first ``main`` call rather than at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up by name on each call, so a replaced handler takes effect
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        _write_manifest(args, args.func(args))
+        _write_manifest(args, handler(args))
     except _USAGE_ERRORS as exc:
         print(f"magsample {args.command}: error: {exc}", file=sys.stderr)
         return 2

@@ -84,8 +84,7 @@ class Kernel:
 
     name = "kernel"
     # Whether K(x, y) depends only on |x - y|. Such a K is symmetric, and its
-    # matrix on a grid symmetric about its midpoint is unchanged when the grid
-    # is reversed.
+    # matrix on a uniform grid is a Toeplitz matrix, given by one column.
     stationary = False
 
     def __call__(self, x, y):
@@ -119,6 +118,12 @@ class Kernel:
     def green_integrals(self, x):
         """``(P(x), Q(x))``, antiderivatives of the Green's factors p and q up
         to a constant, or None if the kernel declares none."""
+        return None
+
+    def linear_nodes(self):
+        """Points between which K(x, y) is linear in x for every y, or None.
+        Over a grid, each K(., y) then takes its minimum at a grid end or at a
+        grid point next to a node."""
         return None
 
     def transfer_potential(self, x, mag_range: MagRange = MagRange()):
@@ -255,6 +260,9 @@ class TabulatedKernel(Kernel):
             and self.ys[0] <= mag_range.a
             and mag_range.b <= self.ys[-1]
         )
+
+    def linear_nodes(self):
+        return self.xs  # the interpolant is bilinear between the table's nodes
 
     @staticmethod
     def _locate(grid, q):

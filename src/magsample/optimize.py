@@ -11,47 +11,48 @@ Two objectives are supported:
 The max-min problem ``max t s.t. K q >= t, sum q = 1, q >= 0`` is a game
 with value 1/Z. If K u = 1 and K'y = 1 have strictly positive solutions, the
 game is completely mixed and its unique solution is q = u / Z, r = y / Z
-with Z = sum(u) (Kaplansky 1945). The path is chosen from the kernel's
-structure and from K, not by a trial solve; ``MaxMinSolution.solver`` names
-the one that solved the game:
+with Z = sum(u) (Kaplansky 1945).
+
+The game sees K through a lazy view, ``_Game``: its rows and columns are
+evaluated through ``Kernel.__call__`` when a path asks for them and kept by
+grid index. The dense n x n K is built at most once, only for the equalizer
+and the full simplex, and only if its 8 n^2 bytes fit in ``_DENSE_BYTES``
+(1 GiB, grid <= 11585); past that the game is a ParameterError. The path is
+chosen from the kernel's structure; ``MaxMinSolution.solver`` names the one
+that solved the game:
 
 * ``"green"``: a kernel K(x, y) = p(min(x, y)) q(max(x, y)), such as info,
-  declares p and q. Its K is a Green's matrix with a tridiagonal inverse
-  (Gantmacher & Krein), so u comes from two difference passes in O(n), not
-  an n x n LU, and y = u since K is symmetric.
-* ``"mirror"``: a stationary kernel, K(x, y) = k(|x - y|), such as abs,
-  declares so. Its K is symmetric and, on the midpoint grid, unchanged when
-  the grid is reversed, so the unique u is mirror-symmetric too, and comes
-  from one LU of the folded h x h system, h = ceil(n / 2): an eighth of the
-  flops. In floating point K is mirror-invariant only to round-off (about
-  1e-13 relative on [1e-3, 1e3]), so u is the exact solution of a K that
-  differs by that much; its error against the solution of K u = 1 stays
-  within a few times the LU's own. y = u.
-* ``"equalizer"``: u by one LU solve. When K equals its transpose exactly,
-  y is u, since the solve of K'y = 1 would hand LAPACK the same input;
-  otherwise y takes a second solve.
-* ``"double_oracle"``: the game is solved on a few sources and targets,
-  grown by full-grid best responses (McMahan, Gordon & Blum 2003). Each
-  restricted game is the LP pair ``min 1'u : K u >= 1`` /
-  ``max 1'y : K'y <= 1`` on the dense simplex, which starts feasible at the
-  slack basis. This suits sparse solutions, such as those of tabulated
-  kernels, whose support is a few cells.
-* ``"simplex"``: the same LP pair on the full grid, only for a restricted
-  game that outgrows ``grid_n // _DO_SIZE_DIVISOR`` cells.
+  declares p and q. K^-1 is tridiagonal (Gantmacher & Krein), so u comes from
+  two difference passes, and K w from a prefix and a suffix sum: O(n) each.
+* ``"toeplitz"``: a stationary kernel, K(x, y) = k(|x - y|), such as abs,
+  declares so. On the uniform grid its K is the symmetric Toeplitz matrix of
+  its first column. u comes from conjugate gradients with T. Chan's circulant
+  preconditioner (Chan 1988), and K w from FFTs of twice the grid's length.
+* ``"equalizer"``: u by one LU of the dense K; y = u when K equals its
+  transpose exactly, else y by a second solve.
+* ``"double_oracle"``: the game is solved on a few sources and targets, grown
+  by full-grid best responses (McMahan, Gordon & Blum 2003), from only the
+  rows and columns of K that they add. Each restricted game is the LP pair
+  ``min 1'u : K u >= 1`` / ``max 1'y : K'y <= 1`` on the dense simplex. This
+  suits sparse solutions, such as those of tabulated kernels.
+* ``"simplex"``: the same LP pair on the full grid, only for a restricted game
+  that outgrows ``grid_n // _DO_SIZE_DIVISOR`` cells.
 
-The order: the Green's solve when the kernel declares its factors; then the
-mirror solve when it declares itself stationary; then, for an exactly
-symmetric K, the equalizer. A path whose u is not strictly positive, or
-fails the certificate, falls through to the next. A K that is not exactly
-symmetric first gets ``_PROBE_ROUNDS`` double-oracle rounds, which finish
-the sparse tabulated games without an n x n solve; a completely mixed game
-pays about 20 ms for them at grid 1000, on top of a 25 ms LU (2 vCPU). Then
-the equalizer runs, then the double oracle resumes from the probe's sets up
-to the size bound, and past it the full simplex solves the game.
+The structured paths come first, each only if its declaration matches
+``Kernel.__call__`` on O(n) grid pairs; positivity then follows from the
+declaration, and y = u. A path whose check fails, whose u is not strictly
+positive or whose certificate does not close falls through. Then an exactly
+symmetric K takes the equalizer. Any other K first gets ``_PROBE_ROUNDS``
+double-oracle rounds, which finish the sparse tabulated games, then the
+equalizer, the double oracle resumed up to the size bound, and the full
+simplex. A table's rows next to its nodes hold every column minimum, and so
+its positivity, and usually a pair that shows K is not symmetric; without
+such a witness, and for a kernel that declares nothing, the dense K decides.
 
-On every path the masses q and the adversary weights r certify optimality
-independently of the solver: min(K q) <= t* <= max(K'r) pins the optimum
-between two directly checkable numbers.
+On every path q and the adversary weights r certify optimality: min(K q) <=
+t* <= max(K'r), computed with the path's own products by K (prefix sums,
+FFTs, the double oracle's columns and rows, or the dense K). README
+"Numerical notes" gives each path's cost and accuracy.
 """
 
 from __future__ import annotations
@@ -88,6 +89,21 @@ _DO_SIZE_DIVISOR = 8
 # it pays on top of the 25 ms LU of its equalizer.
 _PROBE_ROUNDS = 32
 
+# The dense K is built only if its 8 n^2 bytes fit in this: grid <= 11585.
+_DENSE_BYTES = 1 << 30
+
+# Rows of K per kernel call when the dense K is built, as signal builds its blocks.
+_ROW_BLOCK = 256
+
+# A declared structure must match Kernel.__call__ to this relative tolerance.
+_DECLARATION_RTOL = 1e-12
+
+# Conjugate gradients stop once ||1 - K u|| <= _CG_TOL * sqrt(n), ||1|| being
+# sqrt(n), or give up after _CG_MAX_ITER iterations. With T. Chan's
+# preconditioner the abs kernel takes 5-10 at grids 10 to 20000.
+_CG_TOL = 1e-15
+_CG_MAX_ITER = 100
+
 
 @dataclass
 class OptimizationConfig:
@@ -119,8 +135,8 @@ class MaxMinSolution:
     active_set: np.ndarray      # grid indices where the signal sits at achieved_t
     certificate_gap: float      # max(K r) - min(K q), bounds suboptimality
     iterations: int             # simplex pivots over every LP solved, the probe's included
-    rounds: int                 # double-oracle rounds, the probe's included; 0 on "green" and "mirror"
-    solver: str                 # "green", "mirror", "equalizer", "double_oracle" or "simplex"
+    rounds: int                 # double-oracle rounds, the probe's included; 0 on "green" and "toeplitz"
+    solver: str                 # "green", "toeplitz", "equalizer", "double_oracle" or "simplex"
 
 
 def optimize_max_avg(cfg: OptimizationConfig) -> SamplingDistribution:
@@ -143,13 +159,8 @@ def optimize_max_min(cfg: OptimizationConfig) -> MaxMinSolution:
     if cfg.objective != MAX_MIN:
         raise ParameterError(f"config objective is {cfg.objective!r}, not {MAX_MIN!r}")
     mids = cfg.mag_range.cell_midpoints(cfg.grid_n)
-    K = np.asarray(cfg.kernel(mids[:, None], mids[None, :]), dtype=float)
-    if np.any(K <= 0.0):
-        raise DomainError("max-min optimization requires a strictly positive kernel")
-
     solver, rounds, iterations, bounds = _solve_game(
-        K, cfg.kernel.green_factors(mids), cfg.grid_n // _DO_SIZE_DIVISOR,
-        cfg.kernel.stationary,
+        _Game(cfg.kernel, mids), cfg.grid_n // _DO_SIZE_DIVISOR
     )
     q, signal, t_lo, t_hi = bounds
     gap = t_hi - t_lo
@@ -173,33 +184,136 @@ def optimize_max_min(cfg: OptimizationConfig) -> MaxMinSolution:
     )
 
 
-def _solve_game(K, factors, max_size, stationary):
-    """The solver name, rounds, pivots and bounds of the first path that solves K.
+class _Game:
+    """The game matrix K[i, j] = kernel(mids[i], mids[j]), evaluated as paths ask.
 
-    ``factors`` are the kernel's Green's factors on the grid, or None;
-    ``stationary`` is whether the kernel depends only on |x - y|.
+    Rows and columns come from ``Kernel.__call__`` and are kept by grid index.
+    The dense K is built at most once, by ``dense``; from then on rows and
+    columns are its slices, as they were before it was built, bit for bit.
     """
+
+    def __init__(self, kernel: Kernel, mids: np.ndarray):
+        self.kernel, self.mids, self.n = kernel, mids, mids.size
+        self.K = None
+        self._rows, self._cols = {}, {}
+        self._minima = None
+        # A kernel linear in x between declared nodes takes each column's
+        # minimum over the grid at a grid end or at a grid point next to a
+        # node: 118 rows of 1000 for a 64-node table.
+        nodes = kernel.linear_nodes()
+        if nodes is None:
+            self.node_rows = None
+        else:
+            k = np.searchsorted(mids, nodes)
+            rows = np.unique(np.concatenate(([0, self.n - 1], k - 1, k)))
+            self.node_rows = rows[(rows >= 0) & (rows < self.n)].tolist()
+
+    def rows(self, T):
+        """K[T]: one row per grid index in T."""
+        if self.K is not None:
+            return self.K[T]
+        new = [i for i in T if i not in self._rows]
+        if new:
+            block = self.kernel(self.mids[new, None], self.mids[None, :])
+            self._rows.update(zip(new, block))
+        return np.array([self._rows[i] for i in T])
+
+    def cols(self, S):
+        """K[:, S], in the layout NumPy gives that index (Fortran order), so
+        products with it sum in the same order."""
+        if self.K is not None:
+            return self.K[:, S]
+        for j in S:
+            if j not in self._cols:
+                # two 1-D arrays: the pointwise query, O(n) for a table too
+                self._cols[j] = self.kernel(self.mids, np.full(self.n, self.mids[j]))
+        return np.array([self._cols[j] for j in S]).T
+
+    def matches(self, i, j, declared):
+        """Whether K[i, j] equals the declared values to _DECLARATION_RTOL."""
+        values = self.kernel(self.mids[i], self.mids[j])
+        return bool(np.all(np.abs(values - declared) <= _DECLARATION_RTOL * np.abs(declared)))
+
+    def dense(self):
+        """The n x n K, built 256 rows at a time and scanned for an entry <= 0."""
+        if self.K is None:
+            n = self.n
+            if 8 * n * n > _DENSE_BYTES:
+                raise ParameterError(
+                    f"grid {n}: this game needs the dense {n} x {n} kernel matrix, "
+                    f"{8 * n * n / 2**30:.2f} GiB, past the bound of "
+                    f"{_DENSE_BYTES / 2**30:g} GiB (grid <= {math.isqrt(_DENSE_BYTES // 8)})"
+                )
+            K = np.empty((n, n))
+            for lo in range(0, n, _ROW_BLOCK):
+                block = K[lo : lo + _ROW_BLOCK]
+                block[...] = self.kernel(self.mids[lo : lo + _ROW_BLOCK, None], self.mids[None, :])
+                _check_positive(block)
+            self.K = K
+        return self.K
+
+    def column_minima(self):
+        """K.min(axis=0), from the node rows if the kernel declares nodes,
+        else from the dense K; a DomainError if it has an entry <= 0."""
+        if self._minima is None:
+            if self.node_rows is None or self.K is not None:
+                self._minima = self.dense().min(axis=0)
+            else:
+                self._minima = self.rows(self.node_rows).min(axis=0)
+                _check_positive(self._minima)
+        return self._minima
+
+    def symmetric(self):
+        """Whether K equals its transpose bit for bit.
+
+        A table's node rows usually hold a pair K[i, j] != K[j, i], which
+        decides it; with no such witness, the dense K does.
+        """
+        if self.node_rows is not None and self.K is None:
+            block = self.rows(self.node_rows)[:, self.node_rows]
+            if not np.array_equal(block, block.T):
+                return False
+        K = self.dense()
+        return np.array_equal(K, K.T)
+
+    def bounds(self, u, y, S, T):
+        """``_bounds`` for u supported on S and y on T, from those columns and
+        rows only; from the dense K, as ``_bounds``, once it is built."""
+        if self.K is not None:
+            return _bounds(self.K, u, y)
+        return _certify(u, y, lambda q: self.cols(S) @ q[S], lambda r: self.rows(T).T @ r[T])
+
+
+def _check_positive(values):
+    if np.any(values <= 0.0):
+        raise DomainError("max-min optimization requires a strictly positive kernel")
+
+
+def _solve_game(game, max_size):
+    """The solver name, rounds, pivots and bounds of the first path that solves the game."""
+    factors = _green(game)
     if factors is not None:
-        u = _green_solve(*factors)
-        bounds = _mixed(K, u, u)  # K is symmetric, so y = u
+        bounds = _symmetric_bounds(_green_solve(*factors), lambda w: _green_matvec(*factors, w))
         if bounds is not None:
             return "green", 0, 0, bounds
-    if stationary:
-        u = _mirror_solve(K)
-        bounds = None if u is None else _mixed(K, u, u)  # K is symmetric, so y = u
+    column = _toeplitz(game)
+    if column is not None:
+        matvec = _toeplitz_matvec(column)
+        bounds = _symmetric_bounds(_toeplitz_solve(column, matvec), matvec)
         if bounds is not None:
-            return "mirror", 0, 0, bounds
-    symmetric = np.array_equal(K, K.T)
+            return "toeplitz", 0, 0, bounds
+    symmetric = game.symmetric()
     S, T = [], []
     rounds = pivots = 0
     if not symmetric:
-        rounds, pivots, uy = _double_oracle(K, S, T, max_size, _PROBE_ROUNDS)
+        rounds, pivots, uy = _double_oracle(game, S, T, max_size, _PROBE_ROUNDS)
         if uy is not None:
-            return "double_oracle", rounds, pivots, _bounds(K, *uy)
+            return "double_oracle", rounds, pivots, game.bounds(*uy, S, T)
+    K = game.dense()
     bounds = _equalizer(K, symmetric)
     if bounds is not None:
         return "equalizer", rounds, pivots, bounds
-    more, extra, uy = _double_oracle(K, S, T, max_size)
+    more, extra, uy = _double_oracle(game, S, T, max_size)
     rounds, pivots = rounds + more, pivots + extra
     if uy is not None:
         return "double_oracle", rounds, pivots, _bounds(K, *uy)
@@ -211,6 +325,27 @@ def _solve_game(K, factors, max_size, stationary):
 
 def _certified(gap):
     return -1e-12 <= gap <= _CERT_GAP_TOL
+
+
+def _check_pairs(n):
+    """Row and column indices of the O(n) grid pairs on which a declared
+    structure is checked: the diagonal, the first row, the last column, the
+    sub-diagonal, and n pairs scattered by two fixed multiplicative walks."""
+    k = np.arange(n)
+    i = np.concatenate((k, np.zeros(n, int), k, k[1:], k * 40503 % n))
+    j = np.concatenate((k, k, np.full(n, n - 1), k[:-1], (k * 65521 + n // 3) % n))
+    return i, j
+
+
+def _green(game):
+    """The kernel's Green's factors (p, q) on the grid, or None unless it
+    declares them, they are positive and they match the kernel."""
+    factors = game.kernel.green_factors(game.mids)
+    if factors is None or not (factors[0].min() > 0.0 and factors[1].min() > 0.0):
+        return None
+    i, j = _check_pairs(game.n)
+    p, q = factors
+    return factors if game.matches(i, j, p[np.minimum(i, j)] * q[np.maximum(i, j)]) else None
 
 
 def _green_solve(p, q):
@@ -228,26 +363,85 @@ def _green_solve(p, q):
         return (z - np.append(z[1:], 0.0)) * inv_q
 
 
-def _mirror_solve(K):
-    """The solution u of K u = 1 that is symmetric about the grid's midpoint,
-    or None if the folded system is singular.
+def _green_matvec(p, q, w):
+    """K w for K_ij = p(x_min) q(x_max) on increasing x, in O(n):
+    (K w)_i = q_i sum_{j <= i} p_j w_j + p_i sum_{j > i} q_j w_j.
 
-    A stationary K on the midpoint grid is unchanged by reversing the grid,
-    J K J = K, so the unique u is too: u = J u. With h = ceil(n / 2), u is v
-    followed by the reverse of v[:n - h], and the first h rows of K u = 1 are
-    the h x h system (K[:h, :h] + K[:h, h:] J) v = 1, whose second term adds
-    each column past the middle to its mirror; an odd grid's middle column has
-    none. One LU of a quarter the size, an eighth of the flops.
+    The second sum is a suffix sum, accumulated from the top, as in
+    ``signal._green_density_signal``: as a total minus a prefix sum it would
+    cancel where the tail is small against the total.
     """
-    n = K.shape[0]
-    h = (n + 1) // 2
-    folded = K[:h, :h].copy()
-    folded[:, : n - h] += K[:h, h:][:, ::-1]
-    try:
-        v = np.linalg.solve(folded, np.ones(h))
-    except np.linalg.LinAlgError:
+    suffix = np.append(np.cumsum((q * w)[:0:-1])[::-1], 0.0)
+    return q * np.cumsum(p * w) + p * suffix
+
+
+def _toeplitz(game):
+    """K's first column, or None unless the kernel declares itself stationary,
+    the column is positive and K is the symmetric Toeplitz matrix it gives."""
+    if not game.kernel.stationary:
         return None
-    return np.concatenate((v, v[: n - h][::-1]))
+    n = game.n
+    column = game.kernel(game.mids, np.full(n, game.mids[0]))
+    if not column.min() > 0.0:
+        return None
+    i, j = _check_pairs(n)
+    return column if game.matches(i, j, column[np.abs(i - j)]) else None
+
+
+def _toeplitz_matvec(column):
+    """w -> K w for the symmetric Toeplitz K of this first column: K is the
+    leading block of a circulant of twice the size, applied by real FFTs."""
+    n = column.size
+    spectrum = np.fft.rfft(np.concatenate((column, [0.0], column[:0:-1])))
+    return lambda w: np.fft.irfft(spectrum * np.fft.rfft(w, 2 * n), 2 * n)[:n]
+
+
+def _toeplitz_solve(column, matvec):
+    """u of K u = 1 for the symmetric Toeplitz K of this first column, by
+    conjugate gradients, or None if K shows itself not positive definite or
+    the iterations run out.
+
+    The preconditioner is T. Chan's circulant, the one nearest K in the
+    Frobenius norm, inverted by FFT. K is unchanged when the grid is
+    reversed, and so is the exact u, so u is returned averaged with its
+    reverse, which removes the round-off that breaks that symmetry.
+    """
+    n = column.size
+    k = np.arange(1, n)
+    circulant = np.concatenate(([column[0]], ((n - k) * column[1:] + k * column[:0:-1]) / n))
+    eig = np.fft.rfft(circulant).real
+    if not eig.min() > 0.0:
+        return None
+    u, r = np.zeros(n), np.ones(n)
+    z = np.fft.irfft(np.fft.rfft(r) / eig, n)
+    p, rz = z, r @ z
+    for _ in range(_CG_MAX_ITER):
+        Kp = matvec(p)
+        pKp = p @ Kp
+        if not pKp > 0.0:
+            return None
+        u += rz / pKp * p
+        r -= rz / pKp * Kp
+        if np.linalg.norm(r) <= _CG_TOL * math.sqrt(n):
+            return (u + u[::-1]) * 0.5
+        z = np.fft.irfft(np.fft.rfft(r) / eig, n)
+        rz, rz_old = r @ z, rz
+        p = z + rz / rz_old * p
+    return None
+
+
+def _symmetric_bounds(u, matvec):
+    """Bounds of q = u / sum(u), r = q on a symmetric K given by its product,
+    or None unless u is strictly positive and the certificate closes.
+
+    With r = q, K'r is K q, so max(K'r) is the largest entry of the signal.
+    """
+    if u is None or not u.min() > 0.0:
+        return None
+    q = u / u.sum()
+    signal = matvec(q)
+    bounds = q, signal, float(signal.min()), float(signal.max())
+    return bounds if _certified(bounds[3] - bounds[2]) else None
 
 
 def _equalizer(K, symmetric):
@@ -273,32 +467,34 @@ def _mixed(K, u, y):
     return bounds if _certified(bounds[3] - bounds[2]) else None
 
 
-def _double_oracle(K, S, T, max_size, max_rounds=math.inf):
+def _double_oracle(game, S, T, max_size, max_rounds=math.inf):
     """Solve the game on growing source and target sets (McMahan, Gordon & Blum 2003).
 
     Each round solves the game restricted to targets T (rows) and sources S
     (columns), then adds the full-grid best responses to its two solutions:
     the target argmin(K q) and the source argmax(K'r). When both are already
-    in T and S, the restricted solutions are optimal on the full grid. The
-    lists S and T grow in place, so a run stopped after ``max_rounds`` rounds
-    resumes from them as if it had not stopped; a run also stops once T or S
-    grows past ``max_size``. Empty lists start the run from the maximin
-    source and its best response. Returns the rounds, the total pivots, and
-    the unnormalized source masses u and target weights y on the full grid
-    as a pair, or None for the pair when the run stopped.
+    in T and S, the restricted solutions are optimal on the full grid. Only
+    the rows T and the columns S of K are evaluated. The lists S and T grow in
+    place, so a run stopped after ``max_rounds`` rounds resumes from them as
+    if it had not stopped; a run also stops once T or S grows past
+    ``max_size``. Empty lists start the run from the maximin source and its
+    best response. Returns the rounds, the total pivots, and the unnormalized
+    source masses u and target weights y on the full grid as a pair, or None
+    for the pair when the run stopped.
     """
     if not S:  # start from the maximin source and its best response
-        S.append(int(np.argmax(K.min(axis=0))))
-        T.append(int(np.argmin(K[:, S[0]])))
+        S.append(int(np.argmax(game.column_minima())))
+        T.append(int(np.argmin(game.cols(S)[:, 0])))
     rounds = pivots = 0
     while max(len(S), len(T)) <= max_size and rounds < max_rounds:
+        rows = game.rows(T)
         # the module global, which tracers hook
-        sol = solve_inequality_lp(np.ones(len(T)), K[np.ix_(T, S)].T, np.ones(len(S)))
+        sol = solve_inequality_lp(np.ones(len(T)), rows[:, S].T, np.ones(len(S)))
         rounds, pivots = rounds + 1, pivots + sol.iterations
         u_s, y_t = np.maximum(sol.duals, 0.0), np.maximum(sol.x, 0.0)
-        i, j = int(np.argmin(K[:, S] @ u_s)), int(np.argmax(K[T].T @ y_t))
+        i, j = int(np.argmin(game.cols(S) @ u_s)), int(np.argmax(rows.T @ y_t))
         if i in T and j in S:
-            u, y = np.zeros(K.shape[0]), np.zeros(K.shape[0])
+            u, y = np.zeros(game.n), np.zeros(game.n)
             u[S], y[T] = u_s, y_t
             return rounds, pivots, (u, y)
         if i not in T:
@@ -310,11 +506,16 @@ def _double_oracle(K, S, T, max_size, max_rounds=math.inf):
 
 def _bounds(K, u, y):
     """q = u / sum(u), its signal K q, min(K q) and max(K'r) for r = y / sum(y)."""
+    return _certify(u, y, K.__matmul__, K.T.__matmul__)
+
+
+def _certify(u, y, Kq, Ktr):
+    """``_bounds`` with the products by K and by K' given as functions."""
     if u.sum() <= 0.0 or y.sum() <= 0.0:
         raise SolverError("degenerate game solution")
     q = u / u.sum()
-    signal = K @ q
-    return q, signal, float(signal.min()), float((K.T @ (y / y.sum())).max())
+    signal = Kq(q)
+    return q, signal, float(signal.min()), float(Ktr(y / y.sum()).max())
 
 
 def entropy(dist: SamplingDistribution) -> float:

@@ -1,4 +1,9 @@
 import hashlib
+import math
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,12 +27,13 @@ from magsample import (
     regularized_objective,
     signal_summary,
 )
+from magsample import cli
 from magsample import optimize as optimize_module
 from magsample.cli import main
 from magsample.optimize import MAX_AVG_ENTROPY, MAX_MIN, OptimizationConfig
 from magsample.simplex import solve_inequality_lp
 
-from conftest import MisdeclaredKernel
+from conftest import MisdeclaredKernel, child_env
 
 # Worst-case equalizer for the overlap kernel: in log-magnification the
 # kernel is exp(-2|u - v|), whose equalizing distribution is flat plus
@@ -253,8 +259,8 @@ def test_maxmin_builtin_kernels_take_the_equalizer(name, info_kernel, abs_kernel
     kernel = {"info": info_kernel, "abs": abs_kernel}[name]
     sol = optimize_max_min(OptimizationConfig(objective=MAX_MIN, kernel=kernel, grid_n=200))
     # info declares its Green's factors, so its equalizer takes the O(n) solve;
-    # abs declares itself stationary, so its equalizer takes the folded half
-    solver = {"info": "green", "abs": "mirror"}[name]
+    # abs declares itself stationary, so its equalizer takes the Toeplitz solve
+    solver = {"info": "green", "abs": "toeplitz"}[name]
     assert sol.solver == solver and sol.iterations == 0 and sol.rounds == 0
     K = _game(kernel, 200)
     q = _check_certified(sol, K)
@@ -264,11 +270,12 @@ def test_maxmin_builtin_kernels_take_the_equalizer(name, info_kernel, abs_kernel
 
 
 def test_green_solve_that_fails_its_certificate_falls_through(abs_kernel):
-    # the factors give a positive u, but not of this K: its certificate fails,
-    # and the path of the abs kernel, which it inherits, solves the game
+    # the factors are not of this K: their check against the kernel fails, and
+    # the path of the abs kernel, which it inherits, solves the game
     cfg = OptimizationConfig(objective=MAX_MIN, kernel=MisdeclaredKernel(), grid_n=200)
+    assert optimize_module._green(optimize_module._Game(cfg.kernel, MagRange().cell_midpoints(200))) is None
     sol = optimize_max_min(cfg)
-    assert sol.solver == "mirror"
+    assert sol.solver == "toeplitz"
     cfg.kernel = abs_kernel
     assert sol.distribution.density.tobytes() == optimize_max_min(cfg).distribution.density.tobytes()
 
@@ -284,17 +291,20 @@ def _refined_solution(K, steps=3):
     return u
 
 
-# The mirror solve gives the exact solution of K made mirror-invariant, which
-# differs from K by round-off (up to 9e-14 relative on [1e-3, 1e3]). So its
-# error is about cond(K) times that plus its own round-off. Against the
-# refined LU it measured at most 3.3 times the LU's own error (grid 1000 on
-# [1e-3, 1e3]), and less than the LU's on the narrow ranges.
+# The Toeplitz solve gives the solution of the Toeplitz matrix of K's first
+# column, which differs from K by round-off (the grid is uniform only to
+# round-off: up to 2e-13 relative on [1e-3, 1e3]), to a residual of 1e-15
+# relative, averaged with its mirror image. So its error is about cond(K)
+# times those plus its own round-off. Against the refined LU it measured at
+# most 4.6 times the LU's own error (grid 11 on [0.25, 2] and on [0.5, 0.6]),
+# and less than the LU's at grids 999 and 1000 on the narrow ranges.
 _MIRROR_ERROR_FACTOR = 8
 
 
 @pytest.mark.parametrize("a, b", [(0.25, 2.0), (0.5, 0.6), (1e-3, 1e3)])
 @pytest.mark.parametrize("n", [10, 11, 200, 999, 1000])
 def test_mirror_solve_matches_the_refined_lu(a, b, n, abs_kernel):
+    # the Toeplitz solve, which returns the mirror-symmetric u
     mids = MagRange(a, b).cell_midpoints(n)
     K = np.asarray(abs_kernel(mids[:, None], mids[None, :]), dtype=float)
     reference = _refined_solution(K)
@@ -302,15 +312,19 @@ def test_mirror_solve_matches_the_refined_lu(a, b, n, abs_kernel):
     def error(u):
         return np.max(np.abs(u - reference) / reference)
 
-    u = optimize_module._mirror_solve(K)
+    game = optimize_module._Game(abs_kernel, mids)
+    column = optimize_module._toeplitz(game)
+    u = optimize_module._toeplitz_solve(column, optimize_module._toeplitz_matvec(column))
     assert u.shape == (n,) and u.min() > 0.0 and np.array_equal(u, u[::-1])
     lu_error = error(np.linalg.solve(K, np.ones(n)))
     assert error(u) <= _MIRROR_ERROR_FACTOR * max(lu_error, np.finfo(float).eps)
-    solver, rounds, pivots, (_, _, t_lo, t_hi) = optimize_module._solve_game(
-        K, None, n // 8, True
-    )
-    assert (solver, rounds, pivots) == ("mirror", 0, 0)
+    solver, rounds, pivots, (q, _, t_lo, t_hi) = optimize_module._solve_game(game, n // 8)
+    assert (solver, rounds, pivots) == ("toeplitz", 0, 0) and game.K is None
     assert optimize_module._certified(t_hi - t_lo)
+    # the FFT certificate agrees with the dense one
+    _, _, dense_lo, dense_hi = optimize_module._bounds(K, q * n, q * n)
+    assert t_lo == pytest.approx(dense_lo, rel=1e-13)
+    assert t_hi == pytest.approx(dense_hi, rel=1e-13)
 
 
 class _StationaryInfoKernel(InfoOverlapKernel):
@@ -340,7 +354,9 @@ def test_misdeclared_stationary_kernel_falls_through(name, info_kernel):
     n = 200
     K = _game(kernel, n)
     assert not np.array_equal(K, K[::-1, ::-1])
-    assert optimize_module._mirror_solve(K) is not None  # the fold is not singular
+    # only the check of the declaration against the kernel stops the Toeplitz solve
+    game = optimize_module._Game(kernel, MagRange().cell_midpoints(n))
+    assert optimize_module._toeplitz(game) is None
     sol = optimize_max_min(OptimizationConfig(objective=MAX_MIN, kernel=kernel, grid_n=n))
     assert sol.solver == expected_solver
     _check_certified(sol, K)
@@ -392,16 +408,25 @@ def _full_solves(record, n):
 
 @pytest.mark.parametrize("name", ["info", "abs"])
 def test_symmetric_game_takes_one_solve(name, info_kernel, abs_kernel, solves):
-    K = _game({"info": info_kernel, "abs": abs_kernel}[name], 300)
+    kernel = {"info": info_kernel, "abs": abs_kernel}[name]
+    K = _game(kernel, 300)
     assert np.array_equal(K, K.T)
-    # no Green's factors: the path a symmetric K takes without them
-    solver, rounds, _, got = optimize_module._solve_game(K, None, 300 // 8, False)
+    # no Green's factors and not stationary: the path a symmetric K takes without them
+    game = optimize_module._Game(_undeclared(kernel), MagRange().cell_midpoints(300))
+    solver, rounds, _, got = optimize_module._solve_game(game, 300 // 8)
     assert (solver, rounds) == ("equalizer", 0)
     assert solves["shapes"] == [(300, 300)]
     (u, y), = solves["pairs"]
     assert y is u
     # a second solve of K'y = 1 gives u bit for bit, so the bounds are unchanged
     assert _bounds_bytes(got) == _bounds_bytes(_equalizer_reference(K))
+
+
+def _undeclared(kernel):
+    """The kernel, declaring no structure."""
+    cls = type("Undeclared", (type(kernel),),
+               {"stationary": False, "green_factors": Kernel.green_factors})
+    return cls()
 
 
 def _mixed_asymmetric_game(info_kernel, n):
@@ -487,7 +512,8 @@ def test_long_double_oracle_resumes_after_the_probe(solves):
     sol = optimize_max_min(OptimizationConfig(objective=MAX_MIN, kernel=kernel, grid_n=n))
     assert sol.solver == "double_oracle" and sol.rounds > optimize_module._PROBE_ROUNDS
     assert _full_solves(solves, n) == 1  # the equalizer's, which finds u not positive
-    rounds, pivots, uy = optimize_module._double_oracle(K, [], [], n // 8)
+    game = optimize_module._Game(kernel, MagRange().cell_midpoints(n))
+    rounds, pivots, uy = optimize_module._double_oracle(game, [], [], n // 8)
     assert (sol.rounds, sol.iterations) == (rounds, pivots)
     q, _, t_lo, t_hi = optimize_module._bounds(K, *uy)
     expected = SamplingDistribution(MagRange(), density=q / (MagRange().width / n))
@@ -504,6 +530,58 @@ def test_maxmin_double_oracle_matches_full_lp(seed, grid_n):
     assert sol.solver == "double_oracle" and sol.rounds > 0
     _check_certified(sol, K)
     assert sol.achieved_t == pytest.approx(_lp_oracle(K)[1], abs=1e-12)
+
+
+def _dense_double_oracle(K, S, T, max_size, max_rounds=math.inf):
+    """The double oracle as written on the dense K, before the lazy view."""
+    if not S:
+        S.append(int(np.argmax(K.min(axis=0))))
+        T.append(int(np.argmin(K[:, S[0]])))
+    rounds = pivots = 0
+    while max(len(S), len(T)) <= max_size and rounds < max_rounds:
+        sol = solve_inequality_lp(np.ones(len(T)), K[np.ix_(T, S)].T, np.ones(len(S)))
+        rounds, pivots = rounds + 1, pivots + sol.iterations
+        u_s, y_t = np.maximum(sol.duals, 0.0), np.maximum(sol.x, 0.0)
+        i, j = int(np.argmin(K[:, S] @ u_s)), int(np.argmax(K[T].T @ y_t))
+        if i in T and j in S:
+            u, y = np.zeros(K.shape[0]), np.zeros(K.shape[0])
+            u[S], y[T] = u_s, y_t
+            return rounds, pivots, (u, y)
+        if i not in T:
+            T.append(i)
+        if j not in S:
+            S.append(j)
+    return rounds, pivots, None
+
+
+@pytest.mark.parametrize("seed", range(2, 12))
+def test_double_oracle_evaluates_only_the_rows_and_columns_it_adds(seed, monkeypatch):
+    # a 64-node table over [0.2, 2.1], as the benchmark's design workload makes it
+    kernel, n = _asymmetric_table(seed), 1000
+    K = _game(kernel, n)
+    S, T = [], []
+    rounds, pivots, uy = _dense_double_oracle(K, S, T, n // 8, optimize_module._PROBE_ROUNDS)
+    q, _, t_lo, _ = optimize_module._bounds(K, *uy)
+    evaluated = []
+    evaluate = TabulatedKernel._evaluate
+
+    def counted(self, x, y):
+        out = evaluate(self, x, y)
+        evaluated.append(out.size)
+        return out
+
+    monkeypatch.setattr(TabulatedKernel, "_evaluate", counted)
+    sol = optimize_max_min(OptimizationConfig(objective=MAX_MIN, kernel=kernel, grid_n=n))
+    assert sum(evaluated) < n * n / 4
+    assert sol.solver == "double_oracle" and (sol.rounds, sol.iterations) == (rounds, pivots)
+    expected = SamplingDistribution(MagRange(), density=q / (MagRange().width / n))
+    assert sol.distribution.density.tobytes() == expected.density.tobytes()
+    # K q sums over the support's columns only, so t may move by a few ulps
+    assert sol.achieved_t == pytest.approx(t_lo, rel=1e-14)
+    game = optimize_module._Game(kernel, MagRange().cell_midpoints(n))
+    S_lazy, T_lazy = [], []
+    optimize_module._double_oracle(game, S_lazy, T_lazy, n // 8, optimize_module._PROBE_ROUNDS)
+    assert (S_lazy, T_lazy) == (S, T) and game.K is None
 
 
 @settings(max_examples=30, deadline=None)
@@ -575,10 +653,10 @@ def test_tabulated_maxmin_msdist_golden_digest(tmp_path, monkeypatch):
 
 
 # Bytes of `optimize --objective maxmin` on the built-in kernels at grid 200,
-# written by the Green's solve (info) and the mirror solve (abs).
+# written by the Green's solve (info) and the Toeplitz solve (abs).
 BUILTIN_MAXMIN_SHA256 = {
-    "info": "79dc475952ae1ce42d977e76aeb08e6b91508e1b31bca8dfc0e8ba3cd0c86be4",
-    "abs": "36f1e214f9839944da1339261b6ce64d87346b5e9a766ca9732f6a85934df84c",
+    "info": "583c38381d8235713cfed77a9d1c2830e78848165dc13d882a673c73f9d0ec0b",
+    "abs": "e894dca6492f9784ae005cd017d9b5016bfed5606c908a7de8b1be4eb53e326d",
 }
 
 
@@ -589,6 +667,68 @@ def test_builtin_maxmin_msdist_golden_digest(tmp_path, monkeypatch, name):
                  "--kernel", name, "--out", "mm.msdist"]) == 0
     digest = hashlib.sha256((tmp_path / "mm.msdist").read_bytes()).hexdigest()
     assert digest == BUILTIN_MAXMIN_SHA256[name]
+
+
+class _LinearDecayKernel(AbsDistanceKernel):
+    """1 - |x - y|, declared stationary: negative past a distance of 1."""
+
+    def _evaluate(self, x, y):
+        return 1.0 - np.abs(x - y)
+
+
+@pytest.mark.parametrize("declared", [True, False])
+def test_maxmin_kernel_with_a_nonpositive_entry_exits_1(declared, tmp_path, monkeypatch, capsys):
+    # the Toeplitz path declines a column that is not positive; the dense K
+    # of the path after it has the entry <= 0
+    kernel = _LinearDecayKernel() if declared else _undeclared(_LinearDecayKernel())
+    with pytest.raises(DomainError):
+        optimize_max_min(OptimizationConfig(objective=MAX_MIN, kernel=kernel, grid_n=100))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "kernel_from_string", lambda selector: kernel)
+    assert main(["optimize", "--objective", "maxmin", "--grid", "100", "--out", "mm.msdist"]) == 1
+    assert "strictly positive" in capsys.readouterr().err
+
+
+def test_dense_game_past_the_bound_exits_2_before_allocating(tmp_path, monkeypatch, capsys):
+    # symmetric and without a declared structure: only the equalizer, on the
+    # dense K, can solve it, and at grid 12000 that K would take 1.07 GiB
+    kernel = _undeclared(InfoOverlapKernel())
+    evaluated = []
+    monkeypatch.setattr(type(kernel), "_evaluate",
+                        lambda self, x, y: evaluated.append(1) or InfoOverlapKernel._evaluate(self, x, y))
+    monkeypatch.setattr(cli, "kernel_from_string", lambda selector: kernel)
+    monkeypatch.chdir(tmp_path)
+    tracemalloc.start()
+    try:
+        code = main(["optimize", "--objective", "maxmin", "--grid", "12000", "--out", "mm.msdist"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "1.07 GiB" in err and "grid <= 11585" in err
+    assert not evaluated and peak < 10e6
+    assert not (tmp_path / "mm.msdist").exists()
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="VmHWM needs /proc")
+@pytest.mark.parametrize("name", ["info", "abs"])
+def test_maxmin_at_grid_20000_runs_in_linear_memory(name, tmp_path):
+    # one dense K at grid 20000 would take 3.2 GB. The child reads its own
+    # peak resident set, VmHWM: ru_maxrss would start from the forking parent's.
+    code = (
+        "from magsample.cli import main\n"
+        f"code = main(['optimize', '--objective', 'maxmin', '--grid', '20000', "
+        f"'--kernel', '{name}', '--out', 'mm.msdist'])\n"
+        "status = open('/proc/self/status').read().split('VmHWM:')[1]\n"
+        "print(code, int(status.split()[0]) * 1024)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=child_env(),
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    code, peak = map(int, out.stdout.split())
+    assert code == 0 and peak < 200e6
+    assert "density 20000" in (tmp_path / "mm.msdist").read_text()
 
 
 def test_regularized_objective_is_signal_plus_entropy(info_kernel, mag_range):

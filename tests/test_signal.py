@@ -503,9 +503,9 @@ SIGNAL_SHA256 = {
     "signal.summary.csv": "a5c475dadc3240aff4c35e8239021c026848c31ece8391d1d6f4c9d70fdc2493",
 }
 COMPARE_SHA256 = {
-    "info": "8e17813e7a2a309a2a2a81f2f63e5211e0aa5b157132f46a981d1317b8641d8a",
-    "abs": "c22eaad58d98906e71ab8995bc2c8a16e94187886ba79e6df1350551f3a6e38a",
-    "custom:tab.csv": "ba75c5e99f64545db1c4ba4da5435d7aee15fcc582d20f72eb9dc8f3cd936e0e",
+    "info": "9d5690608ea377b598b403ead22502c5b0d0f1aa66120a00f641baccd7dedede",
+    "abs": "6262fe14ce56aacf2dcd20fa08ec760b6642e54eb4b1ac56a1ef99cae706ddc0",
+    "custom:tab.csv": "0b41d0d0565ff7d1b4443c379ea942c34c95ab5b2feca2f6c4d5402f7e6c67d1",
 }
 
 
