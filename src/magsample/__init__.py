@@ -9,6 +9,8 @@ and effective-rank profiling of embedding sets.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .distributions import (
     SamplingDistribution,
     format_distribution,
@@ -84,66 +86,8 @@ from .signal import (
     total_signal,
 )
 
-__all__ = [
-    "__version__",
-    "AbsDistanceKernel",
-    "CentroidSimilarity",
-    "CounterRng",
-    "CropPlan",
-    "CropPlanEntry",
-    "DegenerateInputError",
-    "DomainError",
-    "EmbeddingSet",
-    "FeasibilityError",
-    "FormatError",
-    "GroupRankMe",
-    "InfoOverlapKernel",
-    "Kernel",
-    "MAX_AVG_ENTROPY",
-    "MAX_MIN",
-    "MagRange",
-    "MagsampleError",
-    "MaxMinSolution",
-    "OptimizationConfig",
-    "ParameterError",
-    "RangeError",
-    "RankMeProfile",
-    "STANDARD_MPPS",
-    "SamplerConfig",
-    "SamplingDistribution",
-    "ShapeError",
-    "SignalProfile",
-    "SignalSummary",
-    "SolverError",
-    "TabulatedKernel",
-    "TransferPotentialCurve",
-    "accumulated_signal",
-    "accumulated_signals",
-    "apply_crop",
-    "centroid_similarity",
-    "entropy",
-    "format_distribution",
-    "generate_plan",
-    "kernel_from_string",
-    "load_embeddings",
-    "minmax_normalize_profiles",
-    "mix",
-    "optimize_max_avg",
-    "optimize_max_min",
-    "parse_distribution",
-    "plan_crop",
-    "rankme",
-    "rankme_profile",
-    "read_distribution",
-    "read_image_array",
-    "read_plan_csv",
-    "read_plan_row",
-    "regularized_objective",
-    "sample_targets",
-    "signal_summary",
-    "total_signal",
-    "transfer_potential_curve",
-    "write_distribution",
-    "write_image_array",
-    "write_plan_csv",
-]
+# The public names are those the imports above bind, less the submodules.
+__all__ = ["__version__"] + sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -206,8 +206,8 @@ def cmd_kernel(args) -> list[str]:
     curve = transfer_potential_curve(kernel, mag_range, args.grid)
     with _open_out(args.out) as f:
         f.write("x_mpp,transfer_potential\n")
-        for x, v in zip(curve.xs, curve.values):
-            f.write(f"{float(x)!r},{float(v)!r}\n")
+        rows = zip(curve.xs.tolist(), curve.values.tolist())
+        f.writelines(f"{x!r},{v!r}\n" for x, v in rows)
     return [args.out]
 
 

@@ -121,9 +121,10 @@ class Kernel:
         return None
 
     def linear_nodes(self):
-        """Points between which K(x, y) is linear in x for every y, or None.
-        Over a grid, each K(., y) then takes its minimum at a grid end or at a
-        grid point next to a node."""
+        """``(xs, ys)``, or None: K(x, y) is linear in x between the xs for
+        every y, and linear in y between the ys for every x. Over a grid,
+        each K(., y) then takes its extremes at a grid end or at a grid point
+        next to an x-node, and each K(x, .) at one next to a y-node."""
         return None
 
     def transfer_potential(self, x, mag_range: MagRange = MagRange()):
@@ -262,7 +263,7 @@ class TabulatedKernel(Kernel):
         )
 
     def linear_nodes(self):
-        return self.xs  # the interpolant is bilinear between the table's nodes
+        return self.xs, self.ys  # the interpolant is bilinear between the table's nodes
 
     @staticmethod
     def _locate(grid, q):
@@ -287,8 +288,10 @@ class TabulatedKernel(Kernel):
         j, fy = self._locate(self.ys, y)
         # When x varies only along leading axes and y only along trailing ones,
         # the result is the outer table of x.ravel() by y.ravel(). A corner is
-        # then the table rows at i, then their columns at j: two takes, with no
-        # index array over the grid. Other shapes index the table point by point.
+        # then the table rows at i, then their columns at j, or the columns
+        # first where that gathers fewer entries (a few columns of a long x):
+        # two takes, with no index array over the grid. Other shapes index the
+        # table point by point.
         xp = (1,) * (len(shape) - x.ndim) + x.shape
         yp = (1,) * (len(shape) - y.ndim) + y.shape
         split = max((a + 1 for a, n in enumerate(xp) if n != 1), default=0)
@@ -296,6 +299,7 @@ class TabulatedKernel(Kernel):
         if outer:
             i, fx = i.reshape(-1, 1), fx.reshape(-1, 1)
             j, fy = j.reshape(1, -1), fy.reshape(1, -1)
+            rows_first = i.size * self.ys.size <= j.size * self.xs.size
         # Each corner term is (v * wx) * wy, made in a reused buffer, and the
         # terms are summed in the order v00, v10, v01, v11. These are the
         # operations of the plain bilinear expression in its order, so values
@@ -305,12 +309,17 @@ class TabulatedKernel(Kernel):
         term = np.empty_like(out)
         for n, (di, dj) in enumerate(((0, 0), (1, 0), (0, 1), (1, 1))):
             dst = term if n else out
-            if outer:
+            if outer and rows_first:
                 # v * wx on the gathered rows, then their columns; the indices
                 # are in range, and "clip" lets take write into dst unbuffered
                 rows = self.values.take(i[:, 0] + di, axis=0)
                 rows *= wx[di]
                 rows.take(j[0] + dj, axis=1, out=dst, mode="clip")
+            elif outer:
+                # the gathered columns, then their rows, then v * wx
+                cols = self.values.take(j[0] + dj, axis=1)
+                cols.take(i[:, 0] + di, axis=0, out=dst, mode="clip")
+                dst *= wx[di]
             else:
                 np.multiply(self.values[i + di, j + dj], wx[di], out=dst)
             dst *= wy[dj]

@@ -28,6 +28,11 @@ that solved the game:
   declares so. On the uniform grid its K is the symmetric Toeplitz matrix of
   its first column. u comes from conjugate gradients with T. Chan's circulant
   preconditioner (Chan 1988), and K w from FFTs of twice the grid's length.
+* ``"nodes"``: a kernel linear in each argument between declared nodes, such
+  as a table, declares them. K q is then linear in the target between
+  x-nodes and K'r in the source between y-nodes, so the game on the grid
+  points next to the nodes, evaluated once, has the grid game's value and
+  solution: one LP, if that block fits the double oracle's size bound.
 * ``"equalizer"``: u by one LU of the dense K; y = u when K equals its
   transpose exactly, else y by a second solve.
 * ``"double_oracle"``: the game is solved on a few sources and targets, grown
@@ -38,21 +43,24 @@ that solved the game:
 * ``"simplex"``: the same LP pair on the full grid, only for a restricted game
   that outgrows ``grid_n // _DO_SIZE_DIVISOR`` cells.
 
-The structured paths come first, each only if its declaration matches
-``Kernel.__call__`` on O(n) grid pairs; positivity then follows from the
-declaration, and y = u. A path whose check fails, whose u is not strictly
-positive or whose certificate does not close falls through. Then an exactly
-symmetric K takes the equalizer. Any other K first gets ``_PROBE_ROUNDS``
-double-oracle rounds, which finish the sparse tabulated games, then the
-equalizer, the double oracle resumed up to the size bound, and the full
+The structured paths come first. The Green's and Toeplitz paths run only if
+their declaration matches ``Kernel.__call__`` on O(n) grid pairs; positivity
+then follows from the declaration, and y = u. The node path takes positivity
+from its block, which holds K's minimum. A path whose check fails, whose u is
+not strictly positive or whose certificate does not close falls through, and
+so does a node block past the size bound. Then an exactly symmetric K takes
+the equalizer. Any other K first gets ``_PROBE_ROUNDS`` double-oracle rounds,
+which finish sparse games such as those of tables with too many nodes, then
+the equalizer, the double oracle resumed up to the size bound, and the full
 simplex. A table's rows next to its nodes hold every column minimum, and so
 its positivity, and usually a pair that shows K is not symmetric; without
 such a witness, and for a kernel that declares nothing, the dense K decides.
 
 On every path q and the adversary weights r certify optimality: min(K q) <=
 t* <= max(K'r), computed with the path's own products by K (prefix sums,
-FFTs, the double oracle's columns and rows, or the dense K). README
-"Numerical notes" gives each path's cost and accuracy.
+FFTs, the full columns and rows of the support on the node and double-oracle
+paths, or the dense K). README "Numerical notes" gives each path's cost and
+accuracy.
 """
 
 from __future__ import annotations
@@ -83,8 +91,9 @@ _CERT_GAP_TOL = 1e-6
 _DO_SIZE_DIVISOR = 8
 
 # A game whose K is not exactly symmetric first gets this many double-oracle
-# rounds, before any n x n solve. The benchmark's tabulated games finish in
-# 13-25 rounds (seeds 2-21, grid 1000). A completely mixed game cannot finish
+# rounds, before any n x n solve. The benchmark's tabulated games, which now
+# take the node path, finish in 13-25 rounds (seeds 2-21, grid 1000) when
+# driven through the double oracle. A completely mixed game cannot finish
 # on so few cells; at grid 1000 on 2 vCPU its 32 rounds take 16-19 ms, which
 # it pays on top of the 25 ms LU of its equalizer.
 _PROBE_ROUNDS = 32
@@ -135,8 +144,8 @@ class MaxMinSolution:
     active_set: np.ndarray      # grid indices where the signal sits at achieved_t
     certificate_gap: float      # max(K r) - min(K q), bounds suboptimality
     iterations: int             # simplex pivots over every LP solved, the probe's included
-    rounds: int                 # double-oracle rounds, the probe's included; 0 on "green" and "toeplitz"
-    solver: str                 # "green", "toeplitz", "equalizer", "double_oracle" or "simplex"
+    rounds: int                 # double-oracle rounds, the probe's included; 0 on the structured paths
+    solver: str                 # "green", "toeplitz", "nodes", "equalizer", "double_oracle", "simplex"
 
 
 def optimize_max_avg(cfg: OptimizationConfig) -> SamplingDistribution:
@@ -197,16 +206,15 @@ class _Game:
         self.K = None
         self._rows, self._cols = {}, {}
         self._minima = None
-        # A kernel linear in x between declared nodes takes each column's
-        # minimum over the grid at a grid end or at a grid point next to a
-        # node: 118 rows of 1000 for a 64-node table.
+        # A kernel linear in each argument between declared nodes takes each
+        # column's extremes over the grid at a grid end or at a grid point next
+        # to an x-node, and each row's next to a y-node: 118 rows and 118
+        # columns of 1000 for a 64-node table.
         nodes = kernel.linear_nodes()
         if nodes is None:
-            self.node_rows = None
+            self.node_rows = self.node_cols = None
         else:
-            k = np.searchsorted(mids, nodes)
-            rows = np.unique(np.concatenate(([0, self.n - 1], k - 1, k)))
-            self.node_rows = rows[(rows >= 0) & (rows < self.n)].tolist()
+            self.node_rows, self.node_cols = (_next_to(mids, x) for x in nodes)
 
     def rows(self, T):
         """K[T]: one row per grid index in T."""
@@ -223,10 +231,10 @@ class _Game:
         products with it sum in the same order."""
         if self.K is not None:
             return self.K[:, S]
-        for j in S:
-            if j not in self._cols:
-                # two 1-D arrays: the pointwise query, O(n) for a table too
-                self._cols[j] = self.kernel(self.mids, np.full(self.n, self.mids[j]))
+        new = [j for j in S if j not in self._cols]
+        if new:  # one outer call, O(n) per column for a table too
+            block = self.kernel(self.mids[:, None], self.mids[None, new])
+            self._cols.update(zip(new, block.T))
         return np.array([self._cols[j] for j in S]).T
 
     def matches(self, i, j, declared):
@@ -284,6 +292,13 @@ class _Game:
         return _certify(u, y, lambda q: self.cols(S) @ q[S], lambda r: self.rows(T).T @ r[T])
 
 
+def _next_to(mids, nodes):
+    """Grid indices of the grid ends and of the grid points on either side of each node."""
+    k = np.searchsorted(mids, nodes)
+    points = np.unique(np.concatenate(([0, mids.size - 1], k - 1, k)))
+    return points[(points >= 0) & (points < mids.size)].tolist()
+
+
 def _check_positive(values):
     if np.any(values <= 0.0):
         raise DomainError("max-min optimization requires a strictly positive kernel")
@@ -302,11 +317,15 @@ def _solve_game(game, max_size):
         bounds = _symmetric_bounds(_toeplitz_solve(column, matvec), matvec)
         if bounds is not None:
             return "toeplitz", 0, 0, bounds
+    pivots, bounds = _node_game(game, max_size)
+    if bounds is not None:
+        return "nodes", 0, pivots, bounds
     symmetric = game.symmetric()
     S, T = [], []
-    rounds = pivots = 0
+    rounds = 0
     if not symmetric:
-        rounds, pivots, uy = _double_oracle(game, S, T, max_size, _PROBE_ROUNDS)
+        rounds, more, uy = _double_oracle(game, S, T, max_size, _PROBE_ROUNDS)
+        pivots += more
         if uy is not None:
             return "double_oracle", rounds, pivots, game.bounds(*uy, S, T)
     K = game.dense()
@@ -465,6 +484,31 @@ def _mixed(K, u, y):
         return None
     bounds = _bounds(K, u, y)
     return bounds if _certified(bounds[3] - bounds[2]) else None
+
+
+def _node_game(game, max_size):
+    """The pivots and bounds of the game solved on its node rows I and columns J.
+
+    For any q, K q is linear in the target between x-nodes, so its minimum
+    over the grid lies in I; for any r, K'r is linear in the source between
+    y-nodes, so its maximum lies in J. By minimax the I x J game has the grid
+    game's value, and its solution is optimal on the grid. The block also
+    holds K's minimum, and so its positivity. The bounds are None for a kernel
+    without nodes, for I or J past ``max_size``, the double oracle's largest
+    restricted game, and unless the certificate, from the support's full
+    columns and rows, closes.
+    """
+    I, J = game.node_rows, game.node_cols
+    if I is None or max(len(I), len(J)) > max_size:
+        return 0, None
+    block = game.kernel(game.mids[I, None], game.mids[None, J])
+    _check_positive(block)
+    # the module global, which tracers hook
+    sol = solve_inequality_lp(np.ones(len(I)), block.T, np.ones(len(J)))
+    u, y = np.zeros(game.n), np.zeros(game.n)
+    u[J], y[I] = np.maximum(sol.duals, 0.0), np.maximum(sol.x, 0.0)
+    bounds = game.bounds(u, y, np.flatnonzero(u).tolist(), np.flatnonzero(y).tolist())
+    return sol.iterations, bounds if _certified(bounds[3] - bounds[2]) else None
 
 
 def _double_oracle(game, S, T, max_size, max_rounds=math.inf):

@@ -22,7 +22,7 @@ from magsample.errors import (
     ShapeError,
     SolverError,
 )
-from magsample.kernels import MagRange
+from magsample.kernels import MagRange, kernel_from_string, transfer_potential_curve
 from magsample.rankme import EmbeddingSet, write_embeddings_binary
 
 from conftest import CSV_READERS, child_env
@@ -103,6 +103,19 @@ def test_kernel_command_custom_table(workdir):
     assert main(["kernel", "--kernel", "custom:table.csv", "--grid", "101",
                  "--out", "curve.csv"]) == 0
     assert _manifest(workdir / "curve.csv")["digest.kernel"] == _sha256(workdir / "table.csv")
+
+
+@pytest.mark.parametrize("selector", ["info", "abs", "custom:table.csv"])
+def test_kernel_command_writes_each_value_by_repr(workdir, selector):
+    xs = np.linspace(0.2, 2.1, 7).tolist()
+    lines = ["x,y,value"] + [f"{x!r},{y!r},{1.0 / (1.0 + x * y)!r}" for x in xs for y in xs]
+    (workdir / "table.csv").write_text("\n".join(lines) + "\n")
+    assert main(["kernel", "--kernel", selector, "--grid", "333", "--out", "curve.csv"]) == 0
+    curve = transfer_potential_curve(kernel_from_string(selector), MagRange(), 333)
+    # reference: each numpy scalar converted and formatted on its own
+    want = "x_mpp,transfer_potential\n" + "".join(
+        f"{float(x)!r},{float(v)!r}\n" for x, v in zip(curve.xs, curve.values))
+    assert (workdir / "curve.csv").read_bytes() == want.encode()
 
 
 @pytest.mark.parametrize("command", [["kernel"], ["optimize", "--objective", "maxmin"]])

@@ -231,7 +231,7 @@ def test_maxmin_info_approaches_the_continuum_solution(a, b, n, info_kernel):
     assert np.max(np.abs(x[1:-1] * dist.density[1:-1] - t_star)) <= 1.0 / n
 
 
-# -- max-min solver paths: Green's solve, equalizer, double oracle, full simplex ---
+# -- max-min solver paths: Green's, Toeplitz, node block, equalizer, double oracle, simplex
 
 
 def _game(kernel, grid_n):
@@ -554,34 +554,123 @@ def _dense_double_oracle(K, S, T, max_size, max_rounds=math.inf):
     return rounds, pivots, None
 
 
+@pytest.fixture()
+def evaluated(monkeypatch):
+    """The size of every block that TabulatedKernel._evaluate returns."""
+    sizes = []
+    evaluate = TabulatedKernel._evaluate
+
+    def counted(self, x, y):
+        out = evaluate(self, x, y)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(TabulatedKernel, "_evaluate", counted)
+    return sizes
+
+
 @pytest.mark.parametrize("seed", range(2, 12))
-def test_double_oracle_evaluates_only_the_rows_and_columns_it_adds(seed, monkeypatch):
-    # a 64-node table over [0.2, 2.1], as the benchmark's design workload makes it
+def test_double_oracle_evaluates_only_the_rows_and_columns_it_adds(seed, evaluated):
+    # a 64-node table over [0.2, 2.1], as the benchmark's design workload makes
+    # it; optimize_max_min solves it on the node block, so the double oracle
+    # is driven directly
     kernel, n = _asymmetric_table(seed), 1000
     K = _game(kernel, n)
     S, T = [], []
     rounds, pivots, uy = _dense_double_oracle(K, S, T, n // 8, optimize_module._PROBE_ROUNDS)
     q, _, t_lo, _ = optimize_module._bounds(K, *uy)
-    evaluated = []
-    evaluate = TabulatedKernel._evaluate
-
-    def counted(self, x, y):
-        out = evaluate(self, x, y)
-        evaluated.append(out.size)
-        return out
-
-    monkeypatch.setattr(TabulatedKernel, "_evaluate", counted)
-    sol = optimize_max_min(OptimizationConfig(objective=MAX_MIN, kernel=kernel, grid_n=n))
-    assert sum(evaluated) < n * n / 4
-    assert sol.solver == "double_oracle" and (sol.rounds, sol.iterations) == (rounds, pivots)
-    expected = SamplingDistribution(MagRange(), density=q / (MagRange().width / n))
-    assert sol.distribution.density.tobytes() == expected.density.tobytes()
-    # K q sums over the support's columns only, so t may move by a few ulps
-    assert sol.achieved_t == pytest.approx(t_lo, rel=1e-14)
+    evaluated.clear()
     game = optimize_module._Game(kernel, MagRange().cell_midpoints(n))
     S_lazy, T_lazy = [], []
-    optimize_module._double_oracle(game, S_lazy, T_lazy, n // 8, optimize_module._PROBE_ROUNDS)
-    assert (S_lazy, T_lazy) == (S, T) and game.K is None
+    got = optimize_module._double_oracle(game, S_lazy, T_lazy, n // 8,
+                                         optimize_module._PROBE_ROUNDS)
+    q_lazy, _, t_lazy, t_hi = game.bounds(*got[2], S_lazy, T_lazy)
+    assert sum(evaluated) < n * n / 4 and game.K is None
+    assert (S_lazy, T_lazy) == (S, T) and got[:2] == (rounds, pivots)
+    assert optimize_module._certified(t_hi - t_lazy)
+    assert q_lazy.tobytes() == q.tobytes()
+    # K q sums over the support's columns only, so t may move by a few ulps
+    assert t_lazy == pytest.approx(t_lo, rel=1e-14)
+
+
+@pytest.mark.parametrize("seed", range(2, 12))
+def test_table_game_is_solved_on_its_node_block(seed, evaluated, monkeypatch):
+    # the benchmark's 64-node table at grid 1000: a 118 x 118 block of the
+    # 125 the bound allows, one LP, and a certificate from the support alone
+    kernel, n = _asymmetric_table(seed), 1000
+    supports = []
+    bounds = optimize_module._Game.bounds
+
+    def recorded(game, u, y, S, T):
+        supports.append((len(S), len(T)))
+        return bounds(game, u, y, S, T)
+
+    monkeypatch.setattr(optimize_module._Game, "bounds", recorded)
+    sol = optimize_max_min(OptimizationConfig(objective=MAX_MIN, kernel=kernel, grid_n=n))
+    assert sol.solver == "nodes" and sol.rounds == 0 and sol.iterations > 0
+    game = optimize_module._Game(kernel, MagRange().cell_midpoints(n))
+    I, J = game.node_rows, game.node_cols
+    assert max(len(I), len(J)) <= n // 8
+    (S, T), = supports
+    assert sum(evaluated) <= len(I) * len(J) + (S + T) * n
+    K = _game(kernel, n)
+    _check_certified(sol, K)
+    assert sol.certificate_gap <= 1e-12
+    assert sol.achieved_t == pytest.approx(_lp_oracle(K)[1], abs=1e-12)
+
+
+def _irregular_nodes(draw):
+    """Table nodes: one below the range or on its end, one above it or on its
+    end, inner ones at random, and two closer than a cell of the finest grid
+    drawn."""
+    inner = draw(st.lists(st.floats(0.26, 1.99), min_size=1, max_size=4))
+    twin = draw(st.floats(0.26, 1.99))
+    offset = draw(st.floats(1e-6, 1.0)) * MagRange().width / 400
+    nodes = [draw(st.floats(0.1, 0.25)), *inner, twin, twin + offset, draw(st.floats(2.0, 2.5))]
+    return np.unique(nodes)
+
+
+@st.composite
+def _node_tables(draw):
+    xs, ys = _irregular_nodes(draw), _irregular_nodes(draw)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return TabulatedKernel(xs, ys, rng.uniform(0.05, 2.0, (xs.size, ys.size)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_node_tables(), st.integers(128, 400))
+def test_node_block_solves_irregular_tables(kernel, grid_n):
+    # at most 6 nodes in range: at most 14 node rows and columns, within the
+    # bound of grid_n // 8 >= 16
+    game = optimize_module._Game(kernel, MagRange().cell_midpoints(grid_n))
+    assert max(len(game.node_rows), len(game.node_cols)) <= grid_n // 8
+    sol = optimize_max_min(OptimizationConfig(objective=MAX_MIN, kernel=kernel, grid_n=grid_n))
+    assert sol.solver == "nodes"
+    K = _game(kernel, grid_n)
+    _check_certified(sol, K)
+    assert sol.achieved_t == pytest.approx(_lp_oracle(K)[1], abs=1e-12)
+
+
+class _LyingTable(TabulatedKernel):
+    """A table that declares only its end nodes: not linear between them."""
+
+    def linear_nodes(self):
+        return self.xs[[0, -1]], self.ys[[0, -1]]
+
+
+def test_table_with_lying_nodes_falls_through():
+    table, n = _asymmetric_table(2), 200
+    kernel = _LyingTable(table.xs, table.ys, table.values)
+    game = optimize_module._Game(kernel, MagRange().cell_midpoints(n))
+    assert game.node_rows == game.node_cols == [0, n - 1]
+    # the 2 x 2 block game is not the grid game, and its certificate shows it
+    pivots, bounds = optimize_module._node_game(game, n // 8)
+    assert pivots > 0 and bounds is None
+    sol = optimize_max_min(OptimizationConfig(objective=MAX_MIN, kernel=kernel, grid_n=n))
+    assert sol.solver == "double_oracle" and sol.iterations > pivots
+    K = _game(kernel, n)
+    _check_certified(sol, K)
+    assert sol.achieved_t == pytest.approx(_lp_oracle(K)[1], abs=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
