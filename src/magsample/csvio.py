@@ -1,4 +1,5 @@
-"""The one CSV dialect of the package's inputs, and its bulk reader.
+"""The one CSV dialect of the package's inputs, its bulk reader, and the
+sized read of a binary input's payload.
 
 Kernel tables, crop plans and embedding CSVs share one dialect: UTF-8
 (a file that is not is a FormatError naming the line of its first bad byte),
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import warnings
 
 import numpy as np
@@ -140,3 +142,20 @@ def line_of_row(path, k: int) -> int:
         f.readline()
         body = (n for n, line in enumerate(f, start=2) if not _blank(line))
         return next(itertools.islice(body, k, None))
+
+
+def read_payload(f, nbytes: int, what: str) -> np.ndarray:
+    """The rest of the binary file ``f`` as ``nbytes`` new bytes (uint8).
+
+    The file's size is checked before anything is allocated, so a header
+    that claims more than the file holds costs no memory. The array is then
+    filled by one read, with no intermediate ``bytes`` copy.
+    """
+    size = os.fstat(f.fileno()).st_size - f.tell()
+    if size != nbytes:
+        raise FormatError(f"{what} payload is {size} bytes, expected {nbytes}")
+    payload = np.empty(nbytes, np.uint8)
+    got = f.readinto(payload)
+    if got != nbytes:  # the file shrank after its size was taken
+        raise FormatError(f"{what} payload is {got} bytes, expected {nbytes}")
+    return payload

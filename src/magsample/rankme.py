@@ -16,10 +16,16 @@ File formats owned by this module:
   ``id,mpp,d0,d1,...,d{K-1}``;
 * embeddings binary (``.mseb``): magic ``MSEB``, u16 version (1), u64 N,
   u32 K, then N records of (f64 mpp, K x f32 components), little-endian;
-  ids are the row indices;
+  ids are the row indices, and the vectors are a float32 view of the
+  records as read;
 * ``rankme.csv`` output with header ``mpp,count,rankme``;
 * ``similarity.csv`` output, a labeled square matrix whose first row and
   column hold the group mpps.
+
+An :class:`EmbeddingSet` keeps float32 vectors as they are and holds any
+other vectors as float64. Each group is widened to float64 before its SVD
+or its mean, so every result is the same, bit for bit, as on the float64
+set.
 """
 
 from __future__ import annotations
@@ -46,7 +52,9 @@ class EmbeddingSet:
     """N embedding vectors, each tagged with the mpp it was extracted at."""
 
     def __init__(self, mpps, vectors, ids=None):
-        vectors = np.asarray(vectors, dtype=float)
+        vectors = np.asarray(vectors)
+        if vectors.dtype != np.float32:
+            vectors = np.asarray(vectors, dtype=float)
         mpps = np.asarray(mpps, dtype=float)
         if vectors.ndim != 2 or vectors.shape[0] < 1 or vectors.shape[1] < 1:
             raise DomainError("vectors must form a nonempty 2-D matrix")
@@ -111,9 +119,8 @@ class CentroidSimilarity:
 def rankme(embeddings, epsilon: float = DEFAULT_EPSILON) -> float:
     """Effective rank of an embedding matrix (or EmbeddingSet)."""
     if isinstance(embeddings, EmbeddingSet):
-        matrix = embeddings.vectors
-    else:
-        matrix = np.asarray(embeddings, dtype=float)
+        embeddings = embeddings.vectors
+    matrix = np.asarray(embeddings, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] < 1 or matrix.shape[1] < 1:
         raise DomainError("rankme needs a nonempty 2-D matrix")
     if not np.all(np.isfinite(matrix)):
@@ -173,7 +180,7 @@ def centroid_similarity(
     mpps = []
     centroids = []
     for rows in _group_slices(embeddings.mpps, group_tolerance):
-        c = embeddings.vectors[rows].mean(axis=0)
+        c = embeddings.vectors[rows].mean(axis=0, dtype=np.float64)
         norm = float(np.linalg.norm(c))
         if norm == 0.0:
             raise DegenerateInputError(
@@ -234,27 +241,19 @@ def read_embeddings_binary(path) -> EmbeddingSet:
             raise FormatError(f"bad embedding magic {magic!r}")
         if version != _EMB_VERSION:
             raise FormatError(f"unsupported embedding version {version}")
-        payload = f.read()
-    record = np.dtype([("mpp", "<f8"), ("vec", "<f4", (dim,))])
-    if len(payload) != n * record.itemsize:
-        raise FormatError(
-            f"embedding payload is {len(payload)} bytes, expected {n * record.itemsize}"
-        )
-    records = np.frombuffer(payload, dtype=record, count=n)
-    return EmbeddingSet(
-        mpps=records["mpp"].astype(float),
-        vectors=records["vec"].astype(float),
-    )
+        payload = csvio.read_payload(f, n * (8 + 4 * dim), "embedding")
+    records = payload.view([("mpp", "<f8"), ("vec", "<f4", (dim,))])
+    return EmbeddingSet(mpps=records["mpp"], vectors=records["vec"])
 
 
 def write_embeddings_binary(path, embeddings: EmbeddingSet):
     record = np.dtype([("mpp", "<f8"), ("vec", "<f4", (embeddings.dim,))])
     out = np.empty(embeddings.n, dtype=record)
     out["mpp"] = embeddings.mpps
-    out["vec"] = embeddings.vectors.astype("<f4")
+    out["vec"] = embeddings.vectors
     with open(path, "wb") as f:
         f.write(_EMB_HEADER.pack(_EMB_MAGIC, _EMB_VERSION, embeddings.n, embeddings.dim))
-        f.write(out.tobytes())
+        f.write(out)
 
 
 def load_embeddings(path) -> EmbeddingSet:

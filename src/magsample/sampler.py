@@ -240,20 +240,24 @@ def generate_plan(cfg: SamplerConfig, n: int) -> CropPlan:
 
 _CSV_HEADER = ",".join(PLAN_CSV_FIELDS) + "\n"
 _CSV_CHUNK_ROWS = 8192
+_UNIQUE_FIELDS = (
+    "target_mpp", "source_mpp", "source_size_px", "crop_size_px", "output_size_px"
+)
 
 
 def _csv_chunks(plan: CropPlan):
     """The CSV body, one block of rows at a time; each block ends in a newline.
 
     Numbers are written with ``repr``, the shortest text that reads back to
-    the same value. ``source_mpp`` takes a few standard values, so each
-    distinct one is formatted once per block.
+    the same value. Every column but the index and the offsets repeats its
+    values (the sizes, the source mpps and a target's atoms), so each
+    distinct value of those is formatted once per block.
     """
     for start in range(0, len(plan), _CSV_CHUNK_ROWS):
         rows = plan.rows[start : start + _CSV_CHUNK_ROWS]
         columns = []
         for name in PLAN_CSV_FIELDS:
-            if name == "source_mpp":
+            if name in _UNIQUE_FIELDS:
                 values, which = np.unique(rows[name], return_inverse=True)
                 text = list(map(repr, values.tolist()))
                 columns.append(map(text.__getitem__, which.tolist()))
@@ -476,7 +480,7 @@ def write_image_array(path, image: np.ndarray):
     h, w, c = arr.shape
     with open(path, "wb") as f:
         f.write(_IMAGE_HEADER.pack(_IMAGE_MAGIC, h, w, c))
-        f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        f.write(np.ascontiguousarray(arr, dtype="<f4"))
 
 
 def read_image_array(path) -> np.ndarray:
@@ -487,10 +491,5 @@ def read_image_array(path) -> np.ndarray:
         magic, h, w, c = _IMAGE_HEADER.unpack(header)
         if magic != _IMAGE_MAGIC:
             raise FormatError(f"bad image magic {magic!r}")
-        payload = f.read()
-    expected = h * w * c * 4
-    if len(payload) != expected:
-        raise FormatError(
-            f"image payload is {len(payload)} bytes, expected {expected}"
-        )
-    return np.frombuffer(payload, dtype="<f4").reshape(h, w, c).copy()
+        payload = csvio.read_payload(f, h * w * c * 4, "image")
+    return payload.view("<f4").reshape(h, w, c)

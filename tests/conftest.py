@@ -1,4 +1,5 @@
 import os
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,16 @@ def csv_result(obj):
         return obj.xs.tobytes(), obj.ys.tobytes(), obj.values.tobytes()
     assert isinstance(obj, EmbeddingSet)
     return obj.ids, obj.mpps.tobytes(), obj.vectors.tobytes()
+
+
+def read_embeddings_binary_reference(path):
+    """The .mseb reader as it was before the sized read: the whole payload
+    as bytes, then the vectors widened to float64 on load."""
+    with open(path, "rb") as f:
+        _, _, n, dim = struct.unpack("<4sHQI", f.read(18))
+        payload = f.read()
+    records = np.frombuffer(payload, [("mpp", "<f8"), ("vec", "<f4", (dim,))], count=n)
+    return EmbeddingSet(mpps=records["mpp"].astype(float), vectors=records["vec"].astype(float))
 
 
 @pytest.fixture(scope="session")

@@ -1,14 +1,24 @@
 import csv
 import hashlib
 import os
+import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from magsample import SamplingDistribution, write_distribution, write_image_array
+from magsample import (
+    SamplingDistribution,
+    centroid_similarity,
+    load_embeddings,
+    rankme_profile,
+    read_image_array,
+    write_distribution,
+    write_image_array,
+)
 from magsample import cli
 from magsample.cli import fnv1a64, main
 from magsample.errors import (
@@ -23,9 +33,14 @@ from magsample.errors import (
     SolverError,
 )
 from magsample.kernels import MagRange, kernel_from_string, transfer_potential_curve
-from magsample.rankme import EmbeddingSet, write_embeddings_binary
+from magsample.rankme import (
+    EmbeddingSet,
+    write_embeddings_binary,
+    write_rankme_csv,
+    write_similarity_csv,
+)
 
-from conftest import CSV_READERS, child_env
+from conftest import CSV_READERS, child_env, read_embeddings_binary_reference
 
 DU_TEXT = """#msdist v1
 range 0.25 2.0
@@ -300,6 +315,58 @@ def test_rankme_manifest_digest_of_multi_chunk_input(workdir):
     assert (workdir / "big.mseb").stat().st_size > 2 * 1024 * 1024
     assert main(["rankme", "--embeddings", "big.mseb", "--out", "r.csv"]) == 0
     assert _manifest(workdir / "r.csv")["digest.embeddings"] == _sha256(workdir / "big.mseb")
+
+
+@pytest.mark.parametrize("command", ["rankme", "similarity"])
+def test_rankme_outputs_match_the_float64_reference_bytes(workdir, command):
+    # the CLI on float32 vectors kept as loaded, against the same file read by
+    # the reader that widened every vector to float64 on load
+    g = np.random.default_rng(31)
+    mpps = np.repeat(0.25 * 2.0 ** (np.arange(5) / 2.0), 200)
+    vectors = g.standard_normal((1000, 48)) @ g.standard_normal((48, 48)) + 3.0
+    write_embeddings_binary("emb.mseb", EmbeddingSet(mpps=mpps, vectors=vectors))
+    assert main([command, "--embeddings", "emb.mseb", "--out", "got.csv"]) == 0
+    reference = read_embeddings_binary_reference("emb.mseb")
+    with open("want.csv", "w", newline="") as f:
+        if command == "rankme":
+            write_rankme_csv(rankme_profile(reference), f)
+        else:
+            write_similarity_csv(centroid_similarity(reference), f)
+    assert Path("got.csv").read_bytes() == Path("want.csv").read_bytes()
+
+
+# A header that claims far more than its file of a few bytes holds
+_LYING_HEADERS = {
+    "mseb": (
+        struct.pack("<4sHQI", b"MSEB", 1, 2**40, 384) + b"\0" * 6,
+        load_embeddings,
+        ["rankme", "--embeddings", "lying.bin", "--out", "r.csv"],
+        f"embedding payload is 6 bytes, expected {2**40 * (8 + 4 * 384)}",
+    ),
+    "msim": (
+        struct.pack("<4sIII", b"MSIM", 65535, 65535, 4) + b"\0" * 6,
+        read_image_array,
+        ["crop-apply", "--image", "lying.bin", "--plan", "plan.csv", "--index", "0",
+         "--out", "o.msim"],
+        f"image payload is 6 bytes, expected {65535 * 65535 * 4 * 4}",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_LYING_HEADERS))
+def test_lying_header_allocates_nothing_and_exits_2(workdir, capsys, kind):
+    data, read, argv, message = _LYING_HEADERS[kind]
+    (workdir / "lying.bin").write_bytes(data)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=f"^{message}$"):
+            read("lying.bin")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert main(argv) == 2
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_rankme_csv_input(workdir):

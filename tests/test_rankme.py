@@ -1,4 +1,5 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from magsample.rankme import (
     write_rankme_csv,
     write_similarity_csv,
 )
+
+from conftest import read_embeddings_binary_reference
 
 
 def gram_rankme_oracle(matrix, epsilon=1e-7):
@@ -359,11 +362,56 @@ def test_embeddings_binary_roundtrip(tmp_path):
     assert back.n == 12 and back.dim == 7
     assert np.allclose(back.mpps, es.mpps)
     assert np.allclose(back.vectors, es.vectors, atol=1e-6)  # f32 storage
+    assert back.vectors.dtype == np.float32
 
-    truncated = tmp_path / "trunc.mseb"
-    truncated.write_bytes(path.read_bytes()[:-4])
-    with pytest.raises(FormatError):
-        load_embeddings(truncated)
+    data = path.read_bytes()
+    bad = tmp_path / "bad.mseb"
+    for payload, size in ((data[18:-4], 12 * 36 - 4), (data[18:] + b"\0" * 4, 12 * 36 + 4)):
+        bad.write_bytes(data[:18] + payload)
+        with pytest.raises(FormatError, match=f"embedding payload is {size} bytes, expected 432$"):
+            load_embeddings(bad)
+
+
+def test_embedding_set_keeps_float32_and_widens_the_rest():
+    v32 = np.ones((3, 2), np.float32)
+    assert EmbeddingSet(mpps=[0.5] * 3, vectors=v32).vectors is v32
+    for vectors in (v32.astype(np.float16), v32.astype(int), v32.tolist(), v32.astype(">f4")):
+        assert EmbeddingSet(mpps=[0.5] * 3, vectors=vectors).vectors.dtype == np.float64
+    with pytest.raises(DomainError):
+        EmbeddingSet(mpps=[0.5], vectors=np.array([[np.inf, 1.0]], np.float32))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 160),
+    dim=st.integers(1, 40),
+    groups=st.integers(1, 6),
+    tolerance=st.sampled_from([0.0, 1e-6, 0.05, 0.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_float32_embeddings_give_the_float64_bits(tmp_path_factory, n, dim, groups, tolerance, seed):
+    # the stored float32 vectors, kept as loaded, against the same set read
+    # by the float64 reference: every consumer gives the same bits
+    g = np.random.default_rng(seed)
+    levels = 0.25 * 2.0 ** (np.arange(groups) / 2.0)
+    mpps = g.choice(levels, n) * (1.0 + 1e-7 * g.random(n))
+    vectors = g.standard_normal((n, dim)) * g.uniform(0.1, 10.0) + g.standard_normal(dim)
+    path = tmp_path_factory.mktemp("emb") / "emb.mseb"
+    write_embeddings_binary(path, EmbeddingSet(mpps=mpps, vectors=vectors))
+    es32 = load_embeddings(path)
+    es64 = read_embeddings_binary_reference(path)
+    assert es32.vectors.dtype == np.float32
+    assert es32.vectors.astype(float).tobytes() == es64.vectors.tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # single-row groups
+        p32 = rankme_profile(es32, group_tolerance=tolerance)
+        p64 = rankme_profile(es64, group_tolerance=tolerance)
+    assert np.array(p32.groups).tobytes() == np.array(p64.groups).tobytes()
+    s32 = centroid_similarity(es32, group_tolerance=tolerance)
+    s64 = centroid_similarity(es64, group_tolerance=tolerance)
+    assert s32.mpps.tobytes() == s64.mpps.tobytes()
+    assert s32.matrix.tobytes() == s64.matrix.tobytes()
+    assert np.float64(rankme(es32)).tobytes() == np.float64(rankme(es64)).tobytes()
 
 
 def test_output_csv_writers(tmp_path):

@@ -588,8 +588,9 @@ def test_image_array_errors(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 12)
     with pytest.raises(FormatError):
         read_image_array(path)
-    path.write_bytes(b"MSIM" + np.array([2, 2, 1], "<u4").tobytes() + b"\x00" * 7)
-    with pytest.raises(FormatError):
-        read_image_array(path)
+    for size in (15, 17):  # truncated and over-long payloads of a 2 x 2 x 1 image
+        path.write_bytes(b"MSIM" + np.array([2, 2, 1], "<u4").tobytes() + b"\x00" * size)
+        with pytest.raises(FormatError, match=f"^image payload is {size} bytes, expected 16$"):
+            read_image_array(path)
     with pytest.raises(ShapeError):
         write_image_array(tmp_path / "x.msim", np.zeros((4, 4)))
