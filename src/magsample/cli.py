@@ -20,13 +20,14 @@ and a missing, directory or unreadable file); 1 for computation failures
 and any other ``MagsampleError``). So not every ``ValueError`` exits 2:
 ``DomainError``, ``DegenerateInputError`` and ``ShapeError`` exit 1.
 
-``optimize --objective maxmin`` keeps memory linear in ``--grid`` on the
-paths that solve the built-in kernels and sparse tabulated games. A game that
-needs the dense grid x grid kernel matrix (the equalizer or the full simplex:
-a kernel that declares no structure, or a table whose game is not sparse) is
-bounded: past grid 11585 the matrix would take more than 1 GiB, and the game
-is a ``ParameterError`` (exit 2) naming the GiB it would need, raised before
-anything is allocated.
+``optimize --objective maxmin`` keeps memory linear in ``--grid`` for the
+built-in kernels, and solves a tabulated kernel's game on the block of grid
+points next to its nodes. A game that needs a larger block, up to the dense
+grid x grid kernel matrix (a kernel that declares no structure, or a table
+whose nodes are wrong), is bounded: a block, and the simplex tableau on it,
+must fit in 1 GiB (the dense matrix past grid 11585, the simplex on the whole
+grid past grid 4095), else the game is a ``ParameterError`` (exit 2) naming
+the GiB it would need, raised before anything is allocated.
 
 ``crop-apply`` parses the plan's header and only the line of its entry
 (line ``index + 2`` of a generated plan; see ``sampler.read_plan_row``).

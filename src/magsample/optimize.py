@@ -13,13 +13,10 @@ with value 1/Z. If K u = 1 and K'y = 1 have strictly positive solutions, the
 game is completely mixed and its unique solution is q = u / Z, r = y / Z
 with Z = sum(u) (Kaplansky 1945).
 
-The game sees K through a lazy view, ``_Game``: its rows and columns are
-evaluated through ``Kernel.__call__`` when a path asks for them and kept by
-grid index. The dense n x n K is built at most once, only for the equalizer
-and the full simplex, and only if its 8 n^2 bytes fit in ``_DENSE_BYTES``
-(1 GiB, grid <= 11585); past that the game is a ParameterError. The path is
-chosen from the kernel's structure; ``MaxMinSolution.solver`` names the one
-that solved the game:
+The game sees K through a lazy view, ``_Game``, which evaluates blocks of K
+through ``Kernel.__call__`` only when a path asks for them. The path is chosen
+from the kernel's structure; ``MaxMinSolution.solver`` names the one that
+solved the game:
 
 * ``"green"``: a kernel K(x, y) = p(min(x, y)) q(max(x, y)), such as info,
   declares p and q. K^-1 is tridiagonal (Gantmacher & Krein), so u comes from
@@ -28,38 +25,37 @@ that solved the game:
   declares so. On the uniform grid its K is the symmetric Toeplitz matrix of
   its first column. u comes from conjugate gradients with T. Chan's circulant
   preconditioner (Chan 1988), and K w from FFTs of twice the grid's length.
-* ``"nodes"``: a kernel linear in each argument between declared nodes, such
-  as a table, declares them. K q is then linear in the target between
-  x-nodes and K'r in the source between y-nodes, so the game on the grid
-  points next to the nodes, evaluated once, has the grid game's value and
-  solution: one LP, if that block fits the double oracle's size bound.
-* ``"equalizer"``: u by one LU of the dense K; y = u when K equals its
-  transpose exactly, else y by a second solve.
-* ``"double_oracle"``: the game is solved on a few sources and targets, grown
-  by full-grid best responses (McMahan, Gordon & Blum 2003), from only the
-  rows and columns of K that they add. Each restricted game is the LP pair
-  ``min 1'u : K u >= 1`` / ``max 1'y : K'y <= 1`` on the dense simplex. This
-  suits sparse solutions, such as those of tabulated kernels.
-* ``"simplex"``: the same LP pair on the full grid, only for a restricted game
-  that outgrows ``grid_n // _DO_SIZE_DIVISOR`` cells.
+* ``"nodes"``: the LP on a node block smaller than the grid (below).
+* ``"equalizer"``: an LU of a square block, node block or whole grid.
+* ``"simplex"``: the LP on the whole grid.
 
-The structured paths come first. The Green's and Toeplitz paths run only if
-their declaration matches ``Kernel.__call__`` on O(n) grid pairs; positivity
-then follows from the declaration, and y = u. The node path takes positivity
-from its block, which holds K's minimum. A path whose check fails, whose u is
-not strictly positive or whose certificate does not close falls through, and
-so does a node block past the size bound. Then an exactly symmetric K takes
-the equalizer. Any other K first gets ``_PROBE_ROUNDS`` double-oracle rounds,
-which finish sparse games such as those of tables with too many nodes, then
-the equalizer, the double oracle resumed up to the size bound, and the full
-simplex. A table's rows next to its nodes hold every column minimum, and so
-its positivity, and usually a pair that shows K is not symmetric; without
-such a witness, and for a kernel that declares nothing, the dense K decides.
+The two matrix-free paths come first. They run only if their declaration
+matches ``Kernel.__call__`` on O(n) grid pairs; positivity then follows from
+the declaration, and y = u. A path whose check fails, whose u is not strictly
+positive or whose certificate does not close falls through to the blocks:
 
-On every path q and the adversary weights r certify optimality: min(K q) <=
-t* <= max(K'r), computed with the path's own products by K (prefix sums,
-FFTs, the full columns and rows of the support on the node and double-oracle
-paths, or the dense K). README "Numerical notes" gives each path's cost and
+1. the node block I x J, if the kernel is linear in each argument between
+   declared nodes, as a table is. K q is then linear in the target between
+   x-nodes, so its minimum over the grid lies in I, the grid points next to
+   them; K'r is linear in the source between y-nodes, so its maximum lies in
+   J. By minimax the block game has the grid game's value and solution, at
+   any block size. The block also holds K's minimum, and so its positivity.
+2. the whole grid, the dense K.
+
+On a square block the equalizer runs first: u = K^-1 1, and y = u when the
+block equals its transpose exactly, else y by a second solve. A 1000-node
+completely mixed table takes 0.07 s this way against 5.0 s for the block
+LP, and a block that is not completely mixed costs one LU (0.12-0.23 ms on a
+118 x 118 block). Then one LP, ``min 1'u : K u >= 1`` / ``max 1'y : K'y <= 1``
+on the dense simplex. The first block whose certificate closes wins; the
+whole grid's LP always ends the game. A block, and the LP's tableau, is
+allocated only if its bytes fit in ``_DENSE_BYTES`` (1 GiB; the dense K fits
+grid <= 11585); past that the game is a ParameterError.
+
+On every path q and the adversary weights r certify optimality on the whole
+grid: min(K q) <= t* <= max(K'r), computed with the path's own products by K
+(prefix sums, FFTs, the full columns and rows of the support of a node block's
+solution, or the dense K). README "Numerical notes" gives each path's cost and
 accuracy.
 """
 
@@ -74,34 +70,18 @@ from .distributions import SamplingDistribution
 from .errors import DomainError, ParameterError, SolverError
 from .kernels import Kernel, MagRange
 from .signal import total_signal
-from .simplex import solve_inequality_lp
+from .simplex import lp_peak_bytes, solve_inequality_lp
 
 MAX_AVG_ENTROPY = "maxavg"
 MAX_MIN = "maxmin"
 
 _CERT_GAP_TOL = 1e-6
 
-# The double oracle gives up on the restricted game once its targets or sources
-# number more than grid_n // _DO_SIZE_DIVISOR. Its cost grows steeply with that
-# size k (k rounds, each a k x k LP); a completely mixed game would take n
-# rounds, far more than the full-grid simplex's n pivots. At grid 1000 on
-# 2 vCPU, growing to k = 125 takes about 0.8 s, as long as a full simplex of
-# some 60 pivots on the sparse tabulated games, so the bound sits near
-# break-even.
-_DO_SIZE_DIVISOR = 8
-
-# A game whose K is not exactly symmetric first gets this many double-oracle
-# rounds, before any n x n solve. The benchmark's tabulated games, which now
-# take the node path, finish in 13-25 rounds (seeds 2-21, grid 1000) when
-# driven through the double oracle. A completely mixed game cannot finish
-# on so few cells; at grid 1000 on 2 vCPU its 32 rounds take 16-19 ms, which
-# it pays on top of the 25 ms LU of its equalizer.
-_PROBE_ROUNDS = 32
-
-# The dense K is built only if its 8 n^2 bytes fit in this: grid <= 11585.
+# A block of K, and the tableau of an LP on one, is allocated only if its bytes
+# fit in this: the dense K fits grid <= 11585.
 _DENSE_BYTES = 1 << 30
 
-# Rows of K per kernel call when the dense K is built, as signal builds its blocks.
+# Rows of K per kernel call when a block is built, as signal builds its blocks.
 _ROW_BLOCK = 256
 
 # A declared structure must match Kernel.__call__ to this relative tolerance.
@@ -143,9 +123,8 @@ class MaxMinSolution:
     achieved_t: float
     active_set: np.ndarray      # grid indices where the signal sits at achieved_t
     certificate_gap: float      # max(K r) - min(K q), bounds suboptimality
-    iterations: int             # simplex pivots over every LP solved, the probe's included
-    rounds: int                 # double-oracle rounds, the probe's included; 0 on the structured paths
-    solver: str                 # "green", "toeplitz", "nodes", "equalizer", "double_oracle", "simplex"
+    iterations: int             # simplex pivots over every LP solved
+    solver: str                 # "green", "toeplitz", "nodes", "equalizer", "simplex"
 
 
 def optimize_max_avg(cfg: OptimizationConfig) -> SamplingDistribution:
@@ -168,9 +147,7 @@ def optimize_max_min(cfg: OptimizationConfig) -> MaxMinSolution:
     if cfg.objective != MAX_MIN:
         raise ParameterError(f"config objective is {cfg.objective!r}, not {MAX_MIN!r}")
     mids = cfg.mag_range.cell_midpoints(cfg.grid_n)
-    solver, rounds, iterations, bounds = _solve_game(
-        _Game(cfg.kernel, mids), cfg.grid_n // _DO_SIZE_DIVISOR
-    )
+    solver, iterations, bounds = _solve_game(_Game(cfg.kernel, mids))
     q, signal, t_lo, t_hi = bounds
     gap = t_hi - t_lo
     if not _certified(gap):
@@ -188,7 +165,6 @@ def optimize_max_min(cfg: OptimizationConfig) -> MaxMinSolution:
         active_set=active,
         certificate_gap=gap,
         iterations=iterations,
-        rounds=rounds,
         solver=solver,
     )
 
@@ -196,107 +172,53 @@ def optimize_max_min(cfg: OptimizationConfig) -> MaxMinSolution:
 class _Game:
     """The game matrix K[i, j] = kernel(mids[i], mids[j]), evaluated as paths ask.
 
-    Rows and columns come from ``Kernel.__call__`` and are kept by grid index.
-    The dense K is built at most once, by ``dense``; from then on rows and
-    columns are its slices, as they were before it was built, bit for bit.
+    ``K`` is the dense K once ``block`` has built it for the whole grid, else None.
     """
 
     def __init__(self, kernel: Kernel, mids: np.ndarray):
         self.kernel, self.mids, self.n = kernel, mids, mids.size
         self.K = None
-        self._rows, self._cols = {}, {}
-        self._minima = None
-        # A kernel linear in each argument between declared nodes takes each
-        # column's extremes over the grid at a grid end or at a grid point next
-        # to an x-node, and each row's next to a y-node: 118 rows and 118
-        # columns of 1000 for a 64-node table.
-        nodes = kernel.linear_nodes()
-        if nodes is None:
-            self.node_rows = self.node_cols = None
-        else:
-            self.node_rows, self.node_cols = (_next_to(mids, x) for x in nodes)
-
-    def rows(self, T):
-        """K[T]: one row per grid index in T."""
-        if self.K is not None:
-            return self.K[T]
-        new = [i for i in T if i not in self._rows]
-        if new:
-            block = self.kernel(self.mids[new, None], self.mids[None, :])
-            self._rows.update(zip(new, block))
-        return np.array([self._rows[i] for i in T])
-
-    def cols(self, S):
-        """K[:, S], in the layout NumPy gives that index (Fortran order), so
-        products with it sum in the same order."""
-        if self.K is not None:
-            return self.K[:, S]
-        new = [j for j in S if j not in self._cols]
-        if new:  # one outer call, O(n) per column for a table too
-            block = self.kernel(self.mids[:, None], self.mids[None, new])
-            self._cols.update(zip(new, block.T))
-        return np.array([self._cols[j] for j in S]).T
 
     def matches(self, i, j, declared):
         """Whether K[i, j] equals the declared values to _DECLARATION_RTOL."""
         values = self.kernel(self.mids[i], self.mids[j])
         return bool(np.all(np.abs(values - declared) <= _DECLARATION_RTOL * np.abs(declared)))
 
-    def dense(self):
-        """The n x n K, built 256 rows at a time and scanned for an entry <= 0."""
-        if self.K is None:
-            n = self.n
-            if 8 * n * n > _DENSE_BYTES:
-                raise ParameterError(
-                    f"grid {n}: this game needs the dense {n} x {n} kernel matrix, "
-                    f"{8 * n * n / 2**30:.2f} GiB, past the bound of "
-                    f"{_DENSE_BYTES / 2**30:g} GiB (grid <= {math.isqrt(_DENSE_BYTES // 8)})"
-                )
-            K = np.empty((n, n))
-            for lo in range(0, n, _ROW_BLOCK):
-                block = K[lo : lo + _ROW_BLOCK]
-                block[...] = self.kernel(self.mids[lo : lo + _ROW_BLOCK, None], self.mids[None, :])
-                _check_positive(block)
+    def block(self, I, J):
+        """K[I][:, J], built 256 rows at a time and scanned for an entry <= 0."""
+        x, y = self.mids[I], self.mids[J]
+        _check_bytes(self.n, f"the {x.size} x {y.size} kernel matrix", 8 * x.size * y.size)
+        K = np.empty((x.size, y.size))
+        for lo in range(0, x.size, _ROW_BLOCK):
+            rows = K[lo : lo + _ROW_BLOCK]
+            rows[...] = self.kernel(x[lo : lo + _ROW_BLOCK, None], y[None, :])
+            _check_positive(rows)
+        if K.size == self.n * self.n:
             self.K = K
-        return self.K
+        return K
 
-    def column_minima(self):
-        """K.min(axis=0), from the node rows if the kernel declares nodes,
-        else from the dense K; a DomainError if it has an entry <= 0."""
-        if self._minima is None:
-            if self.node_rows is None or self.K is not None:
-                self._minima = self.dense().min(axis=0)
-            else:
-                self._minima = self.rows(self.node_rows).min(axis=0)
-                _check_positive(self._minima)
-        return self._minima
-
-    def symmetric(self):
-        """Whether K equals its transpose bit for bit.
-
-        A table's node rows usually hold a pair K[i, j] != K[j, i], which
-        decides it; with no such witness, the dense K does.
-        """
-        if self.node_rows is not None and self.K is None:
-            block = self.rows(self.node_rows)[:, self.node_rows]
-            if not np.array_equal(block, block.T):
-                return False
-        K = self.dense()
-        return np.array_equal(K, K.T)
-
-    def bounds(self, u, y, S, T):
-        """``_bounds`` for u supported on S and y on T, from those columns and
-        rows only; from the dense K, as ``_bounds``, once it is built."""
+    def bounds(self, I, J, u, y):
+        """``_bounds`` for u on the sources J and y on the targets I: from the
+        dense K once it is built (I and J are then the grid), else from K's
+        columns on u's support and its rows on y's."""
         if self.K is not None:
             return _bounds(self.K, u, y)
-        return _certify(u, y, lambda q: self.cols(S) @ q[S], lambda r: self.rows(T).T @ r[T])
+        S, T = J[u != 0.0], I[y != 0.0]
+        u_grid, y_grid = np.zeros(self.n), np.zeros(self.n)
+        u_grid[J], y_grid[I] = u, y
+        # Fortran order, as NumPy lays out K[:, S]: the products keep its sum
+        # order, and so the bytes of achieved_t (C order moves it by an ulp on
+        # 12 of 60 benchmark tables)
+        cols = np.asfortranarray(self.kernel(self.mids[:, None], self.mids[None, S]))
+        rows = self.kernel(self.mids[T, None], self.mids[None, :])
+        return _certify(u_grid, y_grid, lambda q: cols @ q[S], lambda r: rows.T @ r[T])
 
 
 def _next_to(mids, nodes):
     """Grid indices of the grid ends and of the grid points on either side of each node."""
     k = np.searchsorted(mids, nodes)
     points = np.unique(np.concatenate(([0, mids.size - 1], k - 1, k)))
-    return points[(points >= 0) & (points < mids.size)].tolist()
+    return points[(points >= 0) & (points < mids.size)]
 
 
 def _check_positive(values):
@@ -304,42 +226,59 @@ def _check_positive(values):
         raise DomainError("max-min optimization requires a strictly positive kernel")
 
 
-def _solve_game(game, max_size):
-    """The solver name, rounds, pivots and bounds of the first path that solves the game."""
+def _check_bytes(grid_n, what, nbytes):
+    """A ParameterError, before anything is allocated, if nbytes exceed _DENSE_BYTES."""
+    if nbytes > _DENSE_BYTES:
+        raise ParameterError(
+            f"grid {grid_n}: {what} would take {nbytes / 2**30:.2f} GiB, past the bound "
+            f"of {_DENSE_BYTES / 2**30:g} GiB (the dense kernel matrix fits grid <= "
+            f"{math.isqrt(_DENSE_BYTES // 8)})"
+        )
+
+
+def _blocks(game):
+    """The node block I x J if the kernel declares nodes and it is smaller than
+    the grid, then the whole grid, as pairs of index arrays."""
+    grid = np.arange(game.n)
+    nodes = game.kernel.linear_nodes()
+    if nodes is not None:
+        I, J = (_next_to(game.mids, x) for x in nodes)
+        if I.size * J.size < game.n * game.n:
+            yield I, J
+    yield grid, grid
+
+
+def _solve_game(game):
+    """The solver name, pivots and bounds of the first path that solves the game."""
     factors = _green(game)
     if factors is not None:
         bounds = _symmetric_bounds(_green_solve(*factors), lambda w: _green_matvec(*factors, w))
         if bounds is not None:
-            return "green", 0, 0, bounds
+            return "green", 0, bounds
     column = _toeplitz(game)
     if column is not None:
         matvec = _toeplitz_matvec(column)
         bounds = _symmetric_bounds(_toeplitz_solve(column, matvec), matvec)
         if bounds is not None:
-            return "toeplitz", 0, 0, bounds
-    pivots, bounds = _node_game(game, max_size)
-    if bounds is not None:
-        return "nodes", 0, pivots, bounds
-    symmetric = game.symmetric()
-    S, T = [], []
-    rounds = 0
-    if not symmetric:
-        rounds, more, uy = _double_oracle(game, S, T, max_size, _PROBE_ROUNDS)
-        pivots += more
+            return "toeplitz", 0, bounds
+    pivots = 0
+    for I, J in _blocks(game):
+        block = game.block(I, J)
+        uy = _equalizer(block) if I.size == J.size else None
         if uy is not None:
-            return "double_oracle", rounds, pivots, game.bounds(*uy, S, T)
-    K = game.dense()
-    bounds = _equalizer(K, symmetric)
-    if bounds is not None:
-        return "equalizer", rounds, pivots, bounds
-    more, extra, uy = _double_oracle(game, S, T, max_size)
-    rounds, pivots = rounds + more, pivots + extra
-    if uy is not None:
-        return "double_oracle", rounds, pivots, _bounds(K, *uy)
-    ones = np.ones(K.shape[0])
-    sol = solve_inequality_lp(ones, K.T, ones)
-    u, y = np.maximum(sol.duals, 0.0), np.maximum(sol.x, 0.0)
-    return "simplex", rounds, pivots + sol.iterations, _bounds(K, u, y)
+            bounds = game.bounds(I, J, *uy)
+            if _certified(bounds[3] - bounds[2]):
+                return "equalizer", pivots, bounds
+        _check_bytes(game.n, f"the simplex on the {I.size} x {J.size} game",
+                     lp_peak_bytes(J.size, I.size))
+        # the module global, which tracers hook
+        sol = solve_inequality_lp(np.ones(I.size), block.T, np.ones(J.size))
+        pivots += sol.iterations
+        bounds = game.bounds(I, J, np.maximum(sol.duals, 0.0), np.maximum(sol.x, 0.0))
+        if game.K is not None:
+            return "simplex", pivots, bounds
+        if _certified(bounds[3] - bounds[2]):
+            return "nodes", pivots, bounds
 
 
 def _certified(gap):
@@ -463,89 +402,18 @@ def _symmetric_bounds(u, matvec):
     return bounds if _certified(bounds[3] - bounds[2]) else None
 
 
-def _equalizer(K, symmetric):
-    """Bounds of the completely mixed solution q = K^-1 1 / Z, or None if there is none."""
+def _equalizer(K):
+    """(u, y) solving K u = 1 and K'y = 1, or None unless both are strictly positive."""
     ones = np.ones(K.shape[0])
     try:
         u = np.linalg.solve(K, ones)
         if not u.min() > 0.0:  # not completely mixed; K'y = 1 cannot help
             return None
         # an exactly symmetric K gives LAPACK the same input twice
-        y = u if symmetric else np.linalg.solve(K.T, ones)
+        y = u if np.array_equal(K, K.T) else np.linalg.solve(K.T, ones)
     except np.linalg.LinAlgError:
         return None
-    return _mixed(K, u, y)
-
-
-def _mixed(K, u, y):
-    """Bounds of the solution u / sum(u), y / sum(y), or None unless both are
-    strictly positive and pass the dense certificate."""
-    if not (u.min() > 0.0 and y.min() > 0.0):
-        return None
-    bounds = _bounds(K, u, y)
-    return bounds if _certified(bounds[3] - bounds[2]) else None
-
-
-def _node_game(game, max_size):
-    """The pivots and bounds of the game solved on its node rows I and columns J.
-
-    For any q, K q is linear in the target between x-nodes, so its minimum
-    over the grid lies in I; for any r, K'r is linear in the source between
-    y-nodes, so its maximum lies in J. By minimax the I x J game has the grid
-    game's value, and its solution is optimal on the grid. The block also
-    holds K's minimum, and so its positivity. The bounds are None for a kernel
-    without nodes, for I or J past ``max_size``, the double oracle's largest
-    restricted game, and unless the certificate, from the support's full
-    columns and rows, closes.
-    """
-    I, J = game.node_rows, game.node_cols
-    if I is None or max(len(I), len(J)) > max_size:
-        return 0, None
-    block = game.kernel(game.mids[I, None], game.mids[None, J])
-    _check_positive(block)
-    # the module global, which tracers hook
-    sol = solve_inequality_lp(np.ones(len(I)), block.T, np.ones(len(J)))
-    u, y = np.zeros(game.n), np.zeros(game.n)
-    u[J], y[I] = np.maximum(sol.duals, 0.0), np.maximum(sol.x, 0.0)
-    bounds = game.bounds(u, y, np.flatnonzero(u).tolist(), np.flatnonzero(y).tolist())
-    return sol.iterations, bounds if _certified(bounds[3] - bounds[2]) else None
-
-
-def _double_oracle(game, S, T, max_size, max_rounds=math.inf):
-    """Solve the game on growing source and target sets (McMahan, Gordon & Blum 2003).
-
-    Each round solves the game restricted to targets T (rows) and sources S
-    (columns), then adds the full-grid best responses to its two solutions:
-    the target argmin(K q) and the source argmax(K'r). When both are already
-    in T and S, the restricted solutions are optimal on the full grid. Only
-    the rows T and the columns S of K are evaluated. The lists S and T grow in
-    place, so a run stopped after ``max_rounds`` rounds resumes from them as
-    if it had not stopped; a run also stops once T or S grows past
-    ``max_size``. Empty lists start the run from the maximin source and its
-    best response. Returns the rounds, the total pivots, and the unnormalized
-    source masses u and target weights y on the full grid as a pair, or None
-    for the pair when the run stopped.
-    """
-    if not S:  # start from the maximin source and its best response
-        S.append(int(np.argmax(game.column_minima())))
-        T.append(int(np.argmin(game.cols(S)[:, 0])))
-    rounds = pivots = 0
-    while max(len(S), len(T)) <= max_size and rounds < max_rounds:
-        rows = game.rows(T)
-        # the module global, which tracers hook
-        sol = solve_inequality_lp(np.ones(len(T)), rows[:, S].T, np.ones(len(S)))
-        rounds, pivots = rounds + 1, pivots + sol.iterations
-        u_s, y_t = np.maximum(sol.duals, 0.0), np.maximum(sol.x, 0.0)
-        i, j = int(np.argmin(game.cols(S) @ u_s)), int(np.argmax(rows.T @ y_t))
-        if i in T and j in S:
-            u, y = np.zeros(game.n), np.zeros(game.n)
-            u[S], y[T] = u_s, y_t
-            return rounds, pivots, (u, y)
-        if i not in T:
-            T.append(i)
-        if j not in S:
-            S.append(j)
-    return rounds, pivots, None
+    return (u, y) if y.min() > 0.0 else None
 
 
 def _bounds(K, u, y):

@@ -64,15 +64,21 @@ class EmbeddingSet:
             raise DomainError("embedding vectors contain non-finite values")
         if not np.all(np.isfinite(mpps)) or np.any(mpps <= 0):
             raise DomainError("mpp tags must be positive and finite")
-        if ids is None:
-            ids = [str(i) for i in range(vectors.shape[0])]
-        else:
+        if ids is not None:
             ids = [str(i) for i in ids]
             if len(ids) != vectors.shape[0]:
                 raise DomainError("need exactly one id per embedding row")
-        self.ids = ids
+        self._ids = ids
         self.mpps = mpps
         self.vectors = vectors
+
+    @property
+    def ids(self) -> list:
+        """Row ids as strings; ``"0"``, ``"1"``, ... when none were given,
+        made on first access, since rankme and similarity never read them."""
+        if self._ids is None:
+            self._ids = [str(i) for i in range(self.n)]
+        return self._ids
 
     @property
     def n(self) -> int:

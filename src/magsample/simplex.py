@@ -48,6 +48,13 @@ class LpSolution:
     residuals: dict        # eq, neg, dual, gap, comp: the verified residuals
 
 
+def lp_peak_bytes(m: int, n: int) -> int:
+    """Bytes that :func:`solve_inequality_lp` holds at once for an m x n ``A``:
+    a contiguous copy of A, ``[A | I]``, the tableau, its scratch copy and the
+    final basis matrix."""
+    return 8 * (m * n + m * (n + m) + 2 * (m + 1) * (n + m + 1) + m * m)
+
+
 def solve_inequality_lp(c, A, b, max_iter: int = 100000) -> LpSolution:
     """Maximize ``c @ x`` s.t. ``A @ x <= b``, ``x >= 0`` (requires ``b >= 0``)."""
     A = np.ascontiguousarray(A, dtype=float)

@@ -1,5 +1,4 @@
 import hashlib
-import math
 import subprocess
 import sys
 import tracemalloc
@@ -231,7 +230,7 @@ def test_maxmin_info_approaches_the_continuum_solution(a, b, n, info_kernel):
     assert np.max(np.abs(x[1:-1] * dist.density[1:-1] - t_star)) <= 1.0 / n
 
 
-# -- max-min solver paths: Green's, Toeplitz, node block, equalizer, double oracle, simplex
+# -- max-min solver paths: Green's, Toeplitz, then node block and whole grid, each by equalizer or LP
 
 
 def _game(kernel, grid_n):
@@ -261,7 +260,7 @@ def test_maxmin_builtin_kernels_take_the_equalizer(name, info_kernel, abs_kernel
     # info declares its Green's factors, so its equalizer takes the O(n) solve;
     # abs declares itself stationary, so its equalizer takes the Toeplitz solve
     solver = {"info": "green", "abs": "toeplitz"}[name]
-    assert sol.solver == solver and sol.iterations == 0 and sol.rounds == 0
+    assert sol.solver == solver and sol.iterations == 0
     K = _game(kernel, 200)
     q = _check_certified(sol, K)
     q_lp, t_lp = _lp_oracle(K)
@@ -318,8 +317,8 @@ def test_mirror_solve_matches_the_refined_lu(a, b, n, abs_kernel):
     assert u.shape == (n,) and u.min() > 0.0 and np.array_equal(u, u[::-1])
     lu_error = error(np.linalg.solve(K, np.ones(n)))
     assert error(u) <= _MIRROR_ERROR_FACTOR * max(lu_error, np.finfo(float).eps)
-    solver, rounds, pivots, (q, _, t_lo, t_hi) = optimize_module._solve_game(game, n // 8)
-    assert (solver, rounds, pivots) == ("toeplitz", 0, 0) and game.K is None
+    solver, pivots, (q, _, t_lo, t_hi) = optimize_module._solve_game(game)
+    assert (solver, pivots) == ("toeplitz", 0) and game.K is None
     assert optimize_module._certified(t_hi - t_lo)
     # the FFT certificate agrees with the dense one
     _, _, dense_lo, dense_hi = optimize_module._bounds(K, q * n, q * n)
@@ -350,7 +349,7 @@ def test_misdeclared_stationary_kernel_falls_through(name, info_kernel):
     else:
         table = _asymmetric_table(2)
         kernel = _StationaryTable(table.xs, table.ys, table.values)
-        honest, expected_solver = table, "double_oracle"
+        honest, expected_solver = table, "nodes"
     n = 200
     K = _game(kernel, n)
     assert not np.array_equal(K, K[::-1, ::-1])
@@ -363,7 +362,7 @@ def test_misdeclared_stationary_kernel_falls_through(name, info_kernel):
     want = optimize_max_min(OptimizationConfig(objective=MAX_MIN, kernel=honest, grid_n=n))
     assert want.solver == expected_solver
     assert sol.distribution.density.tobytes() == want.distribution.density.tobytes()
-    assert (sol.rounds, sol.iterations) == (want.rounds, want.iterations)
+    assert sol.iterations == want.iterations
 
 
 def _equalizer_reference(K):
@@ -385,7 +384,7 @@ def _bounds_bytes(bounds):
 
 @pytest.fixture()
 def solves(monkeypatch):
-    """Every (u, y) the certificate checks, and the matrix shape of each linear solve."""
+    """Every (u, y) the dense certificate checks, and the matrix shape of each linear solve."""
     record = {"pairs": [], "shapes": []}
     solve, bounds = np.linalg.solve, optimize_module._bounds
 
@@ -413,8 +412,8 @@ def test_symmetric_game_takes_one_solve(name, info_kernel, abs_kernel, solves):
     assert np.array_equal(K, K.T)
     # no Green's factors and not stationary: the path a symmetric K takes without them
     game = optimize_module._Game(_undeclared(kernel), MagRange().cell_midpoints(300))
-    solver, rounds, _, got = optimize_module._solve_game(game, 300 // 8)
-    assert (solver, rounds) == ("equalizer", 0)
+    solver, _, got = optimize_module._solve_game(game)
+    assert solver == "equalizer" and game.K is not None
     assert solves["shapes"] == [(300, 300)]
     (u, y), = solves["pairs"]
     assert y is u
@@ -438,23 +437,24 @@ def _mixed_asymmetric_game(info_kernel, n):
 def test_asymmetric_mixed_game_takes_two_solves(info_kernel, solves):
     K = _mixed_asymmetric_game(info_kernel, 300)
     assert not np.array_equal(K, K.T)
-    got = optimize_module._equalizer(K, False)
-    assert got is not None and _full_solves(solves, 300) == 2
+    uy = optimize_module._equalizer(K)
+    assert uy is not None and _full_solves(solves, 300) == 2
+    got = optimize_module._bounds(K, *uy)
     (u, y), = solves["pairs"]
     assert y is not u and y.min() > 0.0
     assert _bounds_bytes(got) == _bounds_bytes(_equalizer_reference(K))
 
 
 def test_asymmetric_mixed_game_ends_on_the_equalizer(info_kernel, solves):
-    # through optimize_max_min, on a table whose nodes are the cell midpoints
+    # through optimize_max_min, on a table whose nodes are the cell midpoints:
+    # its node block is the whole grid
     n = 300
     mids = MagRange().cell_midpoints(n)
     values = _mixed_asymmetric_game(info_kernel, n)
     kernel = TabulatedKernel(mids, mids, values)
     assert np.array_equal(_game(kernel, n), values)
     sol = optimize_max_min(OptimizationConfig(objective=MAX_MIN, kernel=kernel, grid_n=n))
-    # the probe cannot finish a completely mixed game, so it runs all its rounds
-    assert sol.solver == "equalizer" and sol.rounds == optimize_module._PROBE_ROUNDS
+    assert sol.solver == "equalizer" and sol.iterations == 0
     assert _full_solves(solves, n) == 2
     q, _, t_lo, t_hi = _equalizer_reference(values)
     expected = SamplingDistribution(MagRange(), density=q / (MagRange().width / n))
@@ -486,72 +486,47 @@ def _asymmetric_table(seed, n=64, decay=0.5):
     return TabulatedKernel(xs, xs, base * noise)
 
 
-def test_maxmin_sparse_game_takes_the_double_oracle():
+def _solved(kernel, grid_n):
+    """The solver, pivots and bounds of the game, and whether it built the dense K."""
+    game = optimize_module._Game(kernel, MagRange().cell_midpoints(grid_n))
+    solver, pivots, bounds = optimize_module._solve_game(game)
+    return solver, pivots, bounds, game.K is not None
+
+
+def test_maxmin_sparse_game_takes_the_node_block():
     kernel = _asymmetric_table(2)
     K = _game(kernel, 200)
     assert np.linalg.solve(K, np.ones(200)).min() < 0.0  # not completely mixed
     sol = optimize_max_min(OptimizationConfig(objective=MAX_MIN, kernel=kernel, grid_n=200))
-    assert sol.solver == "double_oracle" and sol.rounds > 0 and sol.iterations > 0
+    assert sol.solver == "nodes" and sol.iterations > 0
     q = _check_certified(sol, K)
     assert sol.achieved_t == pytest.approx(_lp_oracle(K)[1], abs=1e-12)
     assert np.count_nonzero(q) <= 200 // 8  # the support stays small
 
 
 def test_sparse_game_makes_no_full_solve(solves):
-    # the probe finishes the game, so no n x n equalizer solve is tried
-    kernel = _asymmetric_table(2)
-    sol = optimize_max_min(OptimizationConfig(objective=MAX_MIN, kernel=kernel, grid_n=200))
-    assert sol.solver == "double_oracle" and 0 < sol.rounds <= optimize_module._PROBE_ROUNDS
-    assert solves["shapes"] and _full_solves(solves, 200) == 0
-
-
-def test_long_double_oracle_resumes_after_the_probe(solves):
-    # a faster decay spreads the support: more rounds than the probe gives
-    kernel, n = _asymmetric_table(2, decay=2.0), 400
-    K = _game(kernel, n)
-    sol = optimize_max_min(OptimizationConfig(objective=MAX_MIN, kernel=kernel, grid_n=n))
-    assert sol.solver == "double_oracle" and sol.rounds > optimize_module._PROBE_ROUNDS
-    assert _full_solves(solves, n) == 1  # the equalizer's, which finds u not positive
-    game = optimize_module._Game(kernel, MagRange().cell_midpoints(n))
-    rounds, pivots, uy = optimize_module._double_oracle(game, [], [], n // 8)
-    assert (sol.rounds, sol.iterations) == (rounds, pivots)
-    q, _, t_lo, t_hi = optimize_module._bounds(K, *uy)
-    expected = SamplingDistribution(MagRange(), density=q / (MagRange().width / n))
-    assert sol.distribution.density.tobytes() == expected.density.tobytes()
-    assert (sol.achieved_t, sol.certificate_gap) == (t_lo, t_hi - t_lo)
+    # node blocks of 118 of 200 and of 400 points: one LU of the square block,
+    # which finds u not positive, and one LP on it; no n x n solve
+    for kernel, n in ((_asymmetric_table(2), 200), (_asymmetric_table(2, decay=2.0), 400)):
+        solves["shapes"].clear()
+        solver, pivots, (_, _, t_lo, t_hi), dense = _solved(kernel, n)
+        assert (solver, dense) == ("nodes", False) and pivots > 0
+        assert solves["shapes"] and _full_solves(solves, n) == 0
+        assert optimize_module._certified(t_hi - t_lo)
+        assert t_lo == pytest.approx(_lp_oracle(_game(kernel, n))[1], abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", [3, 4, 5, 6, 7])
 @pytest.mark.parametrize("grid_n", [200, 317])
 def test_maxmin_double_oracle_matches_full_lp(seed, grid_n):
+    # the tables the double oracle solved while node blocks past grid // 8
+    # were left to it; one LP on the node block solves them now
     kernel = _asymmetric_table(seed)
     K = _game(kernel, grid_n)
     sol = optimize_max_min(OptimizationConfig(objective=MAX_MIN, kernel=kernel, grid_n=grid_n))
-    assert sol.solver == "double_oracle" and sol.rounds > 0
+    assert sol.solver == "nodes" and not _solved(kernel, grid_n)[3]
     _check_certified(sol, K)
     assert sol.achieved_t == pytest.approx(_lp_oracle(K)[1], abs=1e-12)
-
-
-def _dense_double_oracle(K, S, T, max_size, max_rounds=math.inf):
-    """The double oracle as written on the dense K, before the lazy view."""
-    if not S:
-        S.append(int(np.argmax(K.min(axis=0))))
-        T.append(int(np.argmin(K[:, S[0]])))
-    rounds = pivots = 0
-    while max(len(S), len(T)) <= max_size and rounds < max_rounds:
-        sol = solve_inequality_lp(np.ones(len(T)), K[np.ix_(T, S)].T, np.ones(len(S)))
-        rounds, pivots = rounds + 1, pivots + sol.iterations
-        u_s, y_t = np.maximum(sol.duals, 0.0), np.maximum(sol.x, 0.0)
-        i, j = int(np.argmin(K[:, S] @ u_s)), int(np.argmax(K[T].T @ y_t))
-        if i in T and j in S:
-            u, y = np.zeros(K.shape[0]), np.zeros(K.shape[0])
-            u[S], y[T] = u_s, y_t
-            return rounds, pivots, (u, y)
-        if i not in T:
-            T.append(i)
-        if j not in S:
-            S.append(j)
-    return rounds, pivots, None
 
 
 @pytest.fixture()
@@ -569,50 +544,30 @@ def evaluated(monkeypatch):
     return sizes
 
 
-@pytest.mark.parametrize("seed", range(2, 12))
-def test_double_oracle_evaluates_only_the_rows_and_columns_it_adds(seed, evaluated):
-    # a 64-node table over [0.2, 2.1], as the benchmark's design workload makes
-    # it; optimize_max_min solves it on the node block, so the double oracle
-    # is driven directly
-    kernel, n = _asymmetric_table(seed), 1000
-    K = _game(kernel, n)
-    S, T = [], []
-    rounds, pivots, uy = _dense_double_oracle(K, S, T, n // 8, optimize_module._PROBE_ROUNDS)
-    q, _, t_lo, _ = optimize_module._bounds(K, *uy)
-    evaluated.clear()
-    game = optimize_module._Game(kernel, MagRange().cell_midpoints(n))
-    S_lazy, T_lazy = [], []
-    got = optimize_module._double_oracle(game, S_lazy, T_lazy, n // 8,
-                                         optimize_module._PROBE_ROUNDS)
-    q_lazy, _, t_lazy, t_hi = game.bounds(*got[2], S_lazy, T_lazy)
-    assert sum(evaluated) < n * n / 4 and game.K is None
-    assert (S_lazy, T_lazy) == (S, T) and got[:2] == (rounds, pivots)
-    assert optimize_module._certified(t_hi - t_lazy)
-    assert q_lazy.tobytes() == q.tobytes()
-    # K q sums over the support's columns only, so t may move by a few ulps
-    assert t_lazy == pytest.approx(t_lo, rel=1e-14)
+def _node_block(kernel, grid_n):
+    mids = MagRange().cell_midpoints(grid_n)
+    return tuple(optimize_module._next_to(mids, x) for x in kernel.linear_nodes())
 
 
 @pytest.mark.parametrize("seed", range(2, 12))
 def test_table_game_is_solved_on_its_node_block(seed, evaluated, monkeypatch):
-    # the benchmark's 64-node table at grid 1000: a 118 x 118 block of the
-    # 125 the bound allows, one LP, and a certificate from the support alone
+    # the benchmark's 64-node table at grid 1000: a 118 x 118 block, one LU
+    # that finds u not positive, one LP, and a certificate from the support alone
     kernel, n = _asymmetric_table(seed), 1000
     supports = []
     bounds = optimize_module._Game.bounds
 
-    def recorded(game, u, y, S, T):
-        supports.append((len(S), len(T)))
-        return bounds(game, u, y, S, T)
+    def recorded(game, I, J, u, y):
+        supports.append((np.count_nonzero(u), np.count_nonzero(y)))
+        return bounds(game, I, J, u, y)
 
     monkeypatch.setattr(optimize_module._Game, "bounds", recorded)
     sol = optimize_max_min(OptimizationConfig(objective=MAX_MIN, kernel=kernel, grid_n=n))
-    assert sol.solver == "nodes" and sol.rounds == 0 and sol.iterations > 0
-    game = optimize_module._Game(kernel, MagRange().cell_midpoints(n))
-    I, J = game.node_rows, game.node_cols
-    assert max(len(I), len(J)) <= n // 8
+    assert sol.solver == "nodes" and sol.iterations > 0
+    I, J = _node_block(kernel, n)
+    assert (I.size, J.size) == (118, 118)
     (S, T), = supports
-    assert sum(evaluated) <= len(I) * len(J) + (S + T) * n
+    assert sum(evaluated) <= I.size * J.size + (S + T) * n
     K = _game(kernel, n)
     _check_certified(sol, K)
     assert sol.certificate_gap <= 1e-12
@@ -640,13 +595,12 @@ def _node_tables(draw):
 @settings(max_examples=40, deadline=None)
 @given(_node_tables(), st.integers(128, 400))
 def test_node_block_solves_irregular_tables(kernel, grid_n):
-    # at most 6 nodes in range: at most 14 node rows and columns, within the
-    # bound of grid_n // 8 >= 16
-    game = optimize_module._Game(kernel, MagRange().cell_midpoints(grid_n))
-    assert max(len(game.node_rows), len(game.node_cols)) <= grid_n // 8
-    sol = optimize_max_min(OptimizationConfig(objective=MAX_MIN, kernel=kernel, grid_n=grid_n))
-    assert sol.solver == "nodes"
+    # at most 6 nodes in range: at most 14 node rows and columns
+    solver, _, (_, _, t_lo, t_hi), dense = _solved(kernel, grid_n)
+    assert solver in ("nodes", "equalizer") and not dense
     K = _game(kernel, grid_n)
+    sol = optimize_max_min(OptimizationConfig(objective=MAX_MIN, kernel=kernel, grid_n=grid_n))
+    assert (sol.solver, sol.achieved_t) == (solver, t_lo)
     _check_certified(sol, K)
     assert sol.achieved_t == pytest.approx(_lp_oracle(K)[1], abs=1e-12)
 
@@ -658,16 +612,33 @@ class _LyingTable(TabulatedKernel):
         return self.xs[[0, -1]], self.ys[[0, -1]]
 
 
-def test_table_with_lying_nodes_falls_through():
+class _NodelessTable(TabulatedKernel):
+    """A table that declares no nodes."""
+
+    linear_nodes = Kernel.linear_nodes
+
+
+def test_table_with_lying_nodes_falls_through(monkeypatch):
     table, n = _asymmetric_table(2), 200
     kernel = _LyingTable(table.xs, table.ys, table.values)
-    game = optimize_module._Game(kernel, MagRange().cell_midpoints(n))
-    assert game.node_rows == game.node_cols == [0, n - 1]
+    assert [b.tolist() for b in _node_block(kernel, n)] == [[0, n - 1]] * 2
+    shapes = []
+    lp = optimize_module.solve_inequality_lp
+    monkeypatch.setattr(optimize_module, "solve_inequality_lp",
+                        lambda c, A, b: shapes.append(A.shape) or lp(c, A, b))
     # the 2 x 2 block game is not the grid game, and its certificate shows it
-    pivots, bounds = optimize_module._node_game(game, n // 8)
-    assert pivots > 0 and bounds is None
     sol = optimize_max_min(OptimizationConfig(objective=MAX_MIN, kernel=kernel, grid_n=n))
-    assert sol.solver == "double_oracle" and sol.iterations > pivots
+    assert sol.solver == "simplex" and shapes == [(2, 2), (n, n)]
+    K = _game(kernel, n)
+    _check_certified(sol, K)
+    assert sol.achieved_t == pytest.approx(_lp_oracle(K)[1], abs=1e-12)
+
+
+def test_undeclared_asymmetric_table_takes_the_simplex():
+    table, n = _asymmetric_table(2), 200
+    kernel = _NodelessTable(table.xs, table.ys, table.values)
+    sol = optimize_max_min(OptimizationConfig(objective=MAX_MIN, kernel=kernel, grid_n=n))
+    assert sol.solver == "simplex" and sol.iterations > 0
     K = _game(kernel, n)
     _check_certified(sol, K)
     assert sol.achieved_t == pytest.approx(_lp_oracle(K)[1], abs=1e-12)
@@ -690,9 +661,9 @@ def test_maxmin_value_matches_full_lp_on_random_tables(nodes, values, grid_n):
 
 
 def test_maxmin_large_support_falls_back_to_simplex(info_kernel):
-    # A game on the cell midpoints: the info kernel with source 0 replaced by
-    # half of source 1. K is singular, so the equalizer fails, and the optimal
-    # support keeps most of the grid, so the restricted game outgrows its bound.
+    # A game on the cell midpoints, so its node block is the whole grid: the
+    # info kernel with source 0 replaced by half of source 1. K is singular,
+    # so the equalizer fails, and the optimal support keeps most of the grid.
     n = 80
     mids = MagRange().cell_midpoints(n)
     values = np.asarray(info_kernel(mids[:, None], mids[None, :]), dtype=float)
@@ -701,34 +672,34 @@ def test_maxmin_large_support_falls_back_to_simplex(info_kernel):
     K = _game(kernel, n)
     assert np.array_equal(K, values)
     sol = optimize_max_min(OptimizationConfig(objective=MAX_MIN, kernel=kernel, grid_n=n))
-    assert sol.solver == "simplex" and sol.rounds > 0
+    assert sol.solver == "simplex"
     q = _check_certified(sol, K)
     assert np.count_nonzero(q) > n // 8
     assert sol.achieved_t == pytest.approx(_lp_oracle(K)[1], abs=1e-12)
 
 
 def test_maxmin_singular_game_falls_back_to_simplex():
-    # Interpolating the constant table leaves 1-ulp noise in K, so the best
-    # responses move, and at grid 10 the bound (one cell) is soon outgrown.
+    # the constant table, declaring no nodes: its dense K is singular
     xs = np.array([0.25, 2.0])
-    const = TabulatedKernel(xs, xs, np.full((2, 2), 0.37))
+    const = _NodelessTable(xs, xs, np.full((2, 2), 0.37))
     K = _game(const, 10)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(K, np.ones(10))
     sol = optimize_max_min(OptimizationConfig(objective=MAX_MIN, kernel=const, grid_n=10))
-    assert sol.solver == "simplex" and sol.rounds > 0
+    assert sol.solver == "simplex"
     _check_certified(sol, K)
     assert sol.achieved_t == pytest.approx(0.37, abs=1e-12)
 
 
 # Bytes of `optimize --objective maxmin` on a tabulated kernel, written by the
-# double oracle. The optimal q of such a game is not unique, so a different
-# solver path may give other bytes at the same achieved_t.
-TABULATED_MAXMIN_SHA256 = "6a206898e79a91b3f6fd53b90d7de384d5246a08223334b0148d1f8392828467"
+# LP on its node block. The optimal q of such a game is not unique, so a
+# different solver path may give other bytes at the same achieved_t.
+TABULATED_MAXMIN_SHA256 = "8902fdb5ca002c59487cd8a95838d7b4a0d51f23fe67ac58a9d1a7a172c63efb"
 
 
 def test_tabulated_maxmin_msdist_golden_digest(tmp_path, monkeypatch):
     kernel = _asymmetric_table(2, n=16)
+    assert _solved(kernel, 200)[0] == "nodes"
     lines = ["x,y,value"]
     for i, x in enumerate(kernel.xs):
         for j, y in enumerate(kernel.ys):
@@ -797,6 +768,28 @@ def test_dense_game_past_the_bound_exits_2_before_allocating(tmp_path, monkeypat
     err = capsys.readouterr().err
     assert "1.07 GiB" in err and "grid <= 11585" in err
     assert not evaluated and peak < 10e6
+    assert not (tmp_path / "mm.msdist").exists()
+
+
+def test_simplex_past_the_bound_exits_2_before_allocating(tmp_path, monkeypatch, capsys):
+    # no nodes and not completely mixed: only the LP on the whole grid solves
+    # it. At grid 400 its 1.28 MB K fits a bound of 4 MB, and the LP's
+    # tableaux, 10.2 MB, do not.
+    table, n = _asymmetric_table(2), 400
+    kernel = _NodelessTable(table.xs, table.ys, table.values)
+    monkeypatch.setattr(optimize_module, "_DENSE_BYTES", 4 << 20)
+    monkeypatch.setattr(cli, "kernel_from_string", lambda selector: kernel)
+    monkeypatch.chdir(tmp_path)
+    lp_bytes = optimize_module.lp_peak_bytes(n, n)
+    tracemalloc.start()
+    try:
+        code = main(["optimize", "--objective", "maxmin", "--grid", str(n), "--out", "mm.msdist"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "the simplex on the 400 x 400 game" in capsys.readouterr().err
+    assert 8 * n * n < peak < lp_bytes / 2
     assert not (tmp_path / "mm.msdist").exists()
 
 

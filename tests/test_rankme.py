@@ -277,6 +277,14 @@ def test_embedding_set_validation():
         EmbeddingSet(mpps=[0.5], vectors=np.array([[np.inf, 1.0]]))
 
 
+def test_default_ids_are_made_on_first_access():
+    es = EmbeddingSet(mpps=[0.25, 0.5, 0.5], vectors=np.eye(3))
+    assert es._ids is None  # nothing built for a reader that never asks
+    assert es.ids == ["0", "1", "2"] and es.ids is es.ids
+    with pytest.raises(DomainError):
+        EmbeddingSet(mpps=[0.25, 0.5], vectors=np.eye(2), ids=["a"])
+
+
 def test_embeddings_csv_roundtrip(tmp_path):
     path = tmp_path / "emb.csv"
     path.write_text(

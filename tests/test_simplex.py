@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from magsample.errors import SolverError
-from magsample.simplex import solve_inequality_lp
+from magsample.simplex import lp_peak_bytes, solve_inequality_lp
 
 
 def test_tiny_box_lp():
@@ -96,3 +98,16 @@ def test_game_lp_certificate():
         upper = float((K.T @ r).max())  # value conceded by the adversary
         assert upper - lower >= -1e-12
         assert upper - lower < 1e-9
+
+
+def test_peak_bytes_are_what_the_solver_allocates():
+    # a game's LP: A is the transpose of a positive block, as max-min passes it
+    for m, n in ((118, 118), (300, 200)):
+        block = np.random.default_rng(m).uniform(0.5, 1.0, (n, m))
+        tracemalloc.start()
+        try:
+            solve_inequality_lp(np.ones(n), block.T, np.ones(m))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.95 < peak / lp_peak_bytes(m, n) < 1.05
