@@ -505,15 +505,31 @@ def test_maxmin_sparse_game_takes_the_node_block():
 
 
 def test_sparse_game_makes_no_full_solve(solves):
-    # node blocks of 118 of 200 and of 400 points: one LU of the square block,
-    # which finds u not positive, and one LP on it; no n x n solve
-    for kernel, n in ((_asymmetric_table(2), 200), (_asymmetric_table(2, decay=2.0), 400)):
-        solves["shapes"].clear()
-        solver, pivots, (_, _, t_lo, t_hi), dense = _solved(kernel, n)
-        assert (solver, dense) == ("nodes", False) and pivots > 0
-        assert solves["shapes"] and _full_solves(solves, n) == 0
-        assert optimize_module._certified(t_hi - t_lo)
-        assert t_lo == pytest.approx(_lp_oracle(_game(kernel, n))[1], abs=1e-12)
+    # a node block of 118 of 200 points: one LU of the square block, which
+    # finds u not positive, and one LP on it; no n x n solve
+    kernel, n = _asymmetric_table(2), 200
+    solver, pivots, (_, _, t_lo, t_hi), dense = _solved(kernel, n)
+    assert (solver, dense) == ("nodes", False) and pivots > 0
+    assert solves["shapes"] and _full_solves(solves, n) == 0
+    assert optimize_module._certified(t_hi - t_lo)
+    assert t_lo == pytest.approx(_lp_oracle(_game(kernel, n))[1], abs=1e-12)
+
+
+def test_long_sparse_game_is_solved_on_its_node_block(solves):
+    # a faster decay spreads the support over more of the grid; the node
+    # block still holds it, so the game takes no n x n solve
+    kernel, n = _asymmetric_table(2, decay=2.0), 400
+    K = _game(kernel, n)
+    sol = optimize_max_min(OptimizationConfig(objective=MAX_MIN, kernel=kernel, grid_n=n))
+    assert sol.solver == "nodes" and sol.iterations > 0
+    assert solves["shapes"] and _full_solves(solves, n) == 0
+    solver, pivots, (q, _, t_lo, t_hi), dense = _solved(kernel, n)
+    assert (solver, dense) == ("nodes", False) and sol.iterations == pivots
+    expected = SamplingDistribution(MagRange(), density=q / (MagRange().width / n))
+    assert sol.distribution.density.tobytes() == expected.density.tobytes()
+    assert (sol.achieved_t, sol.certificate_gap) == (t_lo, t_hi - t_lo)
+    _check_certified(sol, K)
+    assert sol.achieved_t == pytest.approx(_lp_oracle(K)[1], abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", [3, 4, 5, 6, 7])
