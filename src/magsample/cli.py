@@ -26,7 +26,7 @@ points next to its nodes. A game that needs a larger block, up to the dense
 grid x grid kernel matrix (a kernel that declares no structure, or a table
 whose nodes are wrong), is bounded: a block, and the simplex tableau on it,
 must fit in 1 GiB (the dense matrix past grid 11585, the simplex on the whole
-grid past grid 4095), else the game is a ``ParameterError`` (exit 2) naming
+grid past grid 5791), else the game is a ``ParameterError`` (exit 2) naming
 the GiB it would need, raised before anything is allocated.
 
 ``crop-apply`` parses the plan's header and only the line of its entry
@@ -61,7 +61,7 @@ from .errors import (
     ShapeError,
     SolverError,
 )
-from .kernels import MagRange, kernel_from_string, transfer_potential_curve
+from .kernels import DEFAULT_GRID, MagRange, kernel_from_string, transfer_potential_curve
 from .optimize import (
     MAX_AVG_ENTROPY,
     MAX_MIN,
@@ -70,6 +70,8 @@ from .optimize import (
     optimize_max_min,
 )
 from .rankme import (
+    DEFAULT_EPSILON,
+    DEFAULT_GROUP_TOLERANCE,
     centroid_similarity,
     load_embeddings,
     rankme_profile,
@@ -77,6 +79,7 @@ from .rankme import (
     write_similarity_csv,
 )
 from .sampler import (
+    STANDARD_MPPS,
     SamplerConfig,
     apply_crop,
     generate_plan,
@@ -128,6 +131,10 @@ def _digest(path) -> str:
 
 _INPUT_ARGS = ("dist", "embeddings", "image", "plan")
 
+# Each default is the library's own, written as the option's text.
+_DEFAULT_RANGE = f"{MagRange.a}:{MagRange.b}"
+_DEFAULT_STANDARDS = ",".join(map(str, STANDARD_MPPS))
+
 
 def _write_manifest(args, outs):
     """Write ``<out>.manifest.txt`` for each path in ``outs``, all the same bytes.
@@ -175,11 +182,11 @@ def _open_out(path):
 
 def _add_common(parser):
     parser.add_argument("--out", required=True, help="output file path")
-    parser.add_argument("--grid", type=int, default=1000, help="grid size")
+    parser.add_argument("--grid", type=int, default=DEFAULT_GRID, help="grid size")
     parser.add_argument(
         "--range",
         default=None,
-        help="magnification range <a>:<b> (default 0.25:2.0; commands reading "
+        help=f"magnification range <a>:<b> (default {_DEFAULT_RANGE}; commands reading "
         "a distribution file take the range from the file and only check it)",
     )
     parser.add_argument(
@@ -245,16 +252,15 @@ def cmd_compare(args) -> list[str]:
 def cmd_optimize(args) -> list[str]:
     mag_range = _parse_range(args.range)
     kernel = kernel_from_string(args.kernel)
-    objective = {"maxavg": MAX_AVG_ENTROPY, "maxmin": MAX_MIN}[args.objective]
     cfg = OptimizationConfig(
-        objective=objective,
+        objective=args.objective,
         kernel=kernel,
         mag_range=mag_range,
         grid_n=args.grid,
         lam=getattr(args, "lambda"),
     )
     comments = []
-    if objective == MAX_AVG_ENTROPY:
+    if cfg.objective == MAX_AVG_ENTROPY:
         dist = optimize_max_avg(cfg)
     else:
         solution = optimize_max_min(cfg)
@@ -313,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kernel", help="tabulate a kernel's transfer potential")
     _add_common(p)
-    p.set_defaults(range="0.25:2.0")
+    p.set_defaults(range=_DEFAULT_RANGE)
 
     p = sub.add_parser("signal", help="evaluate the signal profile of a distribution")
     _add_common(p)
@@ -327,31 +333,36 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="derive an optimized sampling distribution")
     _add_common(p)
     p.add_argument(
-        "--objective", required=True, choices=["maxavg", "maxmin"], help="objective"
+        "--objective", required=True, choices=[MAX_AVG_ENTROPY, MAX_MIN], help="objective"
     )
-    p.add_argument("--lambda", type=float, default=1.0, help="entropy weight (maxavg)")
-    p.set_defaults(range="0.25:2.0")
+    p.add_argument("--lambda", type=float, default=OptimizationConfig.lam,
+                   help="entropy weight (maxavg)")
+    p.set_defaults(range=_DEFAULT_RANGE)
 
     p = sub.add_parser("plan", help="generate a crop-and-resize sampling plan")
     p.add_argument("--dist", required=True, help="distribution file (msdist)")
     p.add_argument("--n", type=int, required=True, help="number of plan entries")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed")
-    p.add_argument("--patch-size", type=int, default=224, help="output patch size (px)")
-    p.add_argument("--source-size", type=int, default=512, help="source patch size (px)")
+    p.add_argument("--seed", type=int, default=SamplerConfig.rng_seed, help="RNG seed")
+    p.add_argument("--patch-size", type=int, default=SamplerConfig.output_size_px,
+                   help="output patch size (px)")
+    p.add_argument("--source-size", type=int, default=SamplerConfig.source_size_px,
+                   help="source patch size (px)")
     p.add_argument(
-        "--standards", default="0.25,0.5,1.0,2.0", help="comma-separated standard mpps"
+        "--standards", default=_DEFAULT_STANDARDS, help="comma-separated standard mpps"
     )
     p.add_argument("--out", required=True, help="plan CSV path")
 
     p = sub.add_parser("rankme", help="profile embedding rank per magnification")
     p.add_argument("--embeddings", required=True, help="embedding file (CSV or MSEB)")
-    p.add_argument("--epsilon", type=float, default=1e-7, help="stability constant")
-    p.add_argument("--group-tol", type=float, default=1e-6, help="mpp grouping tolerance")
+    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON, help="stability constant")
+    p.add_argument("--group-tol", type=float, default=DEFAULT_GROUP_TOLERANCE,
+                   help="mpp grouping tolerance")
     p.add_argument("--out", required=True, help="output CSV path")
 
     p = sub.add_parser("similarity", help="centroid cosine similarities by magnification")
     p.add_argument("--embeddings", required=True, help="embedding file (CSV or MSEB)")
-    p.add_argument("--group-tol", type=float, default=1e-6, help="mpp grouping tolerance")
+    p.add_argument("--group-tol", type=float, default=DEFAULT_GROUP_TOLERANCE,
+                   help="mpp grouping tolerance")
     p.add_argument("--out", required=True, help="output CSV path")
 
     p = sub.add_parser("crop-apply", help="apply one plan entry to a raw image array")

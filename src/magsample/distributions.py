@@ -14,8 +14,8 @@ Distribution file format (``.msdist``), UTF-8 text:
     density <n>             (optional, followed by n nonnegative cell values,
                              whitespace-separated, possibly spanning lines)
 
-Lines starting with ``#`` after the first are comments. Numbers are decimal
-and written at full precision.
+Lines starting with ``#`` after the first are comments. Lines end at
+``\\n``, ``\\r`` or ``\\r\\n``. Numbers are decimal and written at full precision.
 """
 
 from __future__ import annotations
@@ -296,9 +296,13 @@ def mix(
 
 
 def parse_distribution(text: str) -> SamplingDistribution:
-    """Parse the ``#msdist v1`` text format; errors carry line numbers."""
-    lines = text.splitlines()
-    if not lines or lines[0].rstrip() != _MAGIC:
+    """Parse the ``#msdist v1`` text format; errors carry line numbers.
+
+    Lines end at ``\\n``, ``\\r`` or ``\\r\\n``, as text mode reads them; any
+    other character that ``str.splitlines`` breaks at is whitespace.
+    """
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[0].rstrip() != _MAGIC:
         raise FormatError(f"expected {_MAGIC!r} header", line=1)
 
     mag_range = None

@@ -29,6 +29,16 @@ import numpy as np
 from . import csvio
 from .errors import DomainError, FormatError, ParameterError, RangeError
 
+# The grid size of every function and command that tabulates over a range
+# when none is given.
+DEFAULT_GRID = 1000
+
+# Grid points per kernel call where a grid-by-grid matrix is built in blocks
+# (signal's edge-by-target matrix, a max-min game's blocks of K), so that
+# memory does not grow with the grid.
+GRID_BLOCK = 256
+
+
 @dataclass(frozen=True)
 class MagRange:
     """Closed magnification interval [a, b] in microns per pixel."""
@@ -404,7 +414,7 @@ class TransferPotentialCurve:
 
 
 def transfer_potential_curve(
-    kernel: Kernel, mag_range: MagRange = MagRange(), grid_n: int = 1000
+    kernel: Kernel, mag_range: MagRange = MagRange(), grid_n: int = DEFAULT_GRID
 ) -> TransferPotentialCurve:
     """Evaluate the transfer potential on a uniform ``grid_n``-point grid."""
     xs = mag_range.grid(grid_n)

@@ -50,7 +50,8 @@ LP, and a block that is not completely mixed costs one LU (0.12-0.23 ms on a
 on the dense simplex. The first block whose certificate closes wins; the
 whole grid's LP always ends the game. A block, and the LP's tableau, is
 allocated only if its bytes fit in ``_DENSE_BYTES`` (1 GiB; the dense K fits
-grid <= 11585); past that the game is a ParameterError.
+grid <= 11585, the LP on the whole grid grid <= 5791); past that the game is a
+ParameterError.
 
 On every path q and the adversary weights r certify optimality on the whole
 grid: min(K q) <= t* <= max(K'r), computed with the path's own products by K
@@ -68,7 +69,7 @@ import numpy as np
 
 from .distributions import SamplingDistribution
 from .errors import DomainError, ParameterError, SolverError
-from .kernels import Kernel, MagRange
+from .kernels import DEFAULT_GRID, GRID_BLOCK, Kernel, MagRange
 from .signal import total_signal
 from .simplex import lp_peak_bytes, solve_inequality_lp
 
@@ -78,11 +79,8 @@ MAX_MIN = "maxmin"
 _CERT_GAP_TOL = 1e-6
 
 # A block of K, and the tableau of an LP on one, is allocated only if its bytes
-# fit in this: the dense K fits grid <= 11585.
+# fit in this: the dense K fits grid <= 11585, the LP on it grid <= 5791.
 _DENSE_BYTES = 1 << 30
-
-# Rows of K per kernel call when a block is built, as signal builds its blocks.
-_ROW_BLOCK = 256
 
 # A declared structure must match Kernel.__call__ to this relative tolerance.
 _DECLARATION_RTOL = 1e-12
@@ -101,7 +99,7 @@ class OptimizationConfig:
     objective: str
     kernel: Kernel
     mag_range: MagRange = field(default_factory=MagRange)
-    grid_n: int = 1000
+    grid_n: int = DEFAULT_GRID
     lam: float = 1.0
 
     def __post_init__(self):
@@ -185,24 +183,24 @@ class _Game:
         return bool(np.all(np.abs(values - declared) <= _DECLARATION_RTOL * np.abs(declared)))
 
     def block(self, I, J):
-        """K[I][:, J], built 256 rows at a time and scanned for an entry <= 0."""
+        """K[I][:, J], built GRID_BLOCK rows at a time and scanned for an entry <= 0."""
         x, y = self.mids[I], self.mids[J]
         _check_bytes(self.n, f"the {x.size} x {y.size} kernel matrix", 8 * x.size * y.size)
         K = np.empty((x.size, y.size))
-        for lo in range(0, x.size, _ROW_BLOCK):
-            rows = K[lo : lo + _ROW_BLOCK]
-            rows[...] = self.kernel(x[lo : lo + _ROW_BLOCK, None], y[None, :])
+        for lo in range(0, x.size, GRID_BLOCK):
+            rows = K[lo : lo + GRID_BLOCK]
+            rows[...] = self.kernel(x[lo : lo + GRID_BLOCK, None], y[None, :])
             _check_positive(rows)
         if K.size == self.n * self.n:
             self.K = K
         return K
 
     def bounds(self, I, J, u, y):
-        """``_bounds`` for u on the sources J and y on the targets I: from the
-        dense K once it is built (I and J are then the grid), else from K's
+        """``_certify`` for u on the sources J and y on the targets I: with the
+        dense K once it is built (I and J are then the grid), else with K's
         columns on u's support and its rows on y's."""
         if self.K is not None:
-            return _bounds(self.K, u, y)
+            return _certify(u, y, self.K.__matmul__, self.K.T.__matmul__)
         S, T = J[u != 0.0], I[y != 0.0]
         u_grid, y_grid = np.zeros(self.n), np.zeros(self.n)
         u_grid[J], y_grid[I] = u, y
@@ -248,19 +246,25 @@ def _blocks(game):
     yield grid, grid
 
 
-def _solve_game(game):
-    """The solver name, pivots and bounds of the first path that solves the game."""
+def _matrix_free(game):
+    """(solver, u, w -> K w) of each matrix-free path whose declaration holds,
+    in order; u may be None. Each K is symmetric, so y = u."""
     factors = _green(game)
     if factors is not None:
-        bounds = _symmetric_bounds(_green_solve(*factors), lambda w: _green_matvec(*factors, w))
-        if bounds is not None:
-            return "green", 0, bounds
+        yield "green", _green_solve(*factors), lambda w: _green_matvec(*factors, w)
     column = _toeplitz(game)
     if column is not None:
         matvec = _toeplitz_matvec(column)
-        bounds = _symmetric_bounds(_toeplitz_solve(column, matvec), matvec)
-        if bounds is not None:
-            return "toeplitz", 0, bounds
+        yield "toeplitz", _toeplitz_solve(column, matvec), matvec
+
+
+def _solve_game(game):
+    """The solver name, pivots and bounds of the first path that solves the game."""
+    for solver, u, matvec in _matrix_free(game):
+        if u is not None and u.min() > 0.0:
+            bounds = _certify(u, u, matvec, matvec)
+            if _certified(bounds[3] - bounds[2]):
+                return solver, 0, bounds
     pivots = 0
     for I, J in _blocks(game):
         block = game.block(I, J)
@@ -388,20 +392,6 @@ def _toeplitz_solve(column, matvec):
     return None
 
 
-def _symmetric_bounds(u, matvec):
-    """Bounds of q = u / sum(u), r = q on a symmetric K given by its product,
-    or None unless u is strictly positive and the certificate closes.
-
-    With r = q, K'r is K q, so max(K'r) is the largest entry of the signal.
-    """
-    if u is None or not u.min() > 0.0:
-        return None
-    q = u / u.sum()
-    signal = matvec(q)
-    bounds = q, signal, float(signal.min()), float(signal.max())
-    return bounds if _certified(bounds[3] - bounds[2]) else None
-
-
 def _equalizer(K):
     """(u, y) solving K u = 1 and K'y = 1, or None unless both are strictly positive."""
     ones = np.ones(K.shape[0])
@@ -416,13 +406,9 @@ def _equalizer(K):
     return (u, y) if y.min() > 0.0 else None
 
 
-def _bounds(K, u, y):
-    """q = u / sum(u), its signal K q, min(K q) and max(K'r) for r = y / sum(y)."""
-    return _certify(u, y, K.__matmul__, K.T.__matmul__)
-
-
 def _certify(u, y, Kq, Ktr):
-    """``_bounds`` with the products by K and by K' given as functions."""
+    """q = u / sum(u), its signal K q, min(K q) and max(K'r) for r = y / sum(y),
+    with the products by K and by K' given as functions."""
     if u.sum() <= 0.0 or y.sum() <= 0.0:
         raise SolverError("degenerate game solution")
     q = u / u.sum()

@@ -48,6 +48,11 @@ DEFAULT_EPSILON = 1e-7
 DEFAULT_GROUP_TOLERANCE = 1e-6
 
 
+def _emb_record(dim: int) -> np.dtype:
+    """One ``.mseb`` record: f64 mpp, then ``dim`` f32 components, little-endian."""
+    return np.dtype([("mpp", "<f8"), ("vec", "<f4", (dim,))])
+
+
 class EmbeddingSet:
     """N embedding vectors, each tagged with the mpp it was extracted at."""
 
@@ -125,15 +130,21 @@ class CentroidSimilarity:
 def rankme(embeddings, epsilon: float = DEFAULT_EPSILON) -> float:
     """Effective rank of an embedding matrix (or EmbeddingSet)."""
     if isinstance(embeddings, EmbeddingSet):
-        embeddings = embeddings.vectors
+        return _rankme(embeddings.vectors, epsilon)
     matrix = np.asarray(embeddings, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] < 1 or matrix.shape[1] < 1:
         raise DomainError("rankme needs a nonempty 2-D matrix")
     if not np.all(np.isfinite(matrix)):
         raise DomainError("rankme input contains non-finite values")
+    return _rankme(matrix, epsilon)
+
+
+def _rankme(vectors, epsilon: float) -> float:
+    """Effective rank of a nonempty 2-D matrix of finite values, widened to
+    float64, as an EmbeddingSet's vectors (and their groups) are."""
     if epsilon < 0:
         raise ParameterError(f"epsilon must be nonnegative, got {epsilon}")
-    sigma = np.linalg.svd(matrix, compute_uv=False)
+    sigma = np.linalg.svd(np.asarray(vectors, dtype=float), compute_uv=False)
     total = sigma.sum()
     if total <= 0.0:
         raise DegenerateInputError("all singular values are zero")
@@ -173,7 +184,7 @@ def rankme_profile(
             GroupRankMe(
                 mpp=group_mpp,
                 count=int(rows.size),
-                rankme=rankme(embeddings.vectors[rows], epsilon),
+                rankme=_rankme(embeddings.vectors[rows], epsilon),
             )
         )
     return RankMeProfile(groups=groups, epsilon=epsilon)
@@ -247,14 +258,15 @@ def read_embeddings_binary(path) -> EmbeddingSet:
             raise FormatError(f"bad embedding magic {magic!r}")
         if version != _EMB_VERSION:
             raise FormatError(f"unsupported embedding version {version}")
+        # sized by arithmetic: numpy cannot build the record of a dim near 2**29
+        # or more, which a lying header may claim
         payload = csvio.read_payload(f, n * (8 + 4 * dim), "embedding")
-    records = payload.view([("mpp", "<f8"), ("vec", "<f4", (dim,))])
+    records = payload.view(_emb_record(dim))
     return EmbeddingSet(mpps=records["mpp"], vectors=records["vec"])
 
 
 def write_embeddings_binary(path, embeddings: EmbeddingSet):
-    record = np.dtype([("mpp", "<f8"), ("vec", "<f4", (embeddings.dim,))])
-    out = np.empty(embeddings.n, dtype=record)
+    out = np.empty(embeddings.n, dtype=_emb_record(embeddings.dim))
     out["mpp"] = embeddings.mpps
     out["vec"] = embeddings.vectors
     with open(path, "wb") as f:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -39,21 +39,6 @@ from .errors import FeasibilityError, FormatError, ParameterError, ShapeError
 from .rng import CounterRng
 
 STANDARD_MPPS = (0.25, 0.5, 1.0, 2.0)
-
-PLAN_CSV_FIELDS = (
-    "index",
-    "target_mpp",
-    "source_mpp",
-    "source_size_px",
-    "crop_size_px",
-    "output_size_px",
-    "offset_x_frac",
-    "offset_y_frac",
-)
-_INT_FIELDS = ("index", "source_size_px", "crop_size_px", "output_size_px")
-PLAN_DTYPE = np.dtype(
-    [(name, "<i8" if name in _INT_FIELDS else "<f8") for name in PLAN_CSV_FIELDS]
-)
 
 _IMAGE_MAGIC = b"MSIM"
 _IMAGE_HEADER = struct.Struct("<4sIII")
@@ -75,6 +60,12 @@ class CropPlanEntry:
     output_size_px: int
     offset_x_frac: float
     offset_y_frac: float
+
+
+PLAN_CSV_FIELDS = tuple(f.name for f in fields(CropPlanEntry))
+PLAN_DTYPE = np.dtype(
+    [(f.name, "<i8" if f.type == "int" else "<f8") for f in fields(CropPlanEntry)]
+)
 
 
 class CropPlan:
@@ -240,9 +231,7 @@ def generate_plan(cfg: SamplerConfig, n: int) -> CropPlan:
 
 _CSV_HEADER = ",".join(PLAN_CSV_FIELDS) + "\n"
 _CSV_CHUNK_ROWS = 8192
-_UNIQUE_FIELDS = (
-    "target_mpp", "source_mpp", "source_size_px", "crop_size_px", "output_size_px"
-)
+_DISTINCT_FIELDS = ("index", "offset_x_frac", "offset_y_frac")
 
 
 def _csv_chunks(plan: CropPlan):
@@ -257,12 +246,12 @@ def _csv_chunks(plan: CropPlan):
         rows = plan.rows[start : start + _CSV_CHUNK_ROWS]
         columns = []
         for name in PLAN_CSV_FIELDS:
-            if name in _UNIQUE_FIELDS:
+            if name in _DISTINCT_FIELDS:
+                columns.append(map(repr, rows[name].tolist()))
+            else:
                 values, which = np.unique(rows[name], return_inverse=True)
                 text = list(map(repr, values.tolist()))
                 columns.append(map(text.__getitem__, which.tolist()))
-            else:
-                columns.append(map(repr, rows[name].tolist()))
         yield "\n".join(map(",".join, zip(*columns))) + "\n"
 
 

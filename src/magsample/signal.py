@@ -36,11 +36,7 @@ import numpy as np
 
 from .distributions import SamplingDistribution
 from .errors import RangeError
-from .kernels import Kernel
-
-# Targets per kernel block in accumulated_signal: the edge-by-target matrix
-# then holds at most (cells + 1) * 256 floats, not about cells * grid_n.
-_TARGET_BLOCK = 256
+from .kernels import DEFAULT_GRID, GRID_BLOCK, Kernel
 
 
 class SignalSummary(NamedTuple):
@@ -74,14 +70,14 @@ def _check_ranges(dist: SamplingDistribution, kernel: Kernel):
 
 
 def accumulated_signal(
-    dist: SamplingDistribution, kernel: Kernel, grid_n: int = 1000
+    dist: SamplingDistribution, kernel: Kernel, grid_n: int = DEFAULT_GRID
 ) -> SignalProfile:
     """Evaluate S(y) on a uniform grid of ``grid_n`` targets over the range."""
     return accumulated_signals([dist], kernel, grid_n)[0]
 
 
 def accumulated_signals(
-    dists: Sequence[SamplingDistribution], kernel: Kernel, grid_n: int = 1000
+    dists: Sequence[SamplingDistribution], kernel: Kernel, grid_n: int = DEFAULT_GRID
 ) -> list[SignalProfile]:
     """The profile of :func:`accumulated_signal` for each distribution.
 
@@ -104,8 +100,8 @@ def accumulated_signals(
     for i, (dist, y, g) in enumerate(zip(dists, ys, green)):
         if dist.has_density and g is None:
             dense.setdefault((dist.range, dist.cells), (dist.cell_edges(), y, []))[2].append(i)
-    for lo in range(0, grid_n, _TARGET_BLOCK):
-        block = slice(lo, lo + _TARGET_BLOCK)
+    for lo in range(0, grid_n, GRID_BLOCK):
+        block = slice(lo, lo + GRID_BLOCK)
         for dist, y, v in zip(dists, ys, values):
             if dist.has_atoms:
                 km = kernel(dist.atom_locations[:, None], y[None, block])
@@ -150,7 +146,7 @@ def _green_density_signal(density, edges, kernel, ys):
 
 
 def signal_summary(
-    dist: SamplingDistribution, kernel: Kernel, grid_n: int = 1000
+    dist: SamplingDistribution, kernel: Kernel, grid_n: int = DEFAULT_GRID
 ) -> SignalSummary:
     """Grid minimum and trapezoid integral of S(y) over the range."""
     return accumulated_signal(dist, kernel, grid_n).summary()

@@ -49,15 +49,18 @@ class LpSolution:
 
 
 def lp_peak_bytes(m: int, n: int) -> int:
-    """Bytes that :func:`solve_inequality_lp` holds at once for an m x n ``A``:
-    a contiguous copy of A, ``[A | I]``, the tableau, its scratch copy and the
-    final basis matrix."""
-    return 8 * (m * n + m * (n + m) + 2 * (m + 1) * (n + m + 1) + m * m)
+    """Bytes that :func:`solve_inequality_lp` holds at once for an m x n ``A``,
+    besides ``A`` itself: the larger of what it holds while it pivots (the
+    tableau, its scratch copy, and numpy's two buffers of ``np.getbufsize()``
+    doubles for the broadcast rank-1 product) and ``[A | I]`` with the final
+    basis matrix, when it is refactorized."""
+    pivoting = 2 * (m + 1) * (n + m + 1) + 2 * np.getbufsize()
+    return 8 * max(pivoting, m * (n + m) + m * m)
 
 
 def solve_inequality_lp(c, A, b, max_iter: int = 100000) -> LpSolution:
     """Maximize ``c @ x`` s.t. ``A @ x <= b``, ``x >= 0`` (requires ``b >= 0``)."""
-    A = np.ascontiguousarray(A, dtype=float)
+    A = np.asarray(A, dtype=float)
     c = np.asarray(c, dtype=float)
     b = np.asarray(b, dtype=float)
     m, n = A.shape
@@ -66,59 +69,11 @@ def solve_inequality_lp(c, A, b, max_iter: int = 100000) -> LpSolution:
     if np.any(b < 0):
         raise SolverError("slack start requires a nonnegative right-hand side")
 
-    full = np.concatenate([A, np.eye(m)], axis=1)
-    T = np.zeros((m + 1, n + m + 1))
-    T[:m, :-1] = full
-    T[:m, -1] = b
-    T[m, :n] = -c
-
-    basis = np.arange(n, n + m)
-    bland = False
-    stall = 0
-    last_obj = 0.0
-    iterations = 0
-    scratch = np.empty_like(T)  # rank-1 update buffer, reused every pivot
-
-    while True:
-        red = T[m, : n + m]
-        if bland:
-            negs = np.flatnonzero(red < -_COST_TOL)
-            if negs.size == 0:
-                break
-            j = int(negs[0])
-        else:
-            j = int(np.argmin(red))
-            if red[j] >= -_COST_TOL:
-                break
-        if iterations >= max_iter:
-            raise SolverError(
-                f"simplex iteration budget ({max_iter}) exhausted",
-                residual=float(max(0.0, -red.min())),
-            )
-        col = T[:m, j]
-        rows = np.flatnonzero(col > _PIVOT_TOL)
-        if rows.size == 0:
-            raise SolverError(f"linear program is unbounded along variable {j}")
-        ratios = T[rows, -1] / col[rows]
-        ties = rows[ratios <= ratios.min()]
-        r = int(ties[np.argmin(basis[ties])])
-
-        T[r] /= T[r, j]
-        colv = T[:, j].copy()
-        colv[r] = 0.0  # so row r, already divided, is left as it is
-        np.multiply(colv[:, None], T[r][None, :], out=scratch)
-        np.subtract(T, scratch, out=T)
-        T[:, j] = 0.0
-        T[r, j] = 1.0
-        basis[r] = j
-        iterations += 1
-
-        stall = stall + 1 if T[m, -1] <= last_obj + 1e-13 else 0
-        bland = bland or stall >= _STALL_PIVOTS
-        last_obj = T[m, -1]
+    basis, iterations = _pivot(c, A, b, max_iter)
 
     # Refactorize from the original data; the tableau only guided pivoting.
     cfull = np.concatenate([c, np.zeros(m)])
+    full = np.concatenate([A, np.eye(m)], axis=1)
     B = full[:, basis]
     try:
         xb = np.linalg.solve(B, b)
@@ -158,6 +113,63 @@ def solve_inequality_lp(c, A, b, max_iter: int = 100000) -> LpSolution:
         slacks=xfull[n:],
         objective=objective,
         iterations=iterations,
-        basis=basis.copy(),
+        basis=basis,
         residuals=residuals,
     )
+
+
+def _pivot(c, A, b, max_iter):
+    """The final basis and the pivot count of the simplex on the tableau
+    ``[A | I | b]`` over ``-c``, started from the slack basis. The tableau
+    lives only here, so it is freed before the refactorization."""
+    m, n = A.shape
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :n] = A
+    T[:m, n:-1] = np.eye(m)
+    T[:m, -1] = b
+    T[m, :n] = -c
+
+    basis = np.arange(n, n + m)
+    bland = False
+    stall = 0
+    last_obj = 0.0
+    iterations = 0
+    scratch = np.empty_like(T)  # rank-1 update buffer, reused every pivot
+
+    while True:
+        red = T[m, : n + m]
+        if bland:
+            negs = np.flatnonzero(red < -_COST_TOL)
+            if negs.size == 0:
+                return basis, iterations
+            j = int(negs[0])
+        else:
+            j = int(np.argmin(red))
+            if red[j] >= -_COST_TOL:
+                return basis, iterations
+        if iterations >= max_iter:
+            raise SolverError(
+                f"simplex iteration budget ({max_iter}) exhausted",
+                residual=float(max(0.0, -red.min())),
+            )
+        col = T[:m, j]
+        rows = np.flatnonzero(col > _PIVOT_TOL)
+        if rows.size == 0:
+            raise SolverError(f"linear program is unbounded along variable {j}")
+        ratios = T[rows, -1] / col[rows]
+        ties = rows[ratios <= ratios.min()]
+        r = int(ties[np.argmin(basis[ties])])
+
+        T[r] /= T[r, j]
+        colv = T[:, j].copy()
+        colv[r] = 0.0  # so row r, already divided, is left as it is
+        np.multiply(colv[:, None], T[r][None, :], out=scratch)
+        np.subtract(T, scratch, out=T)
+        T[:, j] = 0.0
+        T[r, j] = 1.0
+        basis[r] = j
+        iterations += 1
+
+        stall = stall + 1 if T[m, -1] <= last_obj + 1e-13 else 0
+        bland = bland or stall >= _STALL_PIVOTS
+        last_obj = T[m, -1]

@@ -35,6 +35,7 @@ from magsample.errors import (
 from magsample.kernels import MagRange, kernel_from_string, transfer_potential_curve
 from magsample.rankme import (
     EmbeddingSet,
+    read_embeddings_binary,
     write_embeddings_binary,
     write_rankme_csv,
     write_similarity_csv,
@@ -367,6 +368,52 @@ def test_lying_header_allocates_nothing_and_exits_2(workdir, capsys, kind):
     assert peak < 1 << 20
     assert main(argv) == 2
     assert f"error: {message}" in capsys.readouterr().err
+
+
+_BAD_MSEB_HEADERS = {
+    "truncated": (b"MSEB\x01\x00", "truncated embedding header"),
+    "version": (struct.pack("<4sHQI", b"MSEB", 2, 1, 1) + b"\0" * 12,
+                "unsupported embedding version 2"),
+    # load_embeddings reads a file without the MSEB magic as CSV
+    "magic": (struct.pack("<4sHQI", b"MSEX", 1, 1, 1) + b"\0" * 12,
+              "bad embedding magic b'MSEX'"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BAD_MSEB_HEADERS))
+def test_bad_mseb_header_exits_2(workdir, capsys, kind):
+    data, message = _BAD_MSEB_HEADERS[kind]
+    Path("bad.mseb").write_bytes(data)
+    with pytest.raises(FormatError, match=f"^{message}$"):
+        read_embeddings_binary("bad.mseb")
+    assert main(["rankme", "--embeddings", "bad.mseb", "--out", "r.csv"]) == 2
+    if kind == "magic":
+        message = "line 1: expected header 'id,mpp,d0,d1,...'"
+    assert capsys.readouterr().err == f"magsample rankme: error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["kernel", "--range", "1"], "range must look like <a>:<b>, got '1'"),
+        (["kernel", "--range", "a:b"],
+         "bad range 'a:b': could not convert string to float: 'a'"),
+        (["optimize", "--objective", "maxavg", "--range", "2:1"],
+         "bad range '2:1': magnification range requires 0 < a < b, got [2.0, 1.0]"),
+        (["signal", "--dist", "du.msdist", "--range", "0.5"],
+         "range must look like <a>:<b>, got '0.5'"),
+        (["plan", "--dist", "du.msdist", "--n", "3", "--standards", "0.25,x"],
+         "bad standard mpp list '0.25,x'"),
+        (["plan", "--dist", "du.msdist", "--n", "3", "--standards", "0.5,0.25"],
+         "standard mpps must be a nonempty, strictly increasing, positive sequence"),
+    ],
+    ids=["range-arity", "range-text", "range-bounds", "signal-range-arity",
+         "standards-text", "standards-order"],
+)
+def test_bad_range_or_standards_exits_2(workdir, capsys, argv, message):
+    assert main(argv + ["--out", "o.csv"]) == 2
+    assert capsys.readouterr().err == f"magsample {argv[0]}: error: {message}\n"
+    assert not Path("o.csv").exists()
 
 
 def test_rankme_csv_input(workdir):

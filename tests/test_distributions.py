@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from magsample import (
     read_distribution,
     write_distribution,
 )
+from magsample.cli import main
 
 
 def test_constructor_normalizes_mass(mag_range):
@@ -229,6 +232,50 @@ def test_density_token_errors_carry_line_numbers(block, line, message):
     with pytest.raises(FormatError, match=message) as err:
         parse_distribution("#msdist v1\nrange 0.25 2.0\n" + block)
     assert err.value.line == line
+
+
+_HEAD = "#msdist v1\nrange 0.25 2.0\n"
+
+
+_FORMAT_ERRORS = {
+    "duplicate-range": (_HEAD + "range 0.25 2.0\n", 3, "duplicate range line"),
+    "range-arity": ("#msdist v1\nrange 0.25\n", 2, "range line needs two bounds"),
+    "range-bounds": ("#msdist v1\nrange 2.0 0.25\n", 2,
+                     "magnification range requires 0 < a < b, got [2.0, 0.25]"),
+    "atom-arity": (_HEAD + "atom 0.5\n", 3, "atom line needs location and weight"),
+    "atom-before-range": ("#msdist v1\natom 0.5 1\n", 2, "atom before range line"),
+    "density-before-range": ("#msdist v1\ndensity 1\n1\n", 2, "density before range line"),
+    "duplicate-density": (_HEAD + "density 1\n1\ndensity 1\n1\n", 5, "duplicate density block"),
+    "no-cell-count": (_HEAD + "density\n", 3, "density line needs a cell count"),
+    "bad-cell-count": (_HEAD + "density x\n", 3, "bad density cell count 'x'"),
+    "zero-cells": (_HEAD + "density 0\n", 3, "density cell count must be >= 1"),
+    "missing-range": ("#msdist v1\n# no range\n", None, "missing range line"),
+    # a form feed, \x1c, \x85 or \u2028 ends no line: it is whitespace
+    "form-feed-in-comment": (_HEAD + "# note\x0cmore\natom x 1\n", 4, "bad atom numbers"),
+    "breaks-in-comment": (_HEAD + "# a\x85b\u2028c\x1cd\natom x 1\n", 4, "bad atom numbers"),
+    "form-feed-in-density": (_HEAD + "density 3\n1.0\x0c2.0\nx\n", 5, "bad density value 'x'"),
+}
+
+
+@pytest.mark.parametrize("name", list(_FORMAT_ERRORS))
+def test_each_format_error_names_its_line(name, tmp_path, monkeypatch, capsys):
+    text, line, message = _FORMAT_ERRORS[name]
+    with pytest.raises(FormatError) as err:
+        parse_distribution(text)
+    assert err.value.line == line
+    where = "" if line is None else f"line {line}: "
+    assert str(err.value) == where + message
+    monkeypatch.chdir(tmp_path)
+    Path("bad.msdist").write_text(text, encoding="utf-8")
+    assert main(["signal", "--dist", "bad.msdist", "--out", "p.csv"]) == 2
+    assert capsys.readouterr().err == f"magsample signal: error: {where}{message}\n"
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r", "\r\n"])
+def test_lines_end_only_at_newlines(newline):
+    text = _HEAD + "# note\x0cmore\ndensity 3\n1.0\x0c2.0\u20283.0\n"
+    d = parse_distribution(text.replace("\n", newline))
+    assert d.density.tolist() == parse_distribution(_HEAD + "density 3 1 2 3\n").density.tolist()
 
 
 def test_format_full_precision(mag_range):

@@ -279,6 +279,46 @@ def test_green_solve_that_fails_its_certificate_falls_through(abs_kernel):
     assert sol.distribution.density.tobytes() == optimize_max_min(cfg).distribution.density.tobytes()
 
 
+class _QuadraticDecayKernel(Kernel):
+    """4 - (x - y)^2, declared stationary: positive on [0.25, 2], but its
+    Toeplitz matrix is not positive definite."""
+
+    stationary = True
+
+    def _evaluate(self, x, y):
+        return 4.0 - (x - y) ** 2
+
+
+class _InverseOverlapKernel(Kernel):
+    """(max(x, y) / min(x, y))^2, truly p(min) q(max) with p = x^-2 and
+    q = x^2, declared so; but p / q decreases, so u is not positive."""
+
+    def _evaluate(self, x, y):
+        r = np.maximum(x, y) / np.minimum(x, y)
+        return r * r
+
+    def green_factors(self, x):
+        x2 = x * x
+        return 1.0 / x2, x2
+
+
+@pytest.mark.parametrize("n", [11, 200])
+@pytest.mark.parametrize("name", ["toeplitz", "green"])
+def test_matrix_free_path_that_gives_up_falls_through(name, n):
+    kernel = {"toeplitz": _QuadraticDecayKernel, "green": _InverseOverlapKernel}[name]()
+    game = optimize_module._Game(kernel, MagRange().cell_midpoints(n))
+    (solver, u, _), = optimize_module._matrix_free(game)  # the declaration holds
+    if name == "toeplitz":
+        assert u is None  # conjugate gradients give up
+    else:
+        assert u.min() < 0.0
+    sol = optimize_max_min(OptimizationConfig(objective=MAX_MIN, kernel=kernel, grid_n=n))
+    assert (solver, sol.solver) == (name, "simplex")
+    K = _game(kernel, n)
+    _check_certified(sol, K)
+    assert sol.achieved_t == pytest.approx(_lp_oracle(K)[1], abs=1e-12)
+
+
 def _refined_solution(K, steps=3):
     """u of K u = 1: the LU's, refined by a few steps whose residuals
     1 - K u are computed in long double."""
@@ -321,7 +361,7 @@ def test_mirror_solve_matches_the_refined_lu(a, b, n, abs_kernel):
     assert (solver, pivots) == ("toeplitz", 0) and game.K is None
     assert optimize_module._certified(t_hi - t_lo)
     # the FFT certificate agrees with the dense one
-    _, _, dense_lo, dense_hi = optimize_module._bounds(K, q * n, q * n)
+    _, _, dense_lo, dense_hi = _dense_bounds(K, q * n, q * n)
     assert t_lo == pytest.approx(dense_lo, rel=1e-13)
     assert t_hi == pytest.approx(dense_hi, rel=1e-13)
 
@@ -365,6 +405,11 @@ def test_misdeclared_stationary_kernel_falls_through(name, info_kernel):
     assert sol.iterations == want.iterations
 
 
+def _dense_bounds(K, u, y):
+    """The certificate of (u, y) with the products by the dense K and K'."""
+    return optimize_module._certify(u, y, K.__matmul__, K.T.__matmul__)
+
+
 def _equalizer_reference(K):
     """The equalizer as first written: always two solves when u > 0."""
     ones = np.ones(K.shape[0])
@@ -374,7 +419,7 @@ def _equalizer_reference(K):
     y = np.linalg.solve(K.T, ones)
     if not y.min() > 0.0:
         return None
-    return optimize_module._bounds(K, u, y)
+    return _dense_bounds(K, u, y)
 
 
 def _bounds_bytes(bounds):
@@ -384,20 +429,20 @@ def _bounds_bytes(bounds):
 
 @pytest.fixture()
 def solves(monkeypatch):
-    """Every (u, y) the dense certificate checks, and the matrix shape of each linear solve."""
+    """Every (u, y) the certificate checks, and the matrix shape of each linear solve."""
     record = {"pairs": [], "shapes": []}
-    solve, bounds = np.linalg.solve, optimize_module._bounds
+    solve, certify = np.linalg.solve, optimize_module._certify
 
     def counted_solve(a, *args):
         record["shapes"].append(np.shape(a))
         return solve(a, *args)
 
-    def recorded_bounds(K, u, y):
+    def recorded_certify(u, y, Kq, Ktr):
         record["pairs"].append((u, y))
-        return bounds(K, u, y)
+        return certify(u, y, Kq, Ktr)
 
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
-    monkeypatch.setattr(optimize_module, "_bounds", recorded_bounds)
+    monkeypatch.setattr(optimize_module, "_certify", recorded_certify)
     return record
 
 
@@ -439,7 +484,7 @@ def test_asymmetric_mixed_game_takes_two_solves(info_kernel, solves):
     assert not np.array_equal(K, K.T)
     uy = optimize_module._equalizer(K)
     assert uy is not None and _full_solves(solves, 300) == 2
-    got = optimize_module._bounds(K, *uy)
+    got = _dense_bounds(K, *uy)
     (u, y), = solves["pairs"]
     assert y is not u and y.min() > 0.0
     assert _bounds_bytes(got) == _bounds_bytes(_equalizer_reference(K))
@@ -473,7 +518,7 @@ def test_green_solve_matches_the_lu(a, ratio, n):
     u_lu = np.linalg.solve(K, np.ones(n))
     assert np.max(np.abs(u - u_lu) / u_lu) <= 1e-7
     assert u.min() > 0.0
-    _, _, t_lo, t_hi = optimize_module._bounds(K, u, u)
+    _, _, t_lo, t_hi = _dense_bounds(K, u, u)
     assert abs(t_hi - t_lo) <= 1e-12
 
 
@@ -789,8 +834,8 @@ def test_dense_game_past_the_bound_exits_2_before_allocating(tmp_path, monkeypat
 
 def test_simplex_past_the_bound_exits_2_before_allocating(tmp_path, monkeypatch, capsys):
     # no nodes and not completely mixed: only the LP on the whole grid solves
-    # it. At grid 400 its 1.28 MB K fits a bound of 4 MB, and the LP's
-    # tableaux, 10.2 MB, do not.
+    # it. At grid 400 its 1.28 MB K fits a bound of 4 MiB, and the LP's
+    # tableau with its scratch copy, 5.3 MB, does not.
     table, n = _asymmetric_table(2), 400
     kernel = _NodelessTable(table.xs, table.ys, table.values)
     monkeypatch.setattr(optimize_module, "_DENSE_BYTES", 4 << 20)
@@ -805,7 +850,9 @@ def test_simplex_past_the_bound_exits_2_before_allocating(tmp_path, monkeypatch,
         tracemalloc.stop()
     assert code == 2
     assert "the simplex on the 400 x 400 game" in capsys.readouterr().err
-    assert 8 * n * n < peak < lp_bytes / 2
+    # K is kept, so had the LP started, K, its tableau and the scratch copy,
+    # together more than lp_bytes, would have been held at once
+    assert 8 * n * n < peak < lp_bytes
     assert not (tmp_path / "mm.msdist").exists()
 
 

@@ -25,6 +25,7 @@ from magsample import (
 )
 
 from magsample import signal as signal_module
+from magsample.kernels import GRID_BLOCK
 from magsample.cli import main
 
 from conftest import (
@@ -275,9 +276,7 @@ def test_grid_validation(cu_dist, info_kernel):
 def test_blockwise_profile_equals_single_product(mag_range, abs_kernel):
     # 1024 targets span four kernel blocks; the density term must come out
     # bit for bit as one product over the whole cell-by-target matrix.
-    from magsample.signal import _TARGET_BLOCK
-
-    grid_n = 4 * _TARGET_BLOCK
+    grid_n = 4 * GRID_BLOCK
     dist = SamplingDistribution(
         mag_range, density=np.random.default_rng(11).random(300) + 0.1
     )
@@ -306,8 +305,8 @@ def _profile_alone_reference(dist, kernel, grid_n):
     green = None
     if dist.has_density:
         green = signal_module._green_density_signal(dist.density, edges, kernel, ys)
-    for lo in range(0, grid_n, signal_module._TARGET_BLOCK):
-        block = slice(lo, lo + signal_module._TARGET_BLOCK)
+    for lo in range(0, grid_n, GRID_BLOCK):
+        block = slice(lo, lo + GRID_BLOCK)
         if dist.has_atoms:
             km = kernel(dist.atom_locations[:, None], ys[None, block])
             values[block] += np.einsum("i,ij->j", dist.atom_weights, km)
