@@ -1,5 +1,5 @@
 """The one CSV dialect of the package's inputs, its bulk reader, and the
-sized read of a binary input's payload.
+checked read of a binary input's header and payload.
 
 Kernel tables, crop plans and embedding CSVs share one dialect: UTF-8
 (a file that is not is a FormatError naming the line of its first bad byte),
@@ -144,18 +144,28 @@ def line_of_row(path, k: int) -> int:
         return next(itertools.islice(body, k, None))
 
 
-def read_payload(f, nbytes: int, what: str) -> np.ndarray:
-    """The rest of the binary file ``f`` as ``nbytes`` new bytes (uint8).
+def read_binary(path, header, magic: bytes, what: str, payload_bytes):
+    """The fields after the magic of the ``struct.Struct`` ``header`` that
+    starts the binary file at ``path``, and its payload as new bytes (uint8).
 
-    The file's size is checked before anything is allocated, so a header
-    that claims more than the file holds costs no memory. The array is then
-    filled by one read, with no intermediate ``bytes`` copy.
+    ``payload_bytes(*fields)`` checks those fields and returns the payload's
+    size. The file's size is checked before anything is allocated, so a header
+    that claims more than the file holds costs no memory; one read then fills
+    the array. Each failure is a FormatError.
     """
-    size = os.fstat(f.fileno()).st_size - f.tell()
-    if size != nbytes:
-        raise FormatError(f"{what} payload is {size} bytes, expected {nbytes}")
-    payload = np.empty(nbytes, np.uint8)
-    got = f.readinto(payload)
+    with open(path, "rb") as f:
+        raw = f.read(header.size)
+        if len(raw) != header.size:
+            raise FormatError(f"truncated {what} header")
+        found, *fields = header.unpack(raw)
+        if found != magic:
+            raise FormatError(f"bad {what} magic {found!r}")
+        nbytes = payload_bytes(*fields)
+        size = os.fstat(f.fileno()).st_size - f.tell()
+        if size != nbytes:
+            raise FormatError(f"{what} payload is {size} bytes, expected {nbytes}")
+        payload = np.empty(nbytes, np.uint8)
+        got = f.readinto(payload)
     if got != nbytes:  # the file shrank after its size was taken
         raise FormatError(f"{what} payload is {got} bytes, expected {nbytes}")
-    return payload
+    return fields, payload

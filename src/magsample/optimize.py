@@ -79,7 +79,7 @@ MAX_MIN = "maxmin"
 _CERT_GAP_TOL = 1e-6
 
 # A block of K, and the tableau of an LP on one, is allocated only if its bytes
-# fit in this: the dense K fits grid <= 11585, the LP on it grid <= 5791.
+# fit in this, 1 GiB: the dense K fits grid <= 11585, the LP on it grid <= 5791.
 _DENSE_BYTES = 1 << 30
 
 # A declared structure must match Kernel.__call__ to this relative tolerance.
@@ -425,8 +425,6 @@ def entropy(dist: SamplingDistribution) -> float:
     """
     if dist.has_atoms:
         raise DomainError("entropy is defined only for density-only distributions")
-    if not dist.has_density:
-        raise DomainError("distribution has no density part")
     v = dist.density
     pos = v > 0.0
     return float(-(v[pos] * np.log(v[pos])).sum() * dist.cell_width)

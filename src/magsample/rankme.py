@@ -14,8 +14,8 @@ File formats owned by this module:
 
 * embeddings CSV, in the dialect of :mod:`magsample.csvio`, with header
   ``id,mpp,d0,d1,...,d{K-1}``;
-* embeddings binary (``.mseb``): magic ``MSEB``, u16 version (1), u64 N,
-  u32 K, then N records of (f64 mpp, K x f32 components), little-endian;
+* embeddings binary (``.mseb``): magic ``MSEB``, u16 version (1), u64 N >= 1,
+  u32 K >= 1, then N records of (f64 mpp, K x f32 components), little-endian;
   ids are the row indices, and the vectors are a float32 view of the
   records as read;
 * ``rankme.csv`` output with header ``mpp,count,rankme``;
@@ -248,19 +248,21 @@ def read_embeddings_csv(path) -> EmbeddingSet:
     )
 
 
+def _emb_payload_bytes(version, n, dim) -> int:
+    if version != _EMB_VERSION:
+        raise FormatError(f"unsupported embedding version {version}")
+    # numpy builds records of at most a C int of bytes; a lying header may claim more
+    if not 1 <= dim <= (np.iinfo(np.intc).max - 8) // 4:
+        raise FormatError(f"unsupported embedding dimension {dim}")
+    if n == 0:
+        raise FormatError("embedding file contains no rows")
+    return n * _emb_record(dim).itemsize
+
+
 def read_embeddings_binary(path) -> EmbeddingSet:
-    with open(path, "rb") as f:
-        header = f.read(_EMB_HEADER.size)
-        if len(header) != _EMB_HEADER.size:
-            raise FormatError("truncated embedding header")
-        magic, version, n, dim = _EMB_HEADER.unpack(header)
-        if magic != _EMB_MAGIC:
-            raise FormatError(f"bad embedding magic {magic!r}")
-        if version != _EMB_VERSION:
-            raise FormatError(f"unsupported embedding version {version}")
-        # sized by arithmetic: numpy cannot build the record of a dim near 2**29
-        # or more, which a lying header may claim
-        payload = csvio.read_payload(f, n * (8 + 4 * dim), "embedding")
+    (_, _, dim), payload = csvio.read_binary(
+        path, _EMB_HEADER, _EMB_MAGIC, "embedding", _emb_payload_bytes
+    )
     records = payload.view(_emb_record(dim))
     return EmbeddingSet(mpps=records["mpp"], vectors=records["vec"])
 

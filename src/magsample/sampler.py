@@ -19,14 +19,13 @@ File formats owned by this module:
 * plan CSV, in the dialect of :mod:`magsample.csvio`, with header
   ``index,target_mpp,source_mpp,source_size_px,crop_size_px,output_size_px,offset_x_frac,offset_y_frac``;
 * raw image arrays (``.msim``): 16-byte header of magic ``MSIM``, u32 height,
-  u32 width, u32 channels (little-endian), then float32 pixels in row-major
-  order.
+  u32 width, u32 channels (little-endian, none 0), then float32 pixels in
+  row-major order.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import struct
 from dataclasses import dataclass, fields
 from typing import Sequence
@@ -44,8 +43,23 @@ _IMAGE_MAGIC = b"MSIM"
 _IMAGE_HEADER = struct.Struct("<4sIII")
 
 
-def _round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
+def _round_half_up(x):
+    """``floor(x + 0.5)`` as int64, elementwise: how crops and offsets round."""
+    return np.floor(np.add(x, 0.5)).astype(np.int64)
+
+
+def _crop_sizes(cfg: SamplerConfig, targets: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """The crop of each target from its source, ``round(output * t / s)`` px;
+    a FeasibilityError names the first crop larger than the source."""
+    crops = _round_half_up(cfg.output_size_px * targets / sources)
+    over = np.flatnonzero(crops > cfg.source_size_px)
+    if over.size:
+        k = over[0]
+        raise FeasibilityError(
+            f"target {targets[k]} needs a {crops[k]}px crop from source mpp {sources[k]}, "
+            f"larger than the {cfg.source_size_px}px source"
+        )
+    return crops
 
 
 @dataclass(frozen=True)
@@ -130,32 +144,17 @@ class SamplerConfig:
         if self.source_size_px < 1 or self.output_size_px < 1:
             raise ParameterError("patch sizes must be positive")
         self.standard_mpps = std
-        self._check_feasible()
-
-    def _check_feasible(self):
-        """Every target in the distribution's range must admit a source.
-
-        The worst target of each segment between consecutive standards is its
-        right end (crop size grows with t for fixed s), so checking segment
-        ends covers the whole continuum.
-        """
-        mag_range = self.distribution.range
-        std = self.standard_mpps
-        if mag_range.a < std[0]:
-            raise FeasibilityError(
-                f"target {mag_range.a} lies below the smallest standard mpp {std[0]}"
-            )
-        uppers = list(std[1:]) + [mag_range.b]
-        for s, hi in zip(std, uppers):
-            hi = min(hi, mag_range.b)
-            if hi <= s or s > mag_range.b:
-                continue
-            crop = _round_half_up(self.output_size_px * hi / s)
-            if crop > self.source_size_px:
-                raise FeasibilityError(
-                    f"target {hi} needs a {crop}px crop from source mpp {s}, "
-                    f"larger than the {self.source_size_px}px source"
-                )
+        # Every target in the distribution's range must admit a source. The
+        # worst target of each segment between consecutive standards is its
+        # right end (crop size grows with t for fixed s), so checking segment
+        # ends covers the whole continuum.
+        a, b = self.distribution.range.a, self.distribution.range.b
+        if a < std[0]:
+            raise FeasibilityError(f"target {a} lies below the smallest standard mpp {std[0]}")
+        starts = np.array(std)
+        ends = np.minimum(np.append(starts[1:], b), b)
+        live = ends > starts
+        _crop_sizes(self, ends[live], starts[live])
 
 
 def sample_targets(
@@ -171,37 +170,23 @@ def sample_targets(
     return dist.quantile(rng.uniform_at(counters))
 
 
-def _select_sources(targets: np.ndarray, cfg: SamplerConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Per target, the largest standard mpp <= t and its crop size; smaller
-    sources only grow the crop, so only the largest candidate needs checking."""
-    std = np.asarray(cfg.standard_mpps)
-    pos = np.searchsorted(std, targets, side="right") - 1
-    below = np.flatnonzero(pos < 0)
-    if below.size:
-        raise FeasibilityError(f"no standard mpp at or below target {targets[below[0]]}")
-    sources = std[pos]
-    crops = np.floor(cfg.output_size_px * targets / sources + 0.5).astype(np.int64)
-    over = np.flatnonzero(crops > cfg.source_size_px)
-    if over.size:
-        k = over[0]
-        raise FeasibilityError(
-            f"target {targets[k]} needs a {crops[k]}px crop from source mpp {sources[k]}, "
-            f"larger than the {cfg.source_size_px}px source"
-        )
-    return sources, crops
-
-
 def _plan(cfg: SamplerConfig, index: np.ndarray, targets: np.ndarray, rng: CounterRng) -> CropPlan:
     """Plan entries ``index`` for their targets; entry i's offsets come from
-    counters 3i+1 and 3i+2."""
-    sources, crops = _select_sources(targets, cfg)
+    counters 3i+1 and 3i+2.
+
+    A target's source is the largest standard mpp <= t, since smaller ones
+    only grow the crop; the config's check of its range ensures there is one.
+    The crops are checked again, as a config can be changed after its check.
+    """
+    std = np.asarray(cfg.standard_mpps)
+    sources = std[np.searchsorted(std, targets, side="right") - 1]
     counters = 3 * index.astype(np.uint64)
     rows = np.empty(len(index), PLAN_DTYPE)
     rows["index"] = index
     rows["target_mpp"] = targets
     rows["source_mpp"] = sources
     rows["source_size_px"] = cfg.source_size_px
-    rows["crop_size_px"] = crops
+    rows["crop_size_px"] = _crop_sizes(cfg, targets, sources)
     rows["output_size_px"] = cfg.output_size_px
     rows["offset_x_frac"] = rng.uniform_at(counters + np.uint64(1))
     rows["offset_y_frac"] = rng.uniform_at(counters + np.uint64(2))
@@ -464,7 +449,7 @@ def apply_crop(image: np.ndarray, entry: CropPlanEntry) -> np.ndarray:
 
 def write_image_array(path, image: np.ndarray):
     arr = np.asarray(image)
-    if arr.ndim != 3:
+    if arr.ndim != 3 or not arr.size:  # the reader refuses an image of no pixels
         raise ShapeError(f"expected an H x W x C array, got shape {arr.shape}")
     h, w, c = arr.shape
     with open(path, "wb") as f:
@@ -473,12 +458,9 @@ def write_image_array(path, image: np.ndarray):
 
 
 def read_image_array(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        header = f.read(_IMAGE_HEADER.size)
-        if len(header) != _IMAGE_HEADER.size:
-            raise FormatError("truncated image header")
-        magic, h, w, c = _IMAGE_HEADER.unpack(header)
-        if magic != _IMAGE_MAGIC:
-            raise FormatError(f"bad image magic {magic!r}")
-        payload = csvio.read_payload(f, h * w * c * 4, "image")
+    (h, w, c), payload = csvio.read_binary(
+        path, _IMAGE_HEADER, _IMAGE_MAGIC, "image", lambda h, w, c: h * w * c * 4
+    )
+    if not payload.size:  # which numpy may not even shape as h x w x c
+        raise FormatError("image file contains no pixels")
     return payload.view("<f4").reshape(h, w, c)

@@ -377,6 +377,19 @@ _BAD_MSEB_HEADERS = {
     # load_embeddings reads a file without the MSEB magic as CSV
     "magic": (struct.pack("<4sHQI", b"MSEX", 1, 1, 1) + b"\0" * 12,
               "bad embedding magic b'MSEX'"),
+    # as a header-only embeddings CSV
+    "no-rows": (struct.pack("<4sHQI", b"MSEB", 1, 0, 2), "embedding file contains no rows"),
+    "zero-dim": (struct.pack("<4sHQI", b"MSEB", 1, 1, 0) + b"\0" * 8,
+                 "unsupported embedding dimension 0"),
+    # numpy's records hold at most 2**31 - 1 bytes: 8 + 4 * 536870909 is the most
+    "dim-2**29": (struct.pack("<4sHQI", b"MSEB", 1, 0, 2**29),
+                  "unsupported embedding dimension 536870912"),
+    "dim-2**29-1": (struct.pack("<4sHQI", b"MSEB", 1, 0, 2**29 - 1),
+                    "unsupported embedding dimension 536870911"),
+    "dim-past-a-record": (struct.pack("<4sHQI", b"MSEB", 1, 0, 536870910),
+                          "unsupported embedding dimension 536870910"),
+    "largest-dim": (struct.pack("<4sHQI", b"MSEB", 1, 0, 536870909),
+                    "embedding file contains no rows"),
 }
 
 
@@ -390,6 +403,29 @@ def test_bad_mseb_header_exits_2(workdir, capsys, kind):
     if kind == "magic":
         message = "line 1: expected header 'id,mpp,d0,d1,...'"
     assert capsys.readouterr().err == f"magsample rankme: error: {message}\n"
+
+
+_BAD_MSIM_HEADERS = {
+    "empty": (b"", "truncated image header"),
+    "truncated": (b"MSIM" + b"\0" * 11, "truncated image header"),
+    "magic": (b"NOPE" + b"\0" * 12, "bad image magic b'NOPE'"),
+    # a zero-size array of this shape is more than numpy can index
+    "no-pixels": (struct.pack("<4sIII", b"MSIM", 0, 2**32 - 1, 2**32 - 1),
+                  "image file contains no pixels"),
+    "no-channels": (struct.pack("<4sIII", b"MSIM", 2, 2, 0), "image file contains no pixels"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BAD_MSIM_HEADERS))
+def test_bad_msim_header_exits_2(workdir, capsys, kind):
+    data, message = _BAD_MSIM_HEADERS[kind]
+    Path("bad.msim").write_bytes(data)
+    with pytest.raises(FormatError, match=f"^{message}$"):
+        read_image_array("bad.msim")
+    argv = ["crop-apply", "--image", "bad.msim", "--plan", "plan.csv", "--out", "o.msim"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"magsample crop-apply: error: {message}\n"
+    assert not Path("o.msim").exists()
 
 
 @pytest.mark.parametrize(
@@ -406,9 +442,11 @@ def test_bad_mseb_header_exits_2(workdir, capsys, kind):
          "bad standard mpp list '0.25,x'"),
         (["plan", "--dist", "du.msdist", "--n", "3", "--standards", "0.5,0.25"],
          "standard mpps must be a nonempty, strictly increasing, positive sequence"),
+        (["plan", "--dist", "du.msdist", "--n", "3", "--patch-size", "0"],
+         "patch sizes must be positive"),
     ],
     ids=["range-arity", "range-text", "range-bounds", "signal-range-arity",
-         "standards-text", "standards-order"],
+         "standards-text", "standards-order", "patch-size"],
 )
 def test_bad_range_or_standards_exits_2(workdir, capsys, argv, message):
     assert main(argv + ["--out", "o.csv"]) == 2
@@ -508,10 +546,11 @@ def test_crop_apply_ignores_bad_rows_elsewhere(crop_inputs, workdir):
     assert f"digest.plan sha256:{digest}\n" in (workdir / "o.msim.manifest.txt").read_text()
 
 
-def _with_bad_byte(reader):
-    """A CSV for ``reader`` whose line 3 holds a byte that is not UTF-8."""
+def _with_bad_byte(reader, before=1):
+    """A CSV for ``reader`` whose line ``before + 2`` holds a byte that is not UTF-8."""
     header, rows, _ = CSV_READERS[reader]
-    return f"{header}\n{rows[0]}\r\n".encode() + b"\xe9" + f"{rows[1]}\n".encode()
+    body = f"{header}\n" + f"{rows[0]}\r\n" * before
+    return body.encode() + b"\xe9" + f"{rows[1]}\n".encode()
 
 
 # Per reader: the input, the command that reads it, and the line the error names.
@@ -524,6 +563,14 @@ _NOT_UTF8_CASES = {
     "plan": (_with_bad_byte("plan"),
              ["crop-apply", "--image", "img.msim", "--plan", "bad.in", "--index", "1",
               "--out", "o.msim"], 3),
+    # past the first block that text mode decodes, which the header is read from
+    "table-late": (_with_bad_byte("table", 1000),
+                   ["kernel", "--kernel", "custom:bad.in", "--out", "k.csv"], 1002),
+    "embeddings-late": (_with_bad_byte("embeddings", 1000),
+                        ["rankme", "--embeddings", "bad.in", "--out", "r.csv"], 1002),
+    "plan-late": (_with_bad_byte("plan", 1000),
+                  ["crop-apply", "--image", "img.msim", "--plan", "bad.in", "--index", "1000",
+                   "--out", "o.msim"], 1002),
     # a UTF-16 byte-order mark
     "msdist": (b"\xff\xfe" + CU_TEXT.encode("utf-16-le"),
                ["signal", "--dist", "bad.in", "--out", "s.csv"], 1),

@@ -1,11 +1,18 @@
 """The CSV dialect shared by plans, kernel tables and embeddings."""
 
 import math
+import os
+import struct
+import types
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from magsample import FormatError, csvio
+from magsample import FormatError, csvio, read_image_array, write_image_array
 from magsample.csvio import line_of_row
+from magsample.rankme import read_embeddings_binary
 
 from conftest import CSV_READERS, csv_result
 
@@ -92,3 +99,83 @@ def test_bad_last_line_is_found_by_bisection(tmp_path, monkeypatch, reader):
     assert info.value.line == n + 2
     assert calls.count("parse_line") == 1
     assert calls.count("_bulk") <= 2 + math.ceil(math.log2(n + 1))
+
+
+# -- binary headers ----------------------------------------------------------------
+
+
+def _small_or_any(bits, small=3):
+    """An unsigned field of ``bits`` bits, often small enough to hold a file."""
+    return st.one_of(st.integers(0, small), st.integers(0, 2**bits - 1))
+
+
+def _payload(record: bytes, count: int, extra: int) -> bytes:
+    """``count`` copies of a record, one byte short (extra -1) or long (+1)."""
+    data = record * count + b"\0" * max(extra, 0)
+    return data[: len(data) + min(extra, 0)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    magic=st.sampled_from([b"MSEB", b"MSEX", b"\0\0\0\0"]),
+    version=st.one_of(st.just(1), st.integers(0, 2**16 - 1)),
+    n=_small_or_any(64),
+    dim=_small_or_any(32),
+    extra=st.integers(-1, 1),
+    cut=st.one_of(st.none(), st.integers(0, 17)),
+)
+# dims past the largest record numpy builds, and a file with no rows
+@example(magic=b"MSEB", version=1, n=0, dim=2**29, extra=0, cut=None)
+@example(magic=b"MSEB", version=1, n=0, dim=2**29 - 1, extra=0, cut=None)
+@example(magic=b"MSEB", version=1, n=0, dim=2, extra=0, cut=None)
+def test_every_mseb_header_reads_or_is_a_format_error(tmp_path_factory, magic, version, n,
+                                                       dim, extra, cut):
+    # the payload holds min(n, 3) records of min(dim, 3) components, so a
+    # header that claims more (or a payload cut by a byte) does not fit it
+    record = np.array([1.0], "<f8").tobytes() + np.full(min(dim, 3), 0.5, "<f4").tobytes()
+    data = struct.pack("<4sHQI", magic, version, n, dim) + _payload(record, min(n, 3), extra)
+    path = tmp_path_factory.mktemp("mseb") / "e.mseb"
+    path.write_bytes(data[:cut])  # a cut header is truncated
+    try:
+        es = read_embeddings_binary(path)
+    except FormatError:
+        return
+    assert (magic, version, cut) == (b"MSEB", 1, None)
+    assert len(data) == 18 + n * (8 + 4 * dim)
+    assert (es.n, es.dim) == (n, dim) and np.all(es.vectors == 0.5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    magic=st.sampled_from([b"MSIM", b"MSIX", b"\0\0\0\0"]),
+    shape=st.tuples(_small_or_any(32), _small_or_any(32), _small_or_any(32)),
+    extra=st.integers(-1, 1),
+    cut=st.one_of(st.none(), st.integers(0, 15)),
+)
+# no pixels, in a shape too large for numpy to index
+@example(magic=b"MSIM", shape=(0, 2**32 - 1, 2**32 - 1), extra=0, cut=None)
+def test_every_msim_header_reads_or_is_a_format_error(tmp_path_factory, magic, shape, extra,
+                                                       cut):
+    pixels = math.prod(min(side, 3) for side in shape)
+    data = struct.pack("<4sIII", magic, *shape) + _payload(b"\0\0\0\x3f", pixels, extra)
+    path = tmp_path_factory.mktemp("msim") / "i.msim"
+    path.write_bytes(data[:cut])
+    try:
+        image = read_image_array(path)
+    except FormatError:
+        return
+    assert (magic, cut) == (b"MSIM", None)
+    assert len(data) == 16 + 4 * math.prod(shape)
+    assert image.shape == shape and np.all(image == 0.5)
+
+
+def test_a_payload_cut_after_its_size_is_taken_is_a_format_error(tmp_path, monkeypatch):
+    # the size check sees the whole 2 x 2 x 1 image, then the read finds 12 bytes
+    path = tmp_path / "i.msim"
+    write_image_array(path, np.ones((2, 2, 1), np.float32))
+    path.write_bytes(path.read_bytes()[:-4])
+    fstat = os.fstat
+    monkeypatch.setattr(csvio.os, "fstat",
+                        lambda fd: types.SimpleNamespace(st_size=fstat(fd).st_size + 4))
+    with pytest.raises(FormatError, match="^image payload is 12 bytes, expected 16$"):
+        read_image_array(path)

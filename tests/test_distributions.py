@@ -45,6 +45,27 @@ def test_constructor_validation(mag_range):
         SamplingDistribution(mag_range)  # no mass at all
     with pytest.raises(ParameterError):
         SamplingDistribution(mag_range, density=np.zeros(5))
+    for atom in ((float("nan"), 1.0), (0.5, float("inf"))):
+        with pytest.raises(ParameterError, match="^atom locations and weights must be finite$"):
+            SamplingDistribution(mag_range, atoms=[atom])
+    for density in (np.ones((2, 3)), []):
+        with pytest.raises(ParameterError, match="^density must be a 1-D sequence of cell values$"):
+            SamplingDistribution(mag_range, density=density)
+
+
+@pytest.mark.parametrize("atom", ["nan 1", "0.5 inf"])
+def test_non_finite_atom_in_a_file_exits_2(atom, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("bad.msdist").write_text(_HEAD + f"atom {atom}\n", encoding="utf-8")
+    assert main(["signal", "--dist", "bad.msdist", "--out", "p.csv"]) == 2
+    assert capsys.readouterr().err == (
+        "magsample signal: error: atom locations and weights must be finite\n"
+    )
+
+
+def test_cell_width_needs_a_density(du_dist):
+    with pytest.raises(ParameterError, match="^distribution has no density part$"):
+        du_dist.cell_width
 
 
 def test_uniform_density_value(mag_range):
@@ -135,6 +156,15 @@ def test_bin_masses(du_dist, cu_dist):
     # atoms at 0.25, 0.5, 1.0 land in bins 0, 2, 8; the atom at 2.0 is on
     # the closed right edge of the last bin
     assert np.flatnonzero(m).tolist() == [0, 2, 8, 19]
+
+
+@pytest.mark.parametrize(
+    "edges", [[0.25, 1.0, 1.0, 2.0], [2.0, 0.25], [1.0], [[0.25, 2.0]]],
+    ids=["repeated", "decreasing", "one-edge", "2-d"],
+)
+def test_bin_masses_rejects_edges_that_do_not_increase(cu_dist, edges):
+    with pytest.raises(ParameterError, match="^bin edges must be strictly increasing$"):
+        cu_dist.bin_masses(edges)
 
 
 def test_bin_masses_atom_on_interior_edge(mag_range):

@@ -11,6 +11,7 @@ from magsample import (
     DomainError,
     FormatError,
     InfoOverlapKernel,
+    Kernel,
     MagRange,
     ParameterError,
     RangeError,
@@ -635,3 +636,8 @@ def test_kernel_from_string(tmp_path):
     path = tmp_path / "k.csv"
     path.write_text("x,y,value\n1,1,1\n1,2,0.5\n2,1,0.5\n2,2,1\n")
     assert kernel_from_string(f"custom:{path}").name == "custom"
+
+
+def test_base_kernel_has_no_values():
+    with pytest.raises(NotImplementedError):
+        Kernel()(0.5, 1.0)

@@ -1,7 +1,10 @@
 import hashlib
+import math
+import re
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +20,7 @@ from magsample import (
     MagRange,
     ParameterError,
     SamplingDistribution,
+    SolverError,
     TabulatedKernel,
     accumulated_signal,
     entropy,
@@ -679,6 +683,28 @@ class _NodelessTable(TabulatedKernel):
     linear_nodes = Kernel.linear_nodes
 
 
+@pytest.mark.parametrize(
+    "source, message",
+    [(np.zeros, "^degenerate game solution$"),
+     (lambda m: np.eye(m)[0], r"^optimality certificate failed: min\(Kq\)=")],
+    ids=["no-mass", "pure-source"],
+)
+def test_whole_grid_solution_is_certified_not_trusted(monkeypatch, source, message):
+    # the LP on the whole grid ends the game, so its answer is returned only
+    # with a certificate that closes
+    table, n = _asymmetric_table(2), 40
+    monkeypatch.setattr(optimize_module, "_equalizer", lambda K: None)
+
+    def lp(c, A, b):  # the duals are the source masses, x the adversary's
+        return types.SimpleNamespace(duals=source(len(b)), x=np.ones(len(c)), iterations=0)
+
+    monkeypatch.setattr(optimize_module, "solve_inequality_lp", lp)
+    cfg = OptimizationConfig(objective=MAX_MIN, grid_n=n,
+                             kernel=_NodelessTable(table.xs, table.ys, table.values))
+    with pytest.raises(SolverError, match=message):
+        optimize_max_min(cfg)
+
+
 def test_table_with_lying_nodes_falls_through(monkeypatch):
     table, n = _asymmetric_table(2), 200
     kernel = _LyingTable(table.xs, table.ys, table.values)
@@ -854,6 +880,34 @@ def test_simplex_past_the_bound_exits_2_before_allocating(tmp_path, monkeypatch,
     # together more than lp_bytes, would have been held at once
     assert 8 * n * n < peak < lp_bytes
     assert not (tmp_path / "mm.msdist").exists()
+
+
+def _quoted_bounds(text):
+    """The GiB and grid figures of the size bounds that ``text`` quotes."""
+    gib = re.findall(r"(\d+(?:\.\d+)?)\s+GiB", text)
+    grids = re.findall(r"(?:fits\s+grid|grid\s+(?:<=|≤)|past\s+grid|grid\s+grid)\s+(\d+)", text)
+    return set(gib), set(map(int, grids))
+
+
+def test_docs_quote_the_size_bounds_the_code_sets():
+    bound = optimize_module._DENSE_BYTES
+    dense_grid = math.isqrt(bound // 8)  # the dense K takes 8 n^2 bytes
+    lp_grid = dense_grid
+    while optimize_module.lp_peak_bytes(lp_grid, lp_grid) > bound:
+        lp_grid -= 1
+    source = Path(optimize_module.__file__).read_text(encoding="utf-8").splitlines()
+    at = next(i for i, line in enumerate(source) if line.startswith("_DENSE_BYTES ="))
+    start = at
+    while source[start - 1].startswith("#"):
+        start -= 1
+    docs = {
+        "README.md": (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8"),
+        "cli": cli.__doc__,
+        "optimize": optimize_module.__doc__,
+        "_DENSE_BYTES comment": "\n".join(source[start:at]),
+    }
+    for name, text in docs.items():
+        assert _quoted_bounds(text) == ({f"{bound / 2**30:g}"}, {dense_grid, lp_grid}), name
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="VmHWM needs /proc")

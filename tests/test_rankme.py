@@ -1,4 +1,5 @@
 import csv
+import struct
 import warnings
 
 import numpy as np
@@ -378,6 +379,17 @@ def test_embeddings_binary_roundtrip(tmp_path):
         bad.write_bytes(data[:18] + payload)
         with pytest.raises(FormatError, match=f"embedding payload is {size} bytes, expected 432$"):
             load_embeddings(bad)
+
+
+@pytest.mark.parametrize("header", ["id,mpp,d0,d1\n", "id,mpp,d0\n\n , ,\n"])
+def test_embeddings_without_rows_fail_alike_in_both_formats(tmp_path, header):
+    csv_path, mseb_path = tmp_path / "e.csv", tmp_path / "e.mseb"
+    csv_path.write_text(header)
+    mseb_path.write_bytes(struct.pack("<4sHQI", b"MSEB", 1, 0, 2))
+    for read, path in ((read_embeddings_csv, csv_path), (load_embeddings, csv_path),
+                       (load_embeddings, mseb_path)):
+        with pytest.raises(FormatError, match="^embedding file contains no rows$"):
+            read(path)
 
 
 def test_embedding_set_keeps_float32_and_widens_the_rest():

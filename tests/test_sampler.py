@@ -156,6 +156,43 @@ def test_config_validation(cu_dist):
         SamplerConfig(distribution=cu_dist, standard_mpps=(0.5, 0.25, 1.0, 2.0))
     with pytest.raises(ParameterError):
         SamplerConfig(distribution=cu_dist, standard_mpps=(-1.0, 2.0))
+    for sizes in ({"source_size_px": 0}, {"output_size_px": 0}, {"output_size_px": -224}):
+        with pytest.raises(ParameterError, match="^patch sizes must be positive$"):
+            SamplerConfig(distribution=cu_dist, **sizes)
+
+
+def test_plan_checks_the_crops_of_a_config_changed_after_its_check(cu_dist):
+    # SamplerConfig is not frozen. A 256 px source is too small for targets
+    # just below 0.5 (448 px from 0.25), which the config check would reject,
+    # and the plan's crops go through the same check.
+    cfg = SamplerConfig(distribution=cu_dist)
+    cfg.source_size_px = 256
+    with pytest.raises(FeasibilityError, match=(
+        r"^target \S+ needs a \d+px crop from source mpp \S+, larger than the 256px source$"
+    )):
+        generate_plan(cfg, 1000)
+    with pytest.raises(FeasibilityError, match=(
+        "^target 0.49 needs a 439px crop from source mpp 0.25, larger than the 256px source$"
+    )):
+        plan_crop(0.49, cfg, CounterRng(0))
+    with pytest.raises(FeasibilityError, match=(
+        "^target 0.5 needs a 448px crop from source mpp 0.25, larger than the 256px source$"
+    )):
+        SamplerConfig(distribution=cu_dist, source_size_px=256)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        np.zeros(3),
+        np.zeros((2, 2), sampler.PLAN_DTYPE),
+        np.zeros(2, [(name, "<f8") for name in sampler.PLAN_CSV_FIELDS]),
+    ],
+    ids=["float", "2-d", "float-index"],
+)
+def test_crop_plan_rejects_other_arrays(rows):
+    with pytest.raises(ParameterError, match="^plan rows must be a 1-d array of dtype PLAN_DTYPE$"):
+        CropPlan(rows)
 
 
 def test_generate_plan_deterministic(config):
@@ -594,3 +631,5 @@ def test_image_array_errors(tmp_path):
             read_image_array(path)
     with pytest.raises(ShapeError):
         write_image_array(tmp_path / "x.msim", np.zeros((4, 4)))
+    with pytest.raises(ShapeError, match=r"^expected an H x W x C array, got shape \(0, 2, 1\)$"):
+        write_image_array(tmp_path / "x.msim", np.zeros((0, 2, 1)))

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from magsample import simplex
 from magsample.errors import SolverError
 from magsample.simplex import lp_peak_bytes, solve_inequality_lp
 
@@ -54,6 +55,32 @@ def test_unbounded_detected():
 def test_negative_rhs_rejected():
     with pytest.raises(SolverError):
         solve_inequality_lp(c=[1.0], A=[[1.0]], b=[-1.0])
+
+
+@pytest.mark.parametrize(
+    "c, b", [([1.0], [1.0, 1.0]), ([1.0, 1.0, 1.0], [1.0, 1.0]), ([[1.0, 1.0]], [1.0, 1.0])],
+    ids=["short-c", "long-c", "2-d-c"],
+)
+def test_inconsistent_dimensions_rejected(c, b):
+    with pytest.raises(SolverError, match="^inconsistent LP dimensions$"):
+        solve_inequality_lp(c, [[1.0, 2.0], [3.0, 1.0]], b)
+    with pytest.raises(SolverError, match="^inconsistent LP dimensions$"):
+        solve_inequality_lp([1.0, 1.0], [[1.0, 2.0], [3.0, 1.0]], [1.0])
+
+
+def test_final_basis_is_verified_not_trusted(monkeypatch):
+    # the solution is refactorized from the basis that pivoting ends on: a
+    # singular basis and a feasible but suboptimal one are both refused
+    c, A, b = [1.0, 1.0], [[1.0, 2.0], [3.0, 1.0]], [4.0, 5.0]
+    monkeypatch.setattr(simplex, "_pivot", lambda c, A, b, max_iter: (np.array([0, 0]), 0))
+    with pytest.raises(SolverError, match="^singular final basis: "):
+        solve_inequality_lp(c, A, b)
+    # the slack basis: x = 0 is feasible, and its reduced costs are c
+    monkeypatch.setattr(simplex, "_pivot", lambda c, A, b, max_iter: (np.array([2, 3]), 0))
+    with pytest.raises(SolverError, match=r"^final basis failed verification \(.* dual=1.00e\+00,"
+                       ) as err:
+        solve_inequality_lp(c, A, b)
+    assert err.value.residual == 1.0
 
 
 def test_iteration_budget():
