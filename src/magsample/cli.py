@@ -29,13 +29,9 @@ must fit in 1 GiB (the dense matrix past grid 11585, the simplex on the whole
 grid past grid 5791), else the game is a ``ParameterError`` (exit 2) naming
 the GiB it would need, raised before anything is allocated.
 
-``crop-apply`` parses the plan's header and only the line of its entry
-(line ``index + 2`` of a generated plan; see ``sampler.read_plan_row``).
-So a malformed row elsewhere in the plan does not fail it (exit 0),
-although the manifest still digests the whole file. A bad header or a bad
-target line is a ``FormatError`` naming its line (exit 2). If that line
-holds another index or none, the whole plan is read and checked, and an
-index with no entry is a ``ParameterError`` (exit 2).
+``crop-apply`` checks the plan's header and only the line of its entry, as
+``sampler.read_plan_row`` reads them, so a malformed row elsewhere does not
+fail it (exit 0), although the manifest still digests the whole file.
 """
 
 from __future__ import annotations
@@ -48,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, csvio
 from .distributions import read_distribution, write_distribution
 from .errors import (
     DegenerateInputError,
@@ -153,10 +149,10 @@ def _write_manifest(args, outs):
         inputs["kernel"] = kernel[len("custom:"):]
     for name, path in inputs.items():
         entries[f"digest.{name}"] = _digest(path)
-    lines = [f"{k} {entries[k]}" for k in sorted(entries)]
-    text = "\n".join(lines) + "\n"
+    text = "".join(f"{k} {entries[k]}\n" for k in sorted(entries))
     for out in outs:
-        Path(str(out) + ".manifest.txt").write_text(text, encoding="utf-8", newline="")
+        with csvio.open_text(str(out) + ".manifest.txt", "w") as f:
+            f.write(text)
 
 
 def _parse_range(text: str) -> MagRange:
@@ -174,10 +170,6 @@ def _parse_standards(text: str) -> tuple[float, ...]:
         return tuple(float(tok) for tok in text.split(","))
     except ValueError:
         raise ParameterError(f"bad standard mpp list {text!r}") from None
-
-
-def _open_out(path):
-    return open(path, "w", encoding="utf-8", newline="")
 
 
 def _add_common(parser):
@@ -212,10 +204,8 @@ def cmd_kernel(args) -> list[str]:
     mag_range = _parse_range(args.range)
     kernel = kernel_from_string(args.kernel)
     curve = transfer_potential_curve(kernel, mag_range, args.grid)
-    with _open_out(args.out) as f:
-        f.write("x_mpp,transfer_potential\n")
-        rows = zip(curve.xs.tolist(), curve.values.tolist())
-        f.writelines(f"{x!r},{v!r}\n" for x, v in rows)
+    with csvio.open_text(args.out, "w") as f:
+        csvio.write_rows(f, ("x_mpp", "transfer_potential"), (curve.xs, curve.values))
     return [args.out]
 
 
@@ -224,13 +214,12 @@ def cmd_signal(args) -> list[str]:
     _check_range_matches(args, dist, args.dist)
     kernel = kernel_from_string(args.kernel)
     profile = accumulated_signal(dist, kernel, args.grid)
-    with _open_out(args.out) as f:
+    with csvio.open_text(args.out, "w") as f:
         write_profile_csv(profile, f)
     if args.summary_out is None:
         args.summary_out = str(Path(args.out).with_suffix("")) + ".summary.csv"
-    name = Path(args.dist).stem
-    with _open_out(args.summary_out) as f:
-        write_summary_csv([(name, profile.summary())], f)
+    with csvio.open_text(args.summary_out, "w") as f:
+        write_summary_csv([(Path(args.dist).stem, profile.summary())], f)
     return [args.out, args.summary_out]
 
 
@@ -244,7 +233,7 @@ def cmd_compare(args) -> list[str]:
         _check_range_matches(args, dists[-1], path)
     profiles = accumulated_signals(dists, kernel, args.grid)
     rows = [(Path(path).stem, p.summary()) for path, p in zip(args.dists, profiles)]
-    with _open_out(args.out) as f:
+    with csvio.open_text(args.out, "w") as f:
         write_summary_csv(rows, f)
     return [args.out]
 
@@ -286,7 +275,7 @@ def cmd_plan(args) -> list[str]:
 def cmd_rankme(args) -> list[str]:
     embeddings = load_embeddings(args.embeddings)
     profile = rankme_profile(embeddings, epsilon=args.epsilon, group_tolerance=args.group_tol)
-    with _open_out(args.out) as f:
+    with csvio.open_text(args.out, "w") as f:
         write_rankme_csv(profile, f)
     return [args.out]
 
@@ -294,7 +283,7 @@ def cmd_rankme(args) -> list[str]:
 def cmd_similarity(args) -> list[str]:
     embeddings = load_embeddings(args.embeddings)
     sim = centroid_similarity(embeddings, group_tolerance=args.group_tol)
-    with _open_out(args.out) as f:
+    with csvio.open_text(args.out, "w") as f:
         write_similarity_csv(sim, f)
     return [args.out]
 

@@ -1,8 +1,10 @@
-"""The one CSV dialect of the package's inputs, its bulk reader, and the
-checked read of a binary input's header and payload.
+"""The package's text I/O, and the checked read of a binary input's header.
 
-Kernel tables, crop plans and embedding CSVs share one dialect: UTF-8
-(a file that is not is a FormatError naming the line of its first bad byte),
+Every text file is opened here (:func:`open_text`): UTF-8, with no newline
+translation, so the package writes ``\n`` and reads ``\n``, ``\r`` and
+``\r\n``. A read that does not decode is a FormatError naming the line of
+the file's first bad byte. Kernel tables, crop plans, embedding CSVs and
+every CSV the package writes (:func:`write_rows`) share one dialect:
 comma-separated, with a header line; cells may be in double quotes and may
 have spaces around them; a line whose cells are all blank is skipped.
 
@@ -15,9 +17,11 @@ error names it.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import os
+import re
 import warnings
 
 import numpy as np
@@ -25,13 +29,21 @@ import numpy as np
 from .errors import FormatError
 
 
-def open_csv(path):
-    return open(path, "r", encoding="utf-8", newline="")
+@contextlib.contextmanager
+def open_text(path, mode: str = "r"):
+    """The text file at ``path``, UTF-8 with no newline translation. On read,
+    a UnicodeDecodeError anywhere in the ``with`` block becomes :func:`not_utf8`."""
+    with open(path, mode, encoding="utf-8", newline="") as f:
+        try:
+            yield f
+        except UnicodeDecodeError:
+            if mode != "r":
+                raise
+            raise not_utf8(path) from None
 
 
 def not_utf8(path) -> FormatError:
-    """The FormatError for the file at ``path``, which is not UTF-8 text,
-    naming the line of its first byte that does not decode."""
+    """The FormatError of the non-UTF-8 file at ``path``, naming its first bad byte's line."""
     with open(path, "rb") as f:
         data = f.read()
     try:
@@ -42,6 +54,28 @@ def not_utf8(path) -> FormatError:
     else:
         line = None  # the file changed since it failed to decode
     return FormatError(f"{path}: not UTF-8 text", line=line)
+
+
+# A string cell that holds a comma, a quote, CR or LF, or starts or ends with
+# a space or tab is written in double quotes, its quotes doubled.
+_QUOTED = re.compile(r'[,"\r\n]|\A[ \t]|[ \t]\Z')
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        return repr(value)
+    if _QUOTED.search(value):
+        return '"' + value.replace('"', '""') + '"'
+    return value
+
+
+def write_rows(f, header, columns):
+    """Write the ``header`` cells to ``f``, then one row per entry of the
+    ``columns``. An array column holds numbers, taken through ``tolist()`` to
+    Python scalars, as numpy 2's repr of a numpy scalar is ``np.float64(...)``."""
+    cells = [map(repr, c.tolist()) if isinstance(c, np.ndarray) else map(_text, c)
+             for c in columns]
+    f.write("\n".join([",".join(map(_text, header)), *map(",".join, zip(*cells))]) + "\n")
 
 
 def _load(lines, dtype) -> np.ndarray:
@@ -65,11 +99,7 @@ def _blank(line: str) -> bool:
 
 def read_header(f) -> list[str]:
     """The stripped cells of the next line of ``f``; empty at the end of the file."""
-    try:
-        line = f.readline()
-    except UnicodeDecodeError:
-        raise not_utf8(f.name) from None
-    return [c.strip() for c in _cells(line)]
+    return [c.strip() for c in _cells(f.readline())]
 
 
 def parse_line(line: str, lineno: int, dtype, what: str, invalid=None):
@@ -106,18 +136,14 @@ def read_body(f, dtype, what: str, invalid=None) -> np.ndarray:
 
     ``invalid`` maps rows to a mask of those that break the reader's own
     invariants. The first line that does not parse or is flagged raises the
-    FormatError of :func:`parse_line`, and a body that is not UTF-8 the
-    FormatError of :func:`not_utf8`.
+    FormatError of :func:`parse_line`.
     """
     start = f.tell()
     rows = _bulk(f, dtype, invalid)  # a decoding error is a ValueError: it fails the pass
     if rows is not None:
         return rows
     f.seek(start)  # walk the lines: drop blank ones, then parse the rest in one pass
-    try:
-        numbered = [(n, line) for n, line in enumerate(f, start=2) if not _blank(line)]
-    except UnicodeDecodeError:
-        raise not_utf8(f.name) from None
+    numbered = [(n, line) for n, line in enumerate(f, start=2) if not _blank(line)]
     lines = [line for _, line in numbered]
     rows = _bulk(lines, dtype, invalid)
     if rows is not None:
@@ -138,7 +164,7 @@ def read_body(f, dtype, what: str, invalid=None) -> np.ndarray:
 
 def line_of_row(path, k: int) -> int:
     """The line number of data row ``k``, counted from 0, of the file at ``path``."""
-    with open_csv(path) as f:
+    with open_text(path) as f:
         f.readline()
         body = (n for n, line in enumerate(f, start=2) if not _blank(line))
         return next(itertools.islice(body, k, None))

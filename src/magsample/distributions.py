@@ -379,12 +379,8 @@ def parse_distribution(text: str) -> SamplingDistribution:
 
 
 def read_distribution(path) -> SamplingDistribution:
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            text = f.read()
-        except UnicodeDecodeError:
-            raise csvio.not_utf8(path) from None
-    return parse_distribution(text)
+    with csvio.open_text(path) as f:
+        return parse_distribution(f.read())
 
 
 def format_distribution(dist: SamplingDistribution, comments: Sequence[str] = ()) -> str:
@@ -403,5 +399,5 @@ def format_distribution(dist: SamplingDistribution, comments: Sequence[str] = ()
 
 
 def write_distribution(dist: SamplingDistribution, path, comments: Sequence[str] = ()):
-    with open(path, "w", encoding="utf-8", newline="") as f:
+    with csvio.open_text(path, "w") as f:
         f.write(format_distribution(dist, comments))

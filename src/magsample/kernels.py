@@ -259,8 +259,10 @@ class TabulatedKernel(Kernel):
         """Load a kernel from a CSV file with header ``x,y,value``.
 
         The rows must cover a complete rectangular grid, each sample once, in
-        any order, in the CSV dialect of :mod:`magsample.csvio`. Errors in
-        the file name its offending line where there is one.
+        any order, in the CSV dialect of :mod:`magsample.csvio`; the grid is
+        their sorted distinct coordinates. FormatError reports a bad header,
+        a row that does not parse or has a NaN coordinate, a repeated sample
+        (each naming its line), an empty body or a missing sample.
         """
         return cls(*_read_table(path))
 
@@ -365,14 +367,8 @@ _TABLE_DTYPE = np.dtype([("x", "f8"), ("y", "f8"), ("value", "f8")])
 
 
 def _read_table(path):
-    """Grid, in the form ``(xs, ys, values)``, of a kernel table CSV.
-
-    The grid is the sorted distinct coordinates. FormatError reports a bad
-    header, a row that does not parse or has a NaN coordinate (naming its
-    line), a repeated sample (naming its line), an empty body or a missing
-    sample.
-    """
-    with csvio.open_csv(path) as f:
+    """Grid, as ``(xs, ys, values)``, of a kernel table CSV; see ``from_csv``."""
+    with csvio.open_text(path) as f:
         if csvio.read_header(f) != ["x", "y", "value"]:
             raise FormatError(f"{path}: expected header 'x,y,value'", line=1)
         rows = csvio.read_body(f, _TABLE_DTYPE, "kernel table",

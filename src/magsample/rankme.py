@@ -232,7 +232,7 @@ def minmax_normalize_profiles(profiles: Sequence[RankMeProfile]) -> np.ndarray:
 
 def read_embeddings_csv(path) -> EmbeddingSet:
     """Read an embeddings CSV, in the dialect of :mod:`magsample.csvio`."""
-    with csvio.open_csv(path) as f:
+    with csvio.open_text(path) as f:
         header = csvio.read_header(f)
         dim = len(header) - 2
         if dim < 1 or header != ["id", "mpp", *(f"d{i}" for i in range(dim))]:
@@ -286,13 +286,10 @@ def load_embeddings(path) -> EmbeddingSet:
 
 
 def write_rankme_csv(profile: RankMeProfile, f: TextIO):
-    f.write("mpp,count,rankme\n")
-    for g in profile.groups:
-        f.write(f"{float(g.mpp)!r},{g.count},{float(g.rankme)!r}\n")
+    counts = np.array([g.count for g in profile.groups], np.int64)
+    csvio.write_rows(f, ("mpp", "count", "rankme"), (profile.mpps, counts, profile.values))
 
 
 def write_similarity_csv(sim: CentroidSimilarity, f: TextIO):
-    labels = list(map(repr, sim.mpps.astype(float).tolist()))
-    f.write("mpp," + ",".join(labels) + "\n")
-    for label, row in zip(labels, sim.matrix.astype(float).tolist()):
-        f.write(label + "," + ",".join(map(repr, row)) + "\n")
+    mpps = sim.mpps.astype(float)
+    csvio.write_rows(f, ("mpp", *mpps.tolist()), (mpps, *sim.matrix.astype(float).T))

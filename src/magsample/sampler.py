@@ -25,6 +25,7 @@ File formats owned by this module:
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import struct
 from dataclasses import dataclass, fields
@@ -46,6 +47,16 @@ _IMAGE_HEADER = struct.Struct("<4sIII")
 def _round_half_up(x):
     """``floor(x + 0.5)`` as int64, elementwise: how crops and offsets round."""
     return np.floor(np.add(x, 0.5)).astype(np.int64)
+
+
+def _sources(std: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """The source of each target: the largest standard mpp <= t, since smaller
+    ones only grow the crop. A FeasibilityError names a target below them all."""
+    k = np.searchsorted(std, targets, side="right") - 1
+    if (k < 0).any():
+        t = targets[np.argmin(k)]
+        raise FeasibilityError(f"target {t} lies below the smallest standard mpp {std[0]}")
+    return std[k]
 
 
 def _crop_sizes(cfg: SamplerConfig, targets: np.ndarray, sources: np.ndarray) -> np.ndarray:
@@ -149,9 +160,8 @@ class SamplerConfig:
         # right end (crop size grows with t for fixed s), so checking segment
         # ends covers the whole continuum.
         a, b = self.distribution.range.a, self.distribution.range.b
-        if a < std[0]:
-            raise FeasibilityError(f"target {a} lies below the smallest standard mpp {std[0]}")
         starts = np.array(std)
+        _sources(starts, np.array([a]))
         ends = np.minimum(np.append(starts[1:], b), b)
         live = ends > starts
         _crop_sizes(self, ends[live], starts[live])
@@ -172,14 +182,9 @@ def sample_targets(
 
 def _plan(cfg: SamplerConfig, index: np.ndarray, targets: np.ndarray, rng: CounterRng) -> CropPlan:
     """Plan entries ``index`` for their targets; entry i's offsets come from
-    counters 3i+1 and 3i+2.
-
-    A target's source is the largest standard mpp <= t, since smaller ones
-    only grow the crop; the config's check of its range ensures there is one.
-    The crops are checked again, as a config can be changed after its check.
-    """
-    std = np.asarray(cfg.standard_mpps)
-    sources = std[np.searchsorted(std, targets, side="right") - 1]
+    counters 3i+1 and 3i+2. Sources and crops are checked again, as a config
+    can be changed after its check."""
+    sources = _sources(np.asarray(cfg.standard_mpps), targets)
     counters = 3 * index.astype(np.uint64)
     rows = np.empty(len(index), PLAN_DTYPE)
     rows["index"] = index
@@ -214,19 +219,20 @@ def generate_plan(cfg: SamplerConfig, n: int) -> CropPlan:
 
 # -- plan CSV -----------------------------------------------------------------
 
-_CSV_HEADER = ",".join(PLAN_CSV_FIELDS) + "\n"
 _CSV_CHUNK_ROWS = 8192
 _DISTINCT_FIELDS = ("index", "offset_x_frac", "offset_y_frac")
 
 
 def _csv_chunks(plan: CropPlan):
-    """The CSV body, one block of rows at a time; each block ends in a newline.
+    """The plan CSV: its header line, then one block of rows at a time, each
+    ending in a newline.
 
     Numbers are written with ``repr``, the shortest text that reads back to
     the same value. Every column but the index and the offsets repeats its
     values (the sizes, the source mpps and a target's atoms), so each
     distinct value of those is formatted once per block.
     """
+    yield ",".join(PLAN_CSV_FIELDS) + "\n"
     for start in range(0, len(plan), _CSV_CHUNK_ROWS):
         rows = plan.rows[start : start + _CSV_CHUNK_ROWS]
         columns = []
@@ -241,13 +247,12 @@ def _csv_chunks(plan: CropPlan):
 
 
 def format_plan_csv(plan: CropPlan) -> str:
-    return _CSV_HEADER + "".join(_csv_chunks(plan))
+    return "".join(_csv_chunks(plan))
 
 
 def write_plan_csv(plan: CropPlan, path):
     """Write the plan CSV block by block, so memory does not grow with the plan."""
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(_CSV_HEADER)
+    with csvio.open_text(path, "w") as f:
         f.writelines(_csv_chunks(plan))
 
 
@@ -270,16 +275,13 @@ def _invalid_rows(rows: np.ndarray) -> np.ndarray:
     return ~ok
 
 
+@contextlib.contextmanager
 def _open_plan(path):
     """The plan file, open after its header line, which must be the plan's."""
-    f = csvio.open_csv(path)
-    try:
+    with csvio.open_text(path) as f:
         if csvio.read_header(f) != list(PLAN_CSV_FIELDS):
             raise FormatError(f"expected plan header {','.join(PLAN_CSV_FIELDS)!r}", line=1)
-    except BaseException:
-        f.close()
-        raise
-    return f
+        yield f
 
 
 def read_plan_csv(path) -> CropPlan:
@@ -349,15 +351,10 @@ def read_plan_row(path, index: int) -> CropPlanEntry:
     naming it; no other line is checked. When the line is missing, blank or
     holds another index (a negative ``index``, a short plan, blank lines or
     rows out of order), the whole plan is read and its first row with
-    ``index`` returned; ParameterError reports an index with no entry. Bytes
-    that are not UTF-8, in what is decoded, raise the FormatError of
-    :func:`magsample.csvio.not_utf8`, which names the file's first such line.
+    ``index`` returned; ParameterError reports an index with no entry.
     """
     with _open_plan(path) as f:
-        try:
-            line = _line_at(f, index + 1) if index >= 0 else ""
-        except UnicodeDecodeError:
-            raise csvio.not_utf8(path) from None
+        line = _line_at(f, index + 1) if index >= 0 else ""
     row = csvio.parse_line(line, index + 2, PLAN_DTYPE, "plan", _invalid_rows)
     if row is not None and row["index"][0] == index:
         return CropPlan(row)[0]

@@ -34,6 +34,7 @@ from typing import Iterable, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
+from . import csvio
 from .distributions import SamplingDistribution
 from .errors import RangeError
 from .kernels import DEFAULT_GRID, GRID_BLOCK, Kernel
@@ -173,12 +174,9 @@ def total_signal(dist: SamplingDistribution, kernel: Kernel) -> float:
 
 
 def write_profile_csv(profile: SignalProfile, f: TextIO):
-    f.write("y_mpp,signal\n")
-    for y, s in zip(profile.ys.tolist(), profile.values.tolist()):
-        f.write(f"{y!r},{s!r}\n")
+    csvio.write_rows(f, ("y_mpp", "signal"), (profile.ys, profile.values))
 
 
 def write_summary_csv(rows: Iterable[tuple[str, SignalSummary]], f: TextIO):
-    f.write("strategy,min,argmin,total,mean\n")
-    for name, s in rows:
-        f.write(name + "," + ",".join(repr(float(v)) for v in s) + "\n")
+    table = [(name, *map(float, s)) for name, s in rows]
+    csvio.write_rows(f, ("strategy", "min", "argmin", "total", "mean"), list(zip(*table)))

@@ -250,6 +250,15 @@ def test_compare_duplicate_gives_identical_rows(workdir):
     assert rows[1] == rows[2]
 
 
+def test_compare_quotes_a_strategy_name_that_holds_a_comma(workdir):
+    (workdir / "a,b.msdist").write_text(DU_TEXT)
+    assert main(["compare", "--out", "t.csv", "a,b.msdist", "du.msdist"]) == 0
+    rows = _read_csv(workdir / "t.csv")
+    assert [len(r) for r in rows] == [5, 5, 5]
+    assert [r[0] for r in rows] == ["strategy", "a,b", "du"] and rows[1][1:] == rows[2][1:]
+    assert (workdir / "t.csv").read_text().splitlines()[1].startswith('"a,b",')
+
+
 def test_optimize_maxmin_writes_achieved_t(workdir):
     assert main(["optimize", "--objective", "maxmin", "--grid", "200",
                  "--out", "mm.msdist"]) == 0

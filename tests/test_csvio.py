@@ -1,9 +1,13 @@
 """The CSV dialect shared by plans, kernel tables and embeddings."""
 
+import csv
+import io
 import math
 import os
+import re
 import struct
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from hypothesis import strategies as st
 from magsample import FormatError, csvio, read_image_array, write_image_array
 from magsample.csvio import line_of_row
 from magsample.rankme import read_embeddings_binary
+from magsample.signal import SignalSummary, write_summary_csv
 
 from conftest import CSV_READERS, csv_result
 
@@ -179,3 +184,80 @@ def test_a_payload_cut_after_its_size_is_taken_is_a_format_error(tmp_path, monke
                         lambda fd: types.SimpleNamespace(st_size=fstat(fd).st_size + 4))
     with pytest.raises(FormatError, match="^image payload is 12 bytes, expected 16$"):
         read_image_array(path)
+
+
+# -- text files and written tables ----------------------------------------------
+
+_SUMMARY_HEADER = ["strategy", "min", "argmin", "total", "mean"]
+_SUMMARY_DTYPE = np.dtype([("strategy", object)] + [(n, "f8") for n in _SUMMARY_HEADER[1:]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    # a strategy name is a file's stem, so any text without "/" or NUL
+    st.text(st.characters(blacklist_characters="/\x00")),
+    st.tuples(*[st.floats(allow_nan=False)] * 4),
+)
+@example(name="a,b", values=(1.0, 0.5, 2.0, 3.0))
+@example(name='say "hi"', values=(1.0, 0.5, 2.0, 3.0))
+@example(name=" lead", values=(1.0, 0.5, 2.0, 3.0))
+def test_summary_row_reads_back_with_its_name(tmp_path_factory, name, values):
+    path = tmp_path_factory.mktemp("summary") / "table.csv"
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        write_summary_csv([(name, SignalSummary(*values))], f)
+    with open(path, encoding="utf-8", newline="") as f:
+        assert list(csv.reader(f)) == [_SUMMARY_HEADER, [name, *map(repr, values)]]
+    if "\r" in name or "\n" in name:
+        return  # csvio's line walk, which names a bad line, splits at either even in quotes
+    with open(path, encoding="utf-8", newline="") as f:
+        assert csvio.read_header(f) == _SUMMARY_HEADER
+        rows = csvio.read_body(f, _SUMMARY_DTYPE, "summary")
+    assert rows.tolist() == [(name, *values)]
+
+
+@pytest.mark.parametrize("cell, written", [
+    ("plain", "plain"),
+    ("in side", "in side"),
+    ("a,b", '"a,b"'),
+    ('say "hi"', '"say ""hi"""'),
+    ("cr\rlf\n", '"cr\rlf\n"'),
+    (" lead", '" lead"'),
+    ("trail\t", '"trail\t"'),
+    ("", ""),
+])
+def test_write_rows_quotes_only_the_strings_that_need_it(cell, written):
+    out = io.StringIO()
+    csvio.write_rows(out, ["name", "x"], [[cell], [0.1]])
+    assert out.getvalue() == f"name,x\n{written},0.1\n"
+
+
+def test_write_rows_writes_array_cells_as_python_scalars():
+    out = io.StringIO()
+    columns = [np.array([0.1, 2.0]), np.array([3, -4]), np.array([0.5, 0.25], np.float32)]
+    csvio.write_rows(out, ["f", "i", 1.5], columns)
+    assert out.getvalue() == "f,i,1.5\n0.1,3,0.5\n2.0,-4,0.25\n"
+
+
+def test_open_text_turns_a_decoding_error_of_a_read_into_a_format_error(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_bytes(b"ok\r\nok\n\xff\n")
+    with pytest.raises(FormatError, match=r"^line 3: .*t\.txt: not UTF-8 text$"):
+        with csvio.open_text(path) as f:
+            f.read()
+    with pytest.raises(UnicodeDecodeError):  # not a read of the file: left as it is
+        with csvio.open_text(tmp_path / "out.txt", "w"):
+            b"\xff".decode("utf-8")
+    with csvio.open_text(tmp_path / "out.txt", "w") as f:
+        f.write("a\nb\n")
+    assert (tmp_path / "out.txt").read_bytes() == b"a\nb\n"
+
+
+def test_only_csvio_opens_text_files_or_decodes_them():
+    for path in Path(csvio.__file__).parent.glob("*.py"):
+        if path.name == "csvio.py":
+            continue
+        source = path.read_text(encoding="utf-8")
+        assert "UnicodeDecodeError" not in source, path.name
+        assert not re.search(r"\.(read|write)_text\(", source), path.name
+        for call in re.findall(r"\bopen\((.*)\)", source):
+            assert re.search(r'"[rw]b"', call), (path.name, call)

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import math
 import re
@@ -937,3 +938,28 @@ def test_regularized_objective_is_signal_plus_entropy(info_kernel, mag_range):
 
     expected = total_signal(d, info_kernel) + 2.0 * entropy(d)
     assert regularized_objective(d, cfg) == pytest.approx(expected, abs=1e-12)
+
+
+def _solver_names_in_code():
+    """The solver names ``optimize`` can return: the leading string of each
+    tuple that a function of the module returns or yields."""
+    tree = ast.parse(Path(optimize_module.__file__).read_text(encoding="utf-8"))
+    return {
+        node.value.elts[0].value
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Return, ast.Yield)) and isinstance(node.value, ast.Tuple)
+        and node.value.elts and isinstance(node.value.elts[0], ast.Constant)
+        and isinstance(node.value.elts[0].value, str)
+    }
+
+
+def test_docs_list_the_solvers_the_code_returns():
+    solvers = _solver_names_in_code()
+    assert solvers == {"green", "toeplitz", "nodes", "equalizer", "simplex"}
+    # the docstring's bullets, one per path
+    assert set(re.findall(r'^\* ``"(\w+)"``:', optimize_module.__doc__, re.M)) == solvers
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    notes = readme.split("\n## Numerical notes\n", 1)[1].split("\n## ", 1)[0]
+    listed = next(item for item in notes.split("\n* ") if "MaxMinSolution.solver" in item)
+    listed = listed.split("MaxMinSolution.solver", 1)[1].split(".", 1)[0]
+    assert set(re.findall(r'`"(\w+)"`', listed)) == solvers

@@ -179,6 +179,17 @@ def test_plan_checks_the_crops_of_a_config_changed_after_its_check(cu_dist):
         "^target 0.5 needs a 448px crop from source mpp 0.25, larger than the 256px source$"
     )):
         SamplerConfig(distribution=cu_dist, source_size_px=256)
+    # Standards that start above the range leave a target no source. Its
+    # index would wrap to the largest standard, an upsampling 34px crop.
+    cfg = SamplerConfig(distribution=cu_dist)
+    cfg.standard_mpps = (1.0, 2.0)
+    below = "^target 0.3 lies below the smallest standard mpp 1.0$"
+    with pytest.raises(FeasibilityError, match=below):
+        plan_crop(0.3, cfg, CounterRng(0))
+    with pytest.raises(FeasibilityError, match=r"^target \S+ lies below the smallest standard"):
+        generate_plan(cfg, 1000)
+    with pytest.raises(FeasibilityError, match=below.replace("0.3", "0.25")):
+        SamplerConfig(distribution=cu_dist, standard_mpps=(1.0, 2.0))
 
 
 @pytest.mark.parametrize(
@@ -412,7 +423,7 @@ def test_line_skip_is_the_text_mode_skip(tmp_path_factory, lines, k, chunk):
     path.write_bytes("".join(text + end for text, end in lines).encode("utf-8"))
     got, want = [], []
     for out, read in ((got, sampler._line_at), (want, _line_at_text)):
-        with csvio.open_csv(path) as f:
+        with csvio.open_text(path) as f:
             f.readline()  # as after the header check
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(sampler, "_SKIP_CHUNK", chunk)  # lines across chunk edges
