@@ -172,29 +172,20 @@ def _parse_standards(text: str) -> tuple[float, ...]:
         raise ParameterError(f"bad standard mpp list {text!r}") from None
 
 
-def _add_common(parser):
+def _add_common(parser, *, ranged=False):
+    """The options of the kernel commands; ``ranged`` adds ``--range``, which
+    the commands that read a distribution file take from the file instead."""
     parser.add_argument("--out", required=True, help="output file path")
     parser.add_argument("--grid", type=int, default=DEFAULT_GRID, help="grid size")
-    parser.add_argument(
-        "--range",
-        default=None,
-        help=f"magnification range <a>:<b> (default {_DEFAULT_RANGE}; commands reading "
-        "a distribution file take the range from the file and only check it)",
-    )
+    if ranged:
+        parser.add_argument(
+            "--range",
+            default=_DEFAULT_RANGE,
+            help=f"magnification range <a>:<b> (default {_DEFAULT_RANGE})",
+        )
     parser.add_argument(
         "--kernel", default="info", help="kernel: abs, info, or custom:<path>"
     )
-
-
-def _check_range_matches(args, dist, path):
-    if args.range is None:
-        return
-    wanted = _parse_range(args.range)
-    if wanted != dist.range:
-        raise ParameterError(
-            f"--range {args.range} does not match the range "
-            f"[{dist.range.a}, {dist.range.b}] declared in {path}"
-        )
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -210,8 +201,7 @@ def cmd_kernel(args) -> list[str]:
 
 
 def cmd_signal(args) -> list[str]:
-    dist = read_distribution(args.dist)  # the range comes from the file itself
-    _check_range_matches(args, dist, args.dist)
+    dist = read_distribution(args.dist)
     kernel = kernel_from_string(args.kernel)
     profile = accumulated_signal(dist, kernel, args.grid)
     with csvio.open_text(args.out, "w") as f:
@@ -227,10 +217,14 @@ def cmd_compare(args) -> list[str]:
     if len(args.dists) < 2:
         raise ParameterError("compare needs at least two distribution files")
     kernel = kernel_from_string(args.kernel)
-    dists = []
-    for path in args.dists:
-        dists.append(read_distribution(path))
-        _check_range_matches(args, dists[-1], path)
+    dists = [read_distribution(path) for path in args.dists]
+    first = dists[0].range
+    for path, dist in zip(args.dists, dists):
+        if dist.range != first:
+            raise ParameterError(
+                f"{path} is on the range [{dist.range.a}, {dist.range.b}], not on "
+                f"[{first.a}, {first.b}] of {args.dists[0]}; compare needs one range"
+            )
     profiles = accumulated_signals(dists, kernel, args.grid)
     rows = [(Path(path).stem, p.summary()) for path, p in zip(args.dists, profiles)]
     with csvio.open_text(args.out, "w") as f:
@@ -242,14 +236,10 @@ def cmd_optimize(args) -> list[str]:
     mag_range = _parse_range(args.range)
     kernel = kernel_from_string(args.kernel)
     cfg = OptimizationConfig(
-        objective=args.objective,
-        kernel=kernel,
-        mag_range=mag_range,
-        grid_n=args.grid,
-        lam=getattr(args, "lambda"),
+        kernel=kernel, mag_range=mag_range, grid_n=args.grid, lam=getattr(args, "lambda")
     )
     comments = []
-    if cfg.objective == MAX_AVG_ENTROPY:
+    if args.objective == MAX_AVG_ENTROPY:
         dist = optimize_max_avg(cfg)
     else:
         solution = optimize_max_min(cfg)
@@ -307,8 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("kernel", help="tabulate a kernel's transfer potential")
-    _add_common(p)
-    p.set_defaults(range=_DEFAULT_RANGE)
+    _add_common(p, ranged=True)
 
     p = sub.add_parser("signal", help="evaluate the signal profile of a distribution")
     _add_common(p)
@@ -320,13 +309,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dists", nargs="+", help="two or more distribution files")
 
     p = sub.add_parser("optimize", help="derive an optimized sampling distribution")
-    _add_common(p)
+    _add_common(p, ranged=True)
     p.add_argument(
         "--objective", required=True, choices=[MAX_AVG_ENTROPY, MAX_MIN], help="objective"
     )
     p.add_argument("--lambda", type=float, default=OptimizationConfig.lam,
                    help="entropy weight (maxavg)")
-    p.set_defaults(range=_DEFAULT_RANGE)
 
     p = sub.add_parser("plan", help="generate a crop-and-resize sampling plan")
     p.add_argument("--dist", required=True, help="distribution file (msdist)")

@@ -32,8 +32,11 @@ from .errors import FormatError
 @contextlib.contextmanager
 def open_text(path, mode: str = "r"):
     """The text file at ``path``, UTF-8 with no newline translation. On read,
-    a UnicodeDecodeError anywhere in the ``with`` block becomes :func:`not_utf8`."""
-    with open(path, mode, encoding="utf-8", newline="") as f:
+    a UnicodeDecodeError anywhere in the ``with`` block becomes :func:`not_utf8`.
+    On write, a character UTF-8 cannot encode, such as the surrogate escape of
+    a non-UTF-8 byte in a file name, is written as its backslash escape."""
+    errors = "strict" if mode == "r" else "backslashreplace"
+    with open(path, mode, encoding="utf-8", errors=errors, newline="") as f:
         try:
             yield f
         except UnicodeDecodeError:

@@ -92,24 +92,20 @@ _CG_TOL = 1e-15
 _CG_MAX_ITER = 100
 
 
-@dataclass
+@dataclass(kw_only=True)
 class OptimizationConfig:
-    """Objective, kernel, and discretization for a distribution search."""
+    """Kernel and discretization for a distribution search; the function it
+    is passed to, ``optimize_max_avg`` or ``optimize_max_min``, is the objective."""
 
-    objective: str
     kernel: Kernel
     mag_range: MagRange = field(default_factory=MagRange)
     grid_n: int = DEFAULT_GRID
     lam: float = 1.0
 
     def __post_init__(self):
-        if self.objective not in (MAX_AVG_ENTROPY, MAX_MIN):
-            raise ParameterError(
-                f"objective must be {MAX_AVG_ENTROPY!r} or {MAX_MIN!r}, got {self.objective!r}"
-            )
         if self.grid_n < 10:
             raise ParameterError(f"grid size must be >= 10, got {self.grid_n}")
-        if self.objective == MAX_AVG_ENTROPY and not self.lam > 0.0:
+        if not self.lam > 0.0:
             raise ParameterError(f"entropy weight must be positive, got {self.lam}")
 
 
@@ -132,8 +128,6 @@ def optimize_max_avg(cfg: OptimizationConfig) -> SamplingDistribution:
     piecewise-constant cell values at cell midpoints and normalized to
     unit mass.
     """
-    if cfg.objective != MAX_AVG_ENTROPY:
-        raise ParameterError(f"config objective is {cfg.objective!r}, not {MAX_AVG_ENTROPY!r}")
     mids = cfg.mag_range.cell_midpoints(cfg.grid_n)
     tp = np.asarray(cfg.kernel.transfer_potential(mids, cfg.mag_range))
     weights = np.exp((tp - tp.max()) / cfg.lam)  # shift-invariant, avoids overflow
@@ -142,8 +136,6 @@ def optimize_max_avg(cfg: OptimizationConfig) -> SamplingDistribution:
 
 def optimize_max_min(cfg: OptimizationConfig) -> MaxMinSolution:
     """Maximizer of the worst-case signal over the grid, on the path the game allows."""
-    if cfg.objective != MAX_MIN:
-        raise ParameterError(f"config objective is {cfg.objective!r}, not {MAX_MIN!r}")
     mids = cfg.mag_range.cell_midpoints(cfg.grid_n)
     solver, iterations, bounds = _solve_game(_Game(cfg.kernel, mids))
     q, signal, t_lo, t_hi = bounds

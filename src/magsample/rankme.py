@@ -142,8 +142,8 @@ def rankme(embeddings, epsilon: float = DEFAULT_EPSILON) -> float:
 def _rankme(vectors, epsilon: float) -> float:
     """Effective rank of a nonempty 2-D matrix of finite values, widened to
     float64, as an EmbeddingSet's vectors (and their groups) are."""
-    if epsilon < 0:
-        raise ParameterError(f"epsilon must be nonnegative, got {epsilon}")
+    if not 0.0 <= epsilon < np.inf:
+        raise ParameterError(f"epsilon must be finite and nonnegative, got {epsilon}")
     sigma = np.linalg.svd(np.asarray(vectors, dtype=float), compute_uv=False)
     total = sigma.sum()
     if total <= 0.0:
@@ -155,6 +155,8 @@ def _rankme(vectors, epsilon: float) -> float:
 
 
 def _group_slices(mpps: np.ndarray, tolerance: float):
+    if not 0.0 <= tolerance < np.inf:
+        raise ParameterError(f"group tolerance must be finite and nonnegative, got {tolerance}")
     order = np.argsort(mpps, kind="stable")
     sorted_mpps = mpps[order]
     breaks = np.flatnonzero(np.diff(sorted_mpps) > tolerance) + 1

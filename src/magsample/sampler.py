@@ -146,6 +146,8 @@ class SamplerConfig:
 
     def __post_init__(self):
         std = tuple(float(s) for s in self.standard_mpps)
+        if not np.isfinite(std).all():
+            raise ParameterError(f"standard mpps must be finite, got {std}")
         if not std or any(s <= 0 for s in std) or any(
             b <= a for a, b in zip(std, std[1:])
         ):

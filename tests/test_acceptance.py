@@ -27,7 +27,7 @@ from magsample import (
     transfer_potential_curve,
 )
 from magsample.kernels import AbsDistanceKernel
-from magsample.optimize import MAX_AVG_ENTROPY, MAX_MIN, OptimizationConfig
+from magsample.optimize import OptimizationConfig
 from magsample.rankme import EmbeddingSet
 from magsample.rng import CounterRng
 from magsample.sampler import format_plan_csv, plan_crop
@@ -52,11 +52,10 @@ def strategies():
     du = SamplingDistribution.discrete(RANGE, STANDARDS)
     cu = SamplingDistribution.uniform(RANGE)
     gibbs = optimize_max_avg(
-        OptimizationConfig(objective=MAX_AVG_ENTROPY, kernel=INFO, mag_range=RANGE,
-                           grid_n=GRID, lam=1.0)
+        OptimizationConfig(kernel=INFO, mag_range=RANGE, grid_n=GRID, lam=1.0)
     )
     maxmin = optimize_max_min(
-        OptimizationConfig(objective=MAX_MIN, kernel=INFO, mag_range=RANGE, grid_n=GRID)
+        OptimizationConfig(kernel=INFO, mag_range=RANGE, grid_n=GRID)
     )
     summaries = {
         "DU": signal_summary(du, INFO, GRID),
@@ -135,8 +134,7 @@ def test_criterion_3_optimizer_guarantees(strategies):
     # Gibbs beats 100 random densities at lambda in {0.5, 1.0}
     worst_margin = np.inf
     for lam in (0.5, 1.0):
-        cfg = OptimizationConfig(objective=MAX_AVG_ENTROPY, kernel=INFO,
-                                 mag_range=RANGE, grid_n=200, lam=lam)
+        cfg = OptimizationConfig(kernel=INFO, mag_range=RANGE, grid_n=200, lam=lam)
         best = regularized_objective(optimize_max_avg(cfg), cfg)
         for _ in range(100):
             rand = SamplingDistribution(RANGE, density=g.random(200) + 1e-3)
@@ -151,8 +149,7 @@ def test_criterion_3_optimizer_guarantees(strategies):
         "discrete": strategies["du"],
         "gibbs(1.0)": strategies["gibbs"],
         "gibbs(0.5)": optimize_max_avg(
-            OptimizationConfig(objective=MAX_AVG_ENTROPY, kernel=INFO,
-                               mag_range=RANGE, grid_n=GRID, lam=0.5)
+            OptimizationConfig(kernel=INFO, mag_range=RANGE, grid_n=GRID, lam=0.5)
         ),
     }
     for name, rival in rivals.items():
@@ -172,8 +169,7 @@ def test_criterion_3_optimizer_guarantees(strategies):
 
     # lambda = 100 Gibbs is near-uniform
     flat = optimize_max_avg(
-        OptimizationConfig(objective=MAX_AVG_ENTROPY, kernel=INFO,
-                           mag_range=RANGE, grid_n=GRID, lam=100.0)
+        OptimizationConfig(kernel=INFO, mag_range=RANGE, grid_n=GRID, lam=100.0)
     )
     dev = float(np.max(np.abs(flat.density - 1.0 / RANGE.width)))
     ok &= dev < 0.005

@@ -215,12 +215,46 @@ def test_signal_command_empty_dist(workdir, capsys):
     assert main(["signal", "--dist", "empty.msdist", "--out", "p.csv"]) == 2
 
 
-def test_signal_command_range_mismatch(workdir, capsys):
-    assert main(["signal", "--dist", "du.msdist", "--range", "0.5:1.5",
-                 "--out", "p.csv"]) == 2
-    assert "does not match" in capsys.readouterr().err
-    assert main(["signal", "--dist", "du.msdist", "--range", "0.25:2.0",
-                 "--out", "p.csv"]) == 0
+@pytest.mark.parametrize("argv", [["signal", "--dist", "du.msdist"], ["compare", "du.msdist"]],
+                         ids=["signal", "compare"])
+def test_commands_reading_a_distribution_take_no_range(workdir, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--range", "0.25:2.0", "--out", "o.csv"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --range 0.25:2.0" in capsys.readouterr().err
+
+
+def test_compare_on_mixed_ranges_exits_2(workdir, capsys):
+    write_distribution(SamplingDistribution.uniform(MagRange(0.5, 1.0)), "narrow.msdist")
+    assert main(["compare", "--kernel", "abs", "--out", "t.csv",
+                 "du.msdist", "cu.msdist", "narrow.msdist"]) == 2
+    assert capsys.readouterr().err == (
+        "magsample compare: error: narrow.msdist is on the range [0.5, 1.0], not on "
+        "[0.25, 2.0] of du.msdist; compare needs one range\n"
+    )
+    assert not Path("t.csv").exists()
+
+
+# File names holding a byte that is not UTF-8, as sys.argv hands them over
+_FF_DIST, _FE_OUT = os.fsdecode(b"\xff.msdist"), os.fsdecode(b"\xfe.csv")
+
+
+@pytest.mark.parametrize("argv, outs", [
+    (["signal", "--dist", _FF_DIST, "--grid", "20", "--out", "s.csv"], ["s.csv", "s.summary.csv"]),
+    (["compare", "--grid", "20", "--out", "c.csv", _FF_DIST, "du.msdist"], ["c.csv"]),
+    (["plan", "--dist", _FF_DIST, "--n", "3", "--out", _FE_OUT], [_FE_OUT]),
+    (["kernel", "--grid", "20", "--out", _FE_OUT], [_FE_OUT]),
+    (["optimize", "--objective", "maxmin", "--grid", "20", "--out", _FE_OUT], [_FE_OUT]),
+], ids=["signal", "compare", "plan", "kernel", "optimize"])
+def test_non_utf8_file_names_are_written_as_backslash_escapes(workdir, argv, outs):
+    Path(_FF_DIST).write_text(DU_TEXT)
+    assert main(argv) == 0
+    paths = [p for out in outs for p in (out, out + ".manifest.txt")]
+    texts = {p: Path(p).read_bytes().decode("utf-8") for p in paths}
+    name = r"\udcff" if _FF_DIST in argv else r"\udcfe"
+    assert name in texts[outs[0] + ".manifest.txt"]
+    if argv[0] in ("signal", "compare"):  # the summary row is named by the file's stem
+        assert f"\n{name}," in texts[outs[-1]]
 
 
 def test_compare_command(workdir):
@@ -445,19 +479,35 @@ def test_bad_msim_header_exits_2(workdir, capsys, kind):
          "bad range 'a:b': could not convert string to float: 'a'"),
         (["optimize", "--objective", "maxavg", "--range", "2:1"],
          "bad range '2:1': magnification range requires 0 < a < b, got [2.0, 1.0]"),
-        (["signal", "--dist", "du.msdist", "--range", "0.5"],
-         "range must look like <a>:<b>, got '0.5'"),
         (["plan", "--dist", "du.msdist", "--n", "3", "--standards", "0.25,x"],
          "bad standard mpp list '0.25,x'"),
         (["plan", "--dist", "du.msdist", "--n", "3", "--standards", "0.5,0.25"],
          "standard mpps must be a nonempty, strictly increasing, positive sequence"),
+        (["plan", "--dist", "du.msdist", "--n", "3", "--standards", "0.25,nan"],
+         "standard mpps must be finite, got (0.25, nan)"),
+        (["plan", "--dist", "du.msdist", "--n", "3", "--standards", "0.25,inf"],
+         "standard mpps must be finite, got (0.25, inf)"),
         (["plan", "--dist", "du.msdist", "--n", "3", "--patch-size", "0"],
          "patch sizes must be positive"),
+        (["rankme", "--embeddings", "emb.mseb", "--epsilon", "nan"],
+         "epsilon must be finite and nonnegative, got nan"),
+        (["rankme", "--embeddings", "emb.mseb", "--epsilon", "inf"],
+         "epsilon must be finite and nonnegative, got inf"),
+        (["rankme", "--embeddings", "emb.mseb", "--group-tol", "nan"],
+         "group tolerance must be finite and nonnegative, got nan"),
+        (["similarity", "--embeddings", "emb.mseb", "--group-tol", "inf"],
+         "group tolerance must be finite and nonnegative, got inf"),
+        (["similarity", "--embeddings", "emb.mseb", "--group-tol", "-1"],
+         "group tolerance must be finite and nonnegative, got -1.0"),
     ],
-    ids=["range-arity", "range-text", "range-bounds", "signal-range-arity",
-         "standards-text", "standards-order", "patch-size"],
+    ids=["range-arity", "range-text", "range-bounds", "standards-text", "standards-order",
+         "standards-nan", "standards-inf", "patch-size", "epsilon-nan", "epsilon-inf",
+         "group-tol-nan", "group-tol-inf", "group-tol-negative"],
 )
 def test_bad_range_or_standards_exits_2(workdir, capsys, argv, message):
+    mpps = np.repeat([0.25, 0.5, 1.0], 20)
+    vectors = np.random.default_rng(2).standard_normal((60, 4))
+    write_embeddings_binary("emb.mseb", EmbeddingSet(mpps=mpps, vectors=vectors))
     assert main(argv + ["--out", "o.csv"]) == 2
     assert capsys.readouterr().err == f"magsample {argv[0]}: error: {message}\n"
     assert not Path("o.csv").exists()

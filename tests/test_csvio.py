@@ -194,8 +194,10 @@ _SUMMARY_DTYPE = np.dtype([("strategy", object)] + [(n, "f8") for n in _SUMMARY_
 
 @settings(max_examples=300, deadline=None)
 @given(
-    # a strategy name is a file's stem, so any text without "/" or NUL
-    st.text(st.characters(blacklist_characters="/\x00")),
+    # a strategy name is a file's stem, so any text without "/" or NUL; a lone
+    # surrogate, which UTF-8 cannot encode, is written as its backslash escape
+    # and does not read back (test_cli's non-UTF-8 file names)
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="/\x00")),
     st.tuples(*[st.floats(allow_nan=False)] * 4),
 )
 @example(name="a,b", values=(1.0, 0.5, 2.0, 3.0))

@@ -102,27 +102,6 @@ CASES = {
     ),
 }
 
-# signal and compare take the range from their input files and only check
-# --range against it; a given --range is recorded like any other option.
-RANGE_CASES = {
-    "signal": (
-        ["signal", "--dist", "cu.msdist", "--range", "0.25:2.0", "--summary-out", "ss.csv",
-         "--grid", "20", "--out", "sr.csv"],
-        ["sr.csv", "ss.csv"],
-        [f"digest.dist {CU}", "dist cu.msdist", "grid 20", "kernel info", "out sr.csv",
-         "range 0.25:2.0", "subcommand signal", "summary_out ss.csv", VERSION],
-    ),
-    "compare": (
-        ["compare", "--range", "0.25:2.0", "--grid", "20", "--out", "cr.csv",
-         "du.msdist", "du.msdist"],
-        ["cr.csv"],
-        [f"digest.0 {DU}", f"digest.1 {DU}", "dists ['du.msdist', 'du.msdist']",
-         "grid 20", "kernel info",
-         "out cr.csv", "range 0.25:2.0", "subcommand compare", VERSION],
-    ),
-}
-
-
 @pytest.fixture()
 def inputs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -133,18 +112,10 @@ def inputs(tmp_path, monkeypatch):
     return tmp_path
 
 
-def _check(workdir, argv, outs, lines):
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_manifest_bytes(inputs, case):
+    argv, outs, lines = CASES[case]
     assert main(argv) == 0
     expected = "".join(line + "\n" for line in lines).encode()
     for out in outs:
-        assert (workdir / f"{out}.manifest.txt").read_bytes() == expected
-
-
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_manifest_bytes(inputs, case):
-    _check(inputs, *CASES[case])
-
-
-@pytest.mark.parametrize("case", sorted(RANGE_CASES))
-def test_checked_range_is_recorded(inputs, case):
-    _check(inputs, *RANGE_CASES[case])
+        assert (inputs / f"{out}.manifest.txt").read_bytes() == expected

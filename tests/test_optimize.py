@@ -34,7 +34,7 @@ from magsample import (
 from magsample import cli
 from magsample import optimize as optimize_module
 from magsample.cli import main
-from magsample.optimize import MAX_AVG_ENTROPY, MAX_MIN, OptimizationConfig
+from magsample.optimize import OptimizationConfig
 from magsample.simplex import solve_inequality_lp
 
 from conftest import MisdeclaredKernel, child_env
@@ -45,27 +45,19 @@ from conftest import MisdeclaredKernel, child_env
 INFO_MAXMIN_T_ORACLE = 1.0 / (1.0 + np.log(8.0))
 
 
-def _cfg(objective, kernel, grid_n=400, lam=1.0):
-    return OptimizationConfig(
-        objective=objective, kernel=kernel, mag_range=MagRange(), grid_n=grid_n, lam=lam
-    )
+def _cfg(kernel, grid_n=400, lam=1.0):
+    return OptimizationConfig(kernel=kernel, mag_range=MagRange(), grid_n=grid_n, lam=lam)
 
 
 def test_config_validation(info_kernel):
+    with pytest.raises(TypeError):  # every field is keyword-only
+        OptimizationConfig(info_kernel)
     with pytest.raises(ParameterError):
-        OptimizationConfig(objective="fastest", kernel=info_kernel)
-    with pytest.raises(ParameterError):
-        OptimizationConfig(objective=MAX_MIN, kernel=info_kernel, grid_n=5)
-    for lam in (0.0, -1.0):
-        with pytest.raises(ParameterError):
-            OptimizationConfig(objective=MAX_AVG_ENTROPY, kernel=info_kernel, lam=lam)
-
-
-def test_objective_mismatch_rejected(info_kernel):
-    with pytest.raises(ParameterError):
-        optimize_max_avg(_cfg(MAX_MIN, info_kernel))
-    with pytest.raises(ParameterError):
-        optimize_max_min(_cfg(MAX_AVG_ENTROPY, info_kernel))
+        OptimizationConfig(kernel=info_kernel, grid_n=5)
+    # the entropy weight is checked whichever objective the config is passed to
+    for lam in (0.0, -1.0, float("nan")):
+        with pytest.raises(ParameterError, match="entropy weight must be positive"):
+            OptimizationConfig(kernel=info_kernel, lam=lam)
 
 
 # -- entropy -------------------------------------------------------------------
@@ -99,12 +91,12 @@ def test_entropy_handles_zero_cells(mag_range):
 
 
 def test_gibbs_large_lambda_is_nearly_uniform(info_kernel):
-    dist = optimize_max_avg(_cfg(MAX_AVG_ENTROPY, info_kernel, grid_n=1000, lam=100.0))
+    dist = optimize_max_avg(_cfg(info_kernel, grid_n=1000, lam=100.0))
     assert np.max(np.abs(dist.density - 1.0 / 1.75)) < 0.005
 
 
 def test_gibbs_density_ratio_matches_closed_form(info_kernel, mag_range):
-    dist = optimize_max_avg(_cfg(MAX_AVG_ENTROPY, info_kernel, grid_n=1000, lam=1.0))
+    dist = optimize_max_avg(_cfg(info_kernel, grid_n=1000, lam=1.0))
     ratio = dist.density_at(1.338) / dist.density_at(0.25)
     formula = np.exp(
         info_kernel.transfer_potential(1.338, mag_range)
@@ -118,12 +110,12 @@ def test_gibbs_constant_kernel_is_uniform():
     xs = np.linspace(0.25, 2.0, 6)
     const = TabulatedKernel(xs, xs, np.full((6, 6), 0.37))
     for lam in (0.2, 1.0, 10.0):
-        dist = optimize_max_avg(_cfg(MAX_AVG_ENTROPY, const, grid_n=100, lam=lam))
+        dist = optimize_max_avg(_cfg(const, grid_n=100, lam=lam))
         assert np.max(np.abs(dist.density - dist.density[0])) < 1e-12
 
 
 def test_gibbs_entropy_below_uniform(info_kernel, mag_range):
-    gibbs = optimize_max_avg(_cfg(MAX_AVG_ENTROPY, info_kernel, lam=1.0))
+    gibbs = optimize_max_avg(_cfg(info_kernel, lam=1.0))
     assert entropy(gibbs) < np.log(1.75)
 
 
@@ -131,7 +123,7 @@ def test_gibbs_beats_random_densities(info_kernel, abs_kernel, mag_range):
     g = np.random.default_rng(41)
     for kernel in (info_kernel, abs_kernel):
         for lam in (0.5, 1.0):
-            cfg = _cfg(MAX_AVG_ENTROPY, kernel, grid_n=200, lam=lam)
+            cfg = _cfg(kernel, grid_n=200, lam=lam)
             best = regularized_objective(optimize_max_avg(cfg), cfg)
             for _ in range(100):
                 rand = SamplingDistribution(mag_range, density=g.random(200) + 1e-3)
@@ -139,7 +131,7 @@ def test_gibbs_beats_random_densities(info_kernel, abs_kernel, mag_range):
 
 
 def test_gibbs_beats_uniform(info_kernel, mag_range):
-    cfg = _cfg(MAX_AVG_ENTROPY, info_kernel, lam=1.0)
+    cfg = _cfg(info_kernel, lam=1.0)
     gibbs = optimize_max_avg(cfg)
     uniform = SamplingDistribution.uniform(mag_range, cfg.grid_n)
     assert regularized_objective(gibbs, cfg) >= regularized_objective(uniform, cfg)
@@ -148,7 +140,7 @@ def test_gibbs_beats_uniform(info_kernel, mag_range):
 def test_gibbs_flattens_monotonically_in_lambda(info_kernel):
     devs = []
     for lam in (0.1, 0.5, 1.0, 5.0, 100.0):
-        dist = optimize_max_avg(_cfg(MAX_AVG_ENTROPY, info_kernel, lam=lam))
+        dist = optimize_max_avg(_cfg(info_kernel, lam=lam))
         devs.append(np.max(np.abs(dist.density - 1.0 / 1.75)))
     assert all(b <= a + 1e-12 for a, b in zip(devs, devs[1:]))
 
@@ -159,7 +151,7 @@ def test_gibbs_flattens_monotonically_in_lambda(info_kernel):
 @pytest.fixture(scope="module")
 def maxmin_info(info_kernel):
     return optimize_max_min(
-        OptimizationConfig(objective=MAX_MIN, kernel=info_kernel, grid_n=200)
+        OptimizationConfig(kernel=info_kernel, grid_n=200)
     )
 
 
@@ -190,8 +182,8 @@ def test_maxmin_dominates_other_strategies(maxmin_info, info_kernel, mag_range, 
     competitors = [
         SamplingDistribution.uniform(mag_range),
         du_dist,
-        optimize_max_avg(_cfg(MAX_AVG_ENTROPY, info_kernel, grid_n=200, lam=0.5)),
-        optimize_max_avg(_cfg(MAX_AVG_ENTROPY, info_kernel, grid_n=200, lam=1.0)),
+        optimize_max_avg(_cfg(info_kernel, grid_n=200, lam=0.5)),
+        optimize_max_avg(_cfg(info_kernel, grid_n=200, lam=1.0)),
     ]
     for c in competitors:
         assert maxmin_info.achieved_t > accumulated_signal(c, info_kernel, 200).min_value
@@ -200,7 +192,7 @@ def test_maxmin_dominates_other_strategies(maxmin_info, info_kernel, mag_range, 
 def test_maxmin_oversamples_boundaries(info_kernel, abs_kernel):
     for kernel in (info_kernel, abs_kernel):
         sol = optimize_max_min(
-            OptimizationConfig(objective=MAX_MIN, kernel=kernel, grid_n=200)
+            OptimizationConfig(kernel=kernel, grid_n=200)
         )
         d = sol.distribution.density
         tenth = d.size // 10
@@ -224,7 +216,7 @@ def test_maxmin_info_approaches_the_continuum_solution(a, b, n, info_kernel):
     # with the atoms in the end cells.
     t_star = 1.0 / (1.0 + np.log(b / a))
     sol = optimize_max_min(
-        OptimizationConfig(objective=MAX_MIN, kernel=info_kernel, mag_range=MagRange(a, b), grid_n=n)
+        OptimizationConfig(kernel=info_kernel, mag_range=MagRange(a, b), grid_n=n)
     )
     dist = sol.distribution
     q = dist.density * dist.cell_width
@@ -261,7 +253,7 @@ def _check_certified(sol, K):
 @pytest.mark.parametrize("name", ["info", "abs"])
 def test_maxmin_builtin_kernels_take_the_equalizer(name, info_kernel, abs_kernel):
     kernel = {"info": info_kernel, "abs": abs_kernel}[name]
-    sol = optimize_max_min(OptimizationConfig(objective=MAX_MIN, kernel=kernel, grid_n=200))
+    sol = optimize_max_min(OptimizationConfig(kernel=kernel, grid_n=200))
     # info declares its Green's factors, so its equalizer takes the O(n) solve;
     # abs declares itself stationary, so its equalizer takes the Toeplitz solve
     solver = {"info": "green", "abs": "toeplitz"}[name]
@@ -276,7 +268,7 @@ def test_maxmin_builtin_kernels_take_the_equalizer(name, info_kernel, abs_kernel
 def test_green_solve_that_fails_its_certificate_falls_through(abs_kernel):
     # the factors are not of this K: their check against the kernel fails, and
     # the path of the abs kernel, which it inherits, solves the game
-    cfg = OptimizationConfig(objective=MAX_MIN, kernel=MisdeclaredKernel(), grid_n=200)
+    cfg = OptimizationConfig(kernel=MisdeclaredKernel(), grid_n=200)
     assert optimize_module._green(optimize_module._Game(cfg.kernel, MagRange().cell_midpoints(200))) is None
     sol = optimize_max_min(cfg)
     assert sol.solver == "toeplitz"
@@ -317,7 +309,7 @@ def test_matrix_free_path_that_gives_up_falls_through(name, n):
         assert u is None  # conjugate gradients give up
     else:
         assert u.min() < 0.0
-    sol = optimize_max_min(OptimizationConfig(objective=MAX_MIN, kernel=kernel, grid_n=n))
+    sol = optimize_max_min(OptimizationConfig(kernel=kernel, grid_n=n))
     assert (solver, sol.solver) == (name, "simplex")
     K = _game(kernel, n)
     _check_certified(sol, K)
@@ -401,10 +393,10 @@ def test_misdeclared_stationary_kernel_falls_through(name, info_kernel):
     # only the check of the declaration against the kernel stops the Toeplitz solve
     game = optimize_module._Game(kernel, MagRange().cell_midpoints(n))
     assert optimize_module._toeplitz(game) is None
-    sol = optimize_max_min(OptimizationConfig(objective=MAX_MIN, kernel=kernel, grid_n=n))
+    sol = optimize_max_min(OptimizationConfig(kernel=kernel, grid_n=n))
     assert sol.solver == expected_solver
     _check_certified(sol, K)
-    want = optimize_max_min(OptimizationConfig(objective=MAX_MIN, kernel=honest, grid_n=n))
+    want = optimize_max_min(OptimizationConfig(kernel=honest, grid_n=n))
     assert want.solver == expected_solver
     assert sol.distribution.density.tobytes() == want.distribution.density.tobytes()
     assert sol.iterations == want.iterations
@@ -503,7 +495,7 @@ def test_asymmetric_mixed_game_ends_on_the_equalizer(info_kernel, solves):
     values = _mixed_asymmetric_game(info_kernel, n)
     kernel = TabulatedKernel(mids, mids, values)
     assert np.array_equal(_game(kernel, n), values)
-    sol = optimize_max_min(OptimizationConfig(objective=MAX_MIN, kernel=kernel, grid_n=n))
+    sol = optimize_max_min(OptimizationConfig(kernel=kernel, grid_n=n))
     assert sol.solver == "equalizer" and sol.iterations == 0
     assert _full_solves(solves, n) == 2
     q, _, t_lo, t_hi = _equalizer_reference(values)
@@ -547,7 +539,7 @@ def test_maxmin_sparse_game_takes_the_node_block():
     kernel = _asymmetric_table(2)
     K = _game(kernel, 200)
     assert np.linalg.solve(K, np.ones(200)).min() < 0.0  # not completely mixed
-    sol = optimize_max_min(OptimizationConfig(objective=MAX_MIN, kernel=kernel, grid_n=200))
+    sol = optimize_max_min(OptimizationConfig(kernel=kernel, grid_n=200))
     assert sol.solver == "nodes" and sol.iterations > 0
     q = _check_certified(sol, K)
     assert sol.achieved_t == pytest.approx(_lp_oracle(K)[1], abs=1e-12)
@@ -570,7 +562,7 @@ def test_long_sparse_game_is_solved_on_its_node_block(solves):
     # block still holds it, so the game takes no n x n solve
     kernel, n = _asymmetric_table(2, decay=2.0), 400
     K = _game(kernel, n)
-    sol = optimize_max_min(OptimizationConfig(objective=MAX_MIN, kernel=kernel, grid_n=n))
+    sol = optimize_max_min(OptimizationConfig(kernel=kernel, grid_n=n))
     assert sol.solver == "nodes" and sol.iterations > 0
     assert solves["shapes"] and _full_solves(solves, n) == 0
     solver, pivots, (q, _, t_lo, t_hi), dense = _solved(kernel, n)
@@ -589,7 +581,7 @@ def test_maxmin_double_oracle_matches_full_lp(seed, grid_n):
     # were left to it; one LP on the node block solves them now
     kernel = _asymmetric_table(seed)
     K = _game(kernel, grid_n)
-    sol = optimize_max_min(OptimizationConfig(objective=MAX_MIN, kernel=kernel, grid_n=grid_n))
+    sol = optimize_max_min(OptimizationConfig(kernel=kernel, grid_n=grid_n))
     assert sol.solver == "nodes" and not _solved(kernel, grid_n)[3]
     _check_certified(sol, K)
     assert sol.achieved_t == pytest.approx(_lp_oracle(K)[1], abs=1e-12)
@@ -628,7 +620,7 @@ def test_table_game_is_solved_on_its_node_block(seed, evaluated, monkeypatch):
         return bounds(game, I, J, u, y)
 
     monkeypatch.setattr(optimize_module._Game, "bounds", recorded)
-    sol = optimize_max_min(OptimizationConfig(objective=MAX_MIN, kernel=kernel, grid_n=n))
+    sol = optimize_max_min(OptimizationConfig(kernel=kernel, grid_n=n))
     assert sol.solver == "nodes" and sol.iterations > 0
     I, J = _node_block(kernel, n)
     assert (I.size, J.size) == (118, 118)
@@ -665,7 +657,7 @@ def test_node_block_solves_irregular_tables(kernel, grid_n):
     solver, _, (_, _, t_lo, t_hi), dense = _solved(kernel, grid_n)
     assert solver in ("nodes", "equalizer") and not dense
     K = _game(kernel, grid_n)
-    sol = optimize_max_min(OptimizationConfig(objective=MAX_MIN, kernel=kernel, grid_n=grid_n))
+    sol = optimize_max_min(OptimizationConfig(kernel=kernel, grid_n=grid_n))
     assert (sol.solver, sol.achieved_t) == (solver, t_lo)
     _check_certified(sol, K)
     assert sol.achieved_t == pytest.approx(_lp_oracle(K)[1], abs=1e-12)
@@ -700,7 +692,7 @@ def test_whole_grid_solution_is_certified_not_trusted(monkeypatch, source, messa
         return types.SimpleNamespace(duals=source(len(b)), x=np.ones(len(c)), iterations=0)
 
     monkeypatch.setattr(optimize_module, "solve_inequality_lp", lp)
-    cfg = OptimizationConfig(objective=MAX_MIN, grid_n=n,
+    cfg = OptimizationConfig(grid_n=n,
                              kernel=_NodelessTable(table.xs, table.ys, table.values))
     with pytest.raises(SolverError, match=message):
         optimize_max_min(cfg)
@@ -715,7 +707,7 @@ def test_table_with_lying_nodes_falls_through(monkeypatch):
     monkeypatch.setattr(optimize_module, "solve_inequality_lp",
                         lambda c, A, b: shapes.append(A.shape) or lp(c, A, b))
     # the 2 x 2 block game is not the grid game, and its certificate shows it
-    sol = optimize_max_min(OptimizationConfig(objective=MAX_MIN, kernel=kernel, grid_n=n))
+    sol = optimize_max_min(OptimizationConfig(kernel=kernel, grid_n=n))
     assert sol.solver == "simplex" and shapes == [(2, 2), (n, n)]
     K = _game(kernel, n)
     _check_certified(sol, K)
@@ -725,7 +717,7 @@ def test_table_with_lying_nodes_falls_through(monkeypatch):
 def test_undeclared_asymmetric_table_takes_the_simplex():
     table, n = _asymmetric_table(2), 200
     kernel = _NodelessTable(table.xs, table.ys, table.values)
-    sol = optimize_max_min(OptimizationConfig(objective=MAX_MIN, kernel=kernel, grid_n=n))
+    sol = optimize_max_min(OptimizationConfig(kernel=kernel, grid_n=n))
     assert sol.solver == "simplex" and sol.iterations > 0
     K = _game(kernel, n)
     _check_certified(sol, K)
@@ -743,7 +735,7 @@ def test_maxmin_value_matches_full_lp_on_random_tables(nodes, values, grid_n):
     table = np.array(values[: nodes * nodes]).reshape(nodes, nodes)
     kernel = TabulatedKernel(xs, xs, table)
     K = _game(kernel, grid_n)
-    sol = optimize_max_min(OptimizationConfig(objective=MAX_MIN, kernel=kernel, grid_n=grid_n))
+    sol = optimize_max_min(OptimizationConfig(kernel=kernel, grid_n=grid_n))
     _check_certified(sol, K)
     assert sol.achieved_t == pytest.approx(_lp_oracle(K)[1], abs=1e-12)
 
@@ -759,7 +751,7 @@ def test_maxmin_large_support_falls_back_to_simplex(info_kernel):
     kernel = TabulatedKernel(mids, mids, values)
     K = _game(kernel, n)
     assert np.array_equal(K, values)
-    sol = optimize_max_min(OptimizationConfig(objective=MAX_MIN, kernel=kernel, grid_n=n))
+    sol = optimize_max_min(OptimizationConfig(kernel=kernel, grid_n=n))
     assert sol.solver == "simplex"
     q = _check_certified(sol, K)
     assert np.count_nonzero(q) > n // 8
@@ -773,7 +765,7 @@ def test_maxmin_singular_game_falls_back_to_simplex():
     K = _game(const, 10)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(K, np.ones(10))
-    sol = optimize_max_min(OptimizationConfig(objective=MAX_MIN, kernel=const, grid_n=10))
+    sol = optimize_max_min(OptimizationConfig(kernel=const, grid_n=10))
     assert sol.solver == "simplex"
     _check_certified(sol, K)
     assert sol.achieved_t == pytest.approx(0.37, abs=1e-12)
@@ -830,7 +822,7 @@ def test_maxmin_kernel_with_a_nonpositive_entry_exits_1(declared, tmp_path, monk
     # of the path after it has the entry <= 0
     kernel = _LinearDecayKernel() if declared else _undeclared(_LinearDecayKernel())
     with pytest.raises(DomainError):
-        optimize_max_min(OptimizationConfig(objective=MAX_MIN, kernel=kernel, grid_n=100))
+        optimize_max_min(OptimizationConfig(kernel=kernel, grid_n=100))
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(cli, "kernel_from_string", lambda selector: kernel)
     assert main(["optimize", "--objective", "maxmin", "--grid", "100", "--out", "mm.msdist"]) == 1
@@ -932,7 +924,7 @@ def test_maxmin_at_grid_20000_runs_in_linear_memory(name, tmp_path):
 
 
 def test_regularized_objective_is_signal_plus_entropy(info_kernel, mag_range):
-    cfg = _cfg(MAX_AVG_ENTROPY, info_kernel, grid_n=100, lam=2.0)
+    cfg = _cfg(info_kernel, grid_n=100, lam=2.0)
     d = SamplingDistribution.uniform(mag_range, 100)
     from magsample import total_signal
 

@@ -1,5 +1,6 @@
 """README's runnable blocks: the "Command line" block and the "Library quick
-start" run as written, on input files made here, in a temp directory."""
+start" run as written, on input files made here, in a temp directory. The
+binary headers that "File formats" states are read back from the code."""
 
 import re
 import shlex
@@ -17,14 +18,25 @@ from magsample import (
     write_image_array,
 )
 from magsample.cli import main
-from magsample.rankme import write_embeddings_binary
+from magsample.rankme import (
+    _EMB_HEADER,
+    _EMB_MAGIC,
+    _EMB_VERSION,
+    _emb_record,
+    write_embeddings_binary,
+)
+from magsample.sampler import _IMAGE_HEADER, _IMAGE_MAGIC
 
 README = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
 
 
+def _section(section: str) -> str:
+    return README.split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def _block(section: str, language: str) -> str:
     """The first fenced ``language`` block of the README section ``section``."""
-    body = README.split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
+    body = _section(section)
     return re.search(rf"```{language}\n(.*?)```", body, re.S).group(1)
 
 
@@ -111,3 +123,29 @@ def test_library_quick_start_runs(tmp_path, monkeypatch, capsys):
     summary, plan = capsys.readouterr().out.splitlines()
     assert summary.startswith("SignalSummary(min_value=")
     assert plan.startswith("1000 CropPlanEntry(index=0,")
+
+
+_WIDTHS = {"H": "u16", "I": "u32", "Q": "u64"}
+
+
+def _header_fields(header, names):
+    """``<type> <name>`` of each field after a binary header's 4-byte magic."""
+    assert header.format[:3] == "<4s"  # little-endian, the magic first
+    return ", ".join(f"{_WIDTHS[code]} {name}" for code, name in zip(header.format[3:], names))
+
+
+@pytest.mark.parametrize("dim", [1, 384])
+def test_file_formats_state_the_binary_headers(dim):
+    text = " ".join(_section("File formats").split())
+    assert (f"{_IMAGE_HEADER.size}-byte header (magic `{_IMAGE_MAGIC.decode()}`, "
+            f"{_header_fields(_IMAGE_HEADER, ['height', 'width', 'channels'])}, "
+            "little-endian)") in text
+    record = _emb_record(dim)
+    mpp, vec = record["mpp"], record["vec"]
+    assert record.itemsize == 8 + 4 * dim and vec.shape == (dim,)
+    assert mpp.str == "<f8" and vec.base.str == "<f4"
+    fields = _header_fields(_EMB_HEADER, ["version", "N", "K"])
+    assert (f"magic `{_EMB_MAGIC.decode()}`, "
+            f"{fields.replace('version', f'version ({_EMB_VERSION})')}, then N records "
+            f"of (f{8 * mpp.itemsize} mpp, K float{8 * vec.base.itemsize} components), "
+            "little-endian") in text
