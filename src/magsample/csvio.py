@@ -4,9 +4,11 @@ Every text file is opened here (:func:`open_text`): UTF-8, with no newline
 translation, so the package writes ``\n`` and reads ``\n``, ``\r`` and
 ``\r\n``. A read that does not decode is a FormatError naming the line of
 the file's first bad byte. Kernel tables, crop plans, embedding CSVs and
-every CSV the package writes (:func:`write_rows`) share one dialect:
-comma-separated, with a header line; cells may be in double quotes and may
-have spaces around them; a line whose cells are all blank is skipped.
+every CSV the package writes share one dialect: comma-separated, with a
+header line; cells may be in double quotes and may have spaces around them;
+a line whose cells are all blank is skipped. :func:`write_rows` writes every
+table, the crop plan included, 8192 rows at a time, so its memory does not
+grow with the table, and formats each value that repeats in a block once.
 
 A body is read into a structured array by one ``np.loadtxt`` pass. Only when
 that pass fails, or a reader's row mask flags a row, are its lines walked:
@@ -72,13 +74,29 @@ def _text(value) -> str:
     return value
 
 
+_BLOCK_ROWS = 8192  # rows that write_rows formats and writes at a time
+
+
+def _column_text(column):
+    """The cells of one block of a column. An array column's numbers are the
+    ``repr`` of their ``tolist()``, as numpy 2's repr of a numpy scalar is
+    ``np.float64(...)``, and a value that repeats is formatted once. Repeats
+    are found among the bits, so ``-0.0`` and ``0.0`` stay apart."""
+    if not isinstance(column, np.ndarray):
+        return map(_text, column)
+    bits, which = np.unique(column.view(f"u{column.itemsize}"), return_inverse=True)
+    if len(bits) == len(column):
+        return map(repr, column.tolist())
+    text = list(map(repr, bits.view(column.dtype).tolist()))
+    return map(text.__getitem__, which.tolist())
+
+
 def write_rows(f, header, columns):
-    """Write the ``header`` cells to ``f``, then one row per entry of the
-    ``columns``. An array column holds numbers, taken through ``tolist()`` to
-    Python scalars, as numpy 2's repr of a numpy scalar is ``np.float64(...)``."""
-    cells = [map(repr, c.tolist()) if isinstance(c, np.ndarray) else map(_text, c)
-             for c in columns]
-    f.write("\n".join([",".join(map(_text, header)), *map(",".join, zip(*cells))]) + "\n")
+    """Write the ``header`` cells to ``f``, then one row per entry of the ``columns``."""
+    f.write(",".join(map(_text, header)) + "\n")
+    for start in range(0, min(map(len, columns), default=0), _BLOCK_ROWS):
+        block = [_column_text(c[start : start + _BLOCK_ROWS]) for c in columns]
+        f.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
 def _load(lines, dtype) -> np.ndarray:

@@ -183,13 +183,7 @@ class SamplingDistribution:
         jumps = np.zeros_like(knots)
         if self._atom_x.size:
             np.add.at(jumps, np.searchsorted(knots, self._atom_x), self._atom_w)
-        seg_mid = 0.5 * (knots[:-1] + knots[1:])
-        if self._density is not None:
-            cedges = self.cell_edges()
-            idx = np.clip(np.searchsorted(cedges, seg_mid, side="right") - 1, 0, self.cells - 1)
-            slopes = self._density[idx]
-        else:
-            slopes = np.zeros(knots.size - 1)
+        slopes = self.density_at(0.5 * (knots[:-1] + knots[1:]))
         seg_mass = slopes * np.diff(knots)
         # Knots are rounded positions, so on a narrow range far from 0 the
         # masses can sum to 1 + a few 1e-12; rescale so the CDF ends at 1.
@@ -201,14 +195,10 @@ class SamplingDistribution:
         self._slopes = slopes
         self._cdf_after = after
         self._cdf_before = after - jumps
-        # infimum of the support, returned by quantile(0)
-        support_min = np.inf
-        if self._atom_x.size:
-            support_min = self._atom_x[0]
-        if self._density is not None:
-            first_live = int(np.argmax(self._density > 0.0))
-            support_min = min(support_min, self.cell_edges()[first_live])
-        self._support_min = float(support_min)
+        # infimum of the support, returned by quantile(0): the first knot
+        # that holds mass or starts a segment of positive density
+        live = (jumps > 0.0) | np.append(slopes > 0.0, False)
+        self._support_min = float(knots[np.argmax(live)])
 
     def quantile(self, u):
         """Inverse CDF: the smallest x with CDF(x) >= u."""

@@ -16,7 +16,8 @@ and read in bulk rather than row by row.
 
 File formats owned by this module:
 
-* plan CSV, in the dialect of :mod:`magsample.csvio`, with header
+* plan CSV, written by :func:`magsample.csvio.write_rows` in its dialect,
+  with header
   ``index,target_mpp,source_mpp,source_size_px,crop_size_px,output_size_px,offset_x_frac,offset_y_frac``;
 * raw image arrays (``.msim``): 16-byte header of magic ``MSIM``, u32 height,
   u32 width, u32 channels (little-endian, none 0), then float32 pixels in
@@ -42,6 +43,8 @@ STANDARD_MPPS = (0.25, 0.5, 1.0, 2.0)
 
 _IMAGE_MAGIC = b"MSIM"
 _IMAGE_HEADER = struct.Struct("<4sIII")
+# the largest side of a .msim image: the header holds three u32 sides after its magic
+_MAX_SIDE = 256 ** ((_IMAGE_HEADER.size - len(_IMAGE_MAGIC)) // 3) - 1
 
 
 def _round_half_up(x):
@@ -156,6 +159,10 @@ class SamplerConfig:
             )
         if self.source_size_px < 1 or self.output_size_px < 1:
             raise ParameterError("patch sizes must be positive")
+        if max(self.source_size_px, self.output_size_px) > _MAX_SIDE:
+            raise ParameterError(
+                f"patch sizes must be at most {_MAX_SIDE} px, the largest .msim side"
+            )
         self.standard_mpps = std
         # Every target in the distribution's range must admit a source. The
         # worst target of each segment between consecutive standards is its
@@ -221,41 +228,11 @@ def generate_plan(cfg: SamplerConfig, n: int) -> CropPlan:
 
 # -- plan CSV -----------------------------------------------------------------
 
-_CSV_CHUNK_ROWS = 8192
-_DISTINCT_FIELDS = ("index", "offset_x_frac", "offset_y_frac")
-
-
-def _csv_chunks(plan: CropPlan):
-    """The plan CSV: its header line, then one block of rows at a time, each
-    ending in a newline.
-
-    Numbers are written with ``repr``, the shortest text that reads back to
-    the same value. Every column but the index and the offsets repeats its
-    values (the sizes, the source mpps and a target's atoms), so each
-    distinct value of those is formatted once per block.
-    """
-    yield ",".join(PLAN_CSV_FIELDS) + "\n"
-    for start in range(0, len(plan), _CSV_CHUNK_ROWS):
-        rows = plan.rows[start : start + _CSV_CHUNK_ROWS]
-        columns = []
-        for name in PLAN_CSV_FIELDS:
-            if name in _DISTINCT_FIELDS:
-                columns.append(map(repr, rows[name].tolist()))
-            else:
-                values, which = np.unique(rows[name], return_inverse=True)
-                text = list(map(repr, values.tolist()))
-                columns.append(map(text.__getitem__, which.tolist()))
-        yield "\n".join(map(",".join, zip(*columns))) + "\n"
-
-
-def format_plan_csv(plan: CropPlan) -> str:
-    return "".join(_csv_chunks(plan))
-
 
 def write_plan_csv(plan: CropPlan, path):
-    """Write the plan CSV block by block, so memory does not grow with the plan."""
+    """Write the plan CSV a block of rows at a time, so memory does not grow with the plan."""
     with csvio.open_text(path, "w") as f:
-        f.writelines(_csv_chunks(plan))
+        csvio.write_rows(f, PLAN_CSV_FIELDS, [plan.rows[n] for n in PLAN_CSV_FIELDS])
 
 
 def _positive_finite(x: np.ndarray) -> np.ndarray:
@@ -321,7 +298,8 @@ def _line_at(f, k: int) -> str:
         size *= 2
         if skip:
             is_newline = np.frombuffer(chunk, np.uint8) == ord("\n")
-            count, cut = np.count_nonzero(is_newline), len(chunk)
+            # a Python int, as skip may be past int64
+            count, cut = int(np.count_nonzero(is_newline)), len(chunk)
             if count >= skip:  # line k starts after newline number skip
                 cut = int(np.flatnonzero(is_newline)[skip - 1]) + 1
             if chunk.find(b"\r", 0, cut) >= 0:

@@ -25,12 +25,13 @@ from magsample import (
     sample_targets,
     signal_summary,
     transfer_potential_curve,
+    write_plan_csv,
 )
 from magsample.kernels import AbsDistanceKernel
 from magsample.optimize import OptimizationConfig
 from magsample.rankme import EmbeddingSet
 from magsample.rng import CounterRng
-from magsample.sampler import format_plan_csv, plan_crop
+from magsample.sampler import plan_crop
 
 from conftest import STANDARDS, chi_square_gof
 
@@ -198,7 +199,7 @@ def test_criterion_4_crop_formula_exactness():
     )
 
 
-def test_criterion_5_sampler_statistics(strategies):
+def test_criterion_5_sampler_statistics(strategies, tmp_path):
     """Seeded draws match each distribution (chi-square) and plans reproduce."""
     dists = {
         "DU": strategies["du"],
@@ -215,9 +216,10 @@ def test_criterion_5_sampler_statistics(strategies):
         details.append(f"{name} chi2 {stat:.1f} < {crit:.1f} ({bins} bins)")
 
     cfg = SamplerConfig(distribution=dists["CU"], rng_seed=77)
-    plan_a = format_plan_csv(generate_plan(cfg, 2000))
-    plan_b = format_plan_csv(generate_plan(cfg, 2000))
-    ok &= plan_a.encode() == plan_b.encode()
+    plan_a, plan_b = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_plan_csv(generate_plan(cfg, 2000), plan_a)
+    write_plan_csv(generate_plan(cfg, 2000), plan_b)
+    ok &= plan_a.read_bytes() == plan_b.read_bytes()
     details.append("plans byte-identical")
     _report("criterion 5 (sampler statistics, 10^5 draws)", ok, "; ".join(details))
 

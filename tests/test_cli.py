@@ -489,6 +489,13 @@ def test_bad_msim_header_exits_2(workdir, capsys, kind):
          "standard mpps must be finite, got (0.25, inf)"),
         (["plan", "--dist", "du.msdist", "--n", "3", "--patch-size", "0"],
          "patch sizes must be positive"),
+        (["plan", "--dist", "du.msdist", "--n", "3", "--source-size", "4294967296"],
+         "patch sizes must be at most 4294967295 px, the largest .msim side"),
+        (["plan", "--dist", "du.msdist", "--n", "3", "--source-size", "4722366482869645213696",
+          "--patch-size", "1180591620717411303424"],
+         "patch sizes must be at most 4294967295 px, the largest .msim side"),
+        (["plan", "--dist", "du.msdist", "--n", "3", "--patch-size", "4294967296"],
+         "patch sizes must be at most 4294967295 px, the largest .msim side"),
         (["rankme", "--embeddings", "emb.mseb", "--epsilon", "nan"],
          "epsilon must be finite and nonnegative, got nan"),
         (["rankme", "--embeddings", "emb.mseb", "--epsilon", "inf"],
@@ -501,7 +508,8 @@ def test_bad_msim_header_exits_2(workdir, capsys, kind):
          "group tolerance must be finite and nonnegative, got -1.0"),
     ],
     ids=["range-arity", "range-text", "range-bounds", "standards-text", "standards-order",
-         "standards-nan", "standards-inf", "patch-size", "epsilon-nan", "epsilon-inf",
+         "standards-nan", "standards-inf", "patch-size", "source-size-past-msim",
+         "sizes-past-int64", "patch-size-past-msim", "epsilon-nan", "epsilon-inf",
          "group-tol-nan", "group-tol-inf", "group-tol-negative"],
 )
 def test_bad_range_or_standards_exits_2(workdir, capsys, argv, message):
@@ -574,7 +582,7 @@ def _crop_apply(index):
                  "--index", str(index), "--out", "o.msim"])
 
 
-@pytest.mark.parametrize("index", [8, -1])
+@pytest.mark.parametrize("index", [8, -1, 2**63 - 1, 2**63, 10**20])
 def test_crop_apply_index_without_entry_exits_2(crop_inputs, capsys, index):
     assert _crop_apply(index) == 2
     assert f"plan has no entry with index {index}" in capsys.readouterr().err

@@ -240,6 +240,43 @@ def test_write_rows_writes_array_cells_as_python_scalars():
     assert out.getvalue() == "f,i,1.5\n0.1,3,0.5\n2.0,-4,0.25\n"
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 20_000),  # crosses write_rows' block of 8192 rows
+    st.lists(st.sampled_from(["f8", "i8"]), min_size=1, max_size=4),
+    st.floats(0.0, 1.0),  # the share of cells drawn from the pools of repeats
+    st.integers(0, 2**32 - 1),
+    st.lists(st.floats(allow_nan=False), min_size=1, max_size=8),
+    st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=8),
+)
+@example(20_000, ["f8", "i8"], 0.5, 0, [1.5], [7])
+def test_write_rows_is_each_value_by_repr_and_reads_back(n, kinds, repeated, seed, floats, ints):
+    g = np.random.default_rng(seed)
+    columns = []
+    for kind in kinds:
+        if kind == "f8":
+            pool = np.array([*floats, -0.0, 0.0])
+            fresh = g.standard_normal(n) * 10.0 ** g.integers(-300, 300, n)
+        else:
+            pool = np.array(ints, np.int64)
+            fresh = g.integers(-(2**63), 2**63 - 1, n, endpoint=True)
+        column = np.where(g.random(n) < repeated, pool[g.integers(len(pool), size=n)], fresh)
+        columns.append(column)
+    header = [f"c{k}" for k in range(len(kinds))]
+    out = io.StringIO()
+    csvio.write_rows(out, header, columns)
+    rows = zip(*(c.tolist() for c in columns))
+    assert out.getvalue() == ",".join(header) + "\n" + "".join(
+        ",".join(map(repr, row)) + "\n" for row in rows
+    )
+    out.seek(0)
+    assert csvio.read_header(out) == header
+    dtype = np.dtype([(name, c.dtype) for name, c in zip(header, columns)])
+    body = csvio.read_body(out, dtype, "table")
+    for name, c in zip(header, columns):
+        assert body[name].tobytes() == c.tobytes()
+
+
 def test_open_text_turns_a_decoding_error_of_a_read_into_a_format_error(tmp_path):
     path = tmp_path / "t.txt"
     path.write_bytes(b"ok\r\nok\n\xff\n")

@@ -124,6 +124,28 @@ def test_quantile_vectorized_matches_scalar(mag_range):
     assert np.array_equal(vec, np.array([d.quantile(float(u)) for u in us]))
 
 
+@pytest.mark.parametrize(
+    "dist, want",
+    [
+        (SamplingDistribution(MagRange(), atoms=[(0.3, 0.0), (1.0, 1.0)]), 1.0),
+        (
+            mix(
+                SamplingDistribution.discrete(MagRange(), [0.3]),
+                SamplingDistribution.from_density(MagRange(), [0, 1, 1, 1]),
+                0.0,
+            ),
+            0.6875,
+        ),
+        (SamplingDistribution(MagRange(), atoms=[(0.5, 1), (1.0, 1)], density=[0, 0, 0]), 0.5),
+    ],
+    ids=["zero-weight-atom", "zero-weight-atom-before-density", "zero-density"],
+)
+def test_quantile_0_is_the_first_point_with_mass(dist, want):
+    # an atom of no weight or a cell of no density is not in the support
+    assert dist.quantile(0.0) == want
+    assert dist.quantile(1e-18) == want
+
+
 def test_quantile_rejects_bad_input(cu_dist):
     for u in (-0.1, 1.1, float("nan")):
         with pytest.raises(ParameterError):

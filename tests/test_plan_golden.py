@@ -25,7 +25,7 @@ from magsample import (
     write_plan_csv,
 )
 from magsample.rng import CounterRng
-from magsample.sampler import PLAN_CSV_FIELDS, format_plan_csv
+from magsample.sampler import PLAN_CSV_FIELDS
 
 from conftest import STANDARDS
 
@@ -50,18 +50,21 @@ GOLDEN = {
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_plan_csv_golden_digest(name):
-    text = format_plan_csv(generate_plan(_config(DISTRIBUTIONS[name]), 5000))
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN[name]
+def test_plan_csv_golden_digest(name, tmp_path):
+    path = tmp_path / "plan.csv"
+    write_plan_csv(generate_plan(_config(DISTRIBUTIONS[name]), 5000), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[name]
 
 
 @pytest.mark.parametrize("name", sorted(DISTRIBUTIONS))
-def test_plan_csv_is_each_value_by_repr(name):
+def test_plan_csv_is_each_value_by_repr(name, tmp_path):
     # three blocks of rows; each distinct value of a repeating column is
     # formatted once per block, and must give the text of a plain repr
     plan = generate_plan(_config(DISTRIBUTIONS[name]), 20_000)
     want = "".join(",".join(map(repr, row)) + "\n" for row in plan.rows.tolist())
-    assert format_plan_csv(plan) == ",".join(PLAN_CSV_FIELDS) + "\n" + want
+    path = tmp_path / "plan.csv"
+    write_plan_csv(plan, path)
+    assert path.read_bytes().decode() == ",".join(PLAN_CSV_FIELDS) + "\n" + want
 
 
 @settings(max_examples=40, deadline=None)
