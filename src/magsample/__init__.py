@@ -48,7 +48,6 @@ from .optimize import (
     entropy,
     optimize_max_avg,
     optimize_max_min,
-    regularized_objective,
 )
 from .rankme import (
     CentroidSimilarity,
@@ -57,7 +56,6 @@ from .rankme import (
     RankMeProfile,
     centroid_similarity,
     load_embeddings,
-    minmax_normalize_profiles,
     rankme,
     rankme_profile,
 )
@@ -69,7 +67,6 @@ from .sampler import (
     SamplerConfig,
     apply_crop,
     generate_plan,
-    plan_crop,
     read_image_array,
     read_plan_csv,
     read_plan_row,

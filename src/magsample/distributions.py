@@ -2,9 +2,8 @@
 
 A :class:`SamplingDistribution` mixes point masses (atoms) with a
 piecewise-constant density on equal-width cells. Construction normalizes
-the total mass to one. The class provides exact CDF, quantile, and
-interval-mass computations; these back the signal evaluator, the plan
-sampler, and the statistical tests.
+the total mass to one. The class provides the exact CDF and quantile
+that the plan sampler draws targets by.
 
 Distribution file format (``.msdist``), UTF-8 text:
 
@@ -85,10 +84,6 @@ class SamplingDistribution:
         """Uniform density over the range (exact for any cell count)."""
         return cls(mag_range, density=np.ones(int(cells)))
 
-    @classmethod
-    def from_density(cls, mag_range: MagRange, values):
-        return cls(mag_range, density=values)
-
     # -- basic accessors ----------------------------------------------------
 
     @property
@@ -127,10 +122,6 @@ class SamplingDistribution:
 
     def cell_midpoints(self) -> np.ndarray:
         return self.range.cell_midpoints(self.cells)
-
-    def total_mass(self) -> float:
-        dens_mass = 0.0 if self._density is None else self._density.sum() * self.cell_width
-        return float(self._atom_w.sum() + dens_mass)
 
     def density_at(self, x):
         """Density value at magnification x (0 where only atoms carry mass)."""
@@ -234,26 +225,6 @@ class SamplingDistribution:
         out = np.where(xa <= knots[0], 0.0, out)
         out = np.where(xa > knots[-1], after[-1], out)
         return float(out) if np.ndim(x) == 0 else out
-
-    def _jump_at(self, x):
-        j = np.searchsorted(self._knots, x)
-        if j < self._knots.size and self._knots[j] == x:
-            return float(self._cdf_after[j] - self._cdf_before[j])
-        return 0.0
-
-    def bin_masses(self, edges) -> np.ndarray:
-        """Probability mass per histogram bin.
-
-        Bins are half-open [e_k, e_{k+1}) except the last, which is closed,
-        matching ``np.searchsorted(edges, x, side='right')`` binning.
-        """
-        edges = np.asarray(edges, dtype=float)
-        if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
-            raise ParameterError("bin edges must be strictly increasing")
-        cb = self.cdf_before(edges)
-        masses = np.diff(cb)
-        masses[-1] += self._jump_at(float(edges[-1]))
-        return masses
 
 
 def mix(

@@ -38,6 +38,9 @@ DEFAULT_GRID = 1000
 # memory does not grow with the grid.
 GRID_BLOCK = 256
 
+# A declared structure must match Kernel.__call__ to this relative tolerance.
+_DECLARATION_RTOL = 1e-12
+
 
 @dataclass(frozen=True)
 class MagRange:
@@ -90,6 +93,9 @@ class Kernel:
     constant. Unless it declares Green's factors and their integrals, it also
     defines ``_antiderivative(x, y)`` (for 1-D x, y: F[i, j] = integral up to
     x[i] of K(s, y[j]) ds, up to a constant).
+
+    Declared structure is used only where :func:`declaration_holds` finds it
+    equal to K; declared ``green_integrals`` are trusted to integrate the factors.
     """
 
     name = "kernel"
@@ -423,6 +429,20 @@ def transfer_potential_curve(
         argmax_x=float(xs[imax]),
         max_value=float(values[imax]),
     )
+
+
+def declaration_holds(kernel: Kernel, xs: np.ndarray, declared) -> bool:
+    """Whether ``kernel(xs[i], xs[j])`` equals ``declared(i, j)`` to
+    _DECLARATION_RTOL on O(n) index pairs (i, j) of the n increasing points
+    xs: the diagonal, the first row, the last column, the sub-diagonal, and n
+    pairs scattered by two fixed multiplicative walks. ``declared`` maps the
+    index arrays i and j to the values the declaration gives."""
+    n = xs.size
+    k = np.arange(n)
+    i = np.concatenate((k, np.zeros(n, int), k, k[1:], k * 40503 % n))
+    j = np.concatenate((k, k, np.full(n, n - 1), k[:-1], (k * 65521 + n // 3) % n))
+    values, expected = kernel(xs[i], xs[j]), declared(i, j)
+    return bool(np.all(np.abs(values - expected) <= _DECLARATION_RTOL * np.abs(expected)))
 
 
 def kernel_from_string(selector: str) -> Kernel:

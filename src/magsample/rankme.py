@@ -33,7 +33,7 @@ from __future__ import annotations
 import struct
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, TextIO
+from typing import NamedTuple, TextIO
 
 import numpy as np
 
@@ -212,21 +212,6 @@ def centroid_similarity(
     sim = 0.5 * (sim + sim.T)
     np.fill_diagonal(sim, 1.0)
     return CentroidSimilarity(mpps=np.array(mpps), matrix=sim)
-
-
-def minmax_normalize_profiles(profiles: Sequence[RankMeProfile]) -> np.ndarray:
-    """Min-max scale rankme values jointly across all (profile, mpp) cells."""
-    if len(profiles) < 2:
-        raise ParameterError("normalization needs at least two profiles")
-    base = profiles[0].mpps
-    for p in profiles[1:]:
-        if p.mpps.shape != base.shape or not np.allclose(p.mpps, base, atol=1e-9):
-            raise ParameterError("profiles must share an identical mpp grid")
-    values = np.vstack([p.values for p in profiles])
-    lo, hi = values.min(), values.max()
-    if hi == lo:
-        raise DegenerateInputError("all rankme values are equal; nothing to normalize")
-    return (values - lo) / (hi - lo)
 
 
 # -- I/O -----------------------------------------------------------------------

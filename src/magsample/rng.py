@@ -67,9 +67,5 @@ class CounterRng:
             z = z ^ (z >> np.uint64(31))
         return (z >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
-    def uniform_block(self, start: int, n: int) -> np.ndarray:
-        """Uniform doubles at counters ``start, start + 1, ..., start + n - 1``."""
-        return self.uniform_at(np.arange(int(start), int(start) + int(n), dtype=np.uint64))
-
     def __repr__(self) -> str:
         return f"CounterRng(seed={self.seed})"

@@ -207,17 +207,6 @@ def _plan(cfg: SamplerConfig, index: np.ndarray, targets: np.ndarray, rng: Count
     return CropPlan(rows)
 
 
-def plan_crop(t: float, cfg: SamplerConfig, rng: CounterRng, index: int = 0) -> CropPlanEntry:
-    """Plan one crop for target ``t``; offsets come from counters 3i+1, 3i+2."""
-    t = float(t)
-    if not bool(cfg.distribution.range.contains(t)):
-        raise ParameterError(
-            f"target {t} outside the distribution range "
-            f"[{cfg.distribution.range.a}, {cfg.distribution.range.b}]"
-        )
-    return _plan(cfg, np.array([index], dtype=np.int64), np.array([t]), rng)[0]
-
-
 def generate_plan(cfg: SamplerConfig, n: int) -> CropPlan:
     """Draw ``n`` targets and plan their crops; pure function of (cfg, n)."""
     if n < 1:

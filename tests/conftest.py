@@ -12,10 +12,14 @@ from magsample import (
     EmbeddingSet,
     InfoOverlapKernel,
     MagRange,
+    ParameterError,
     SamplingDistribution,
     TabulatedKernel,
+    entropy,
     read_plan_csv,
+    total_signal,
 )
+from magsample import sampler
 from magsample.rankme import read_embeddings_csv
 from magsample.sampler import PLAN_CSV_FIELDS
 
@@ -107,6 +111,39 @@ def raw_info_kernel(x, y):
     return (np.minimum(x, y) / np.maximum(x, y)) ** 2
 
 
+def regularized_objective(dist, cfg):
+    """The objective that ``optimize_max_avg`` maximizes: total signal plus
+    lam times entropy."""
+    return total_signal(dist, cfg.kernel) + cfg.lam * entropy(dist)
+
+
+def plan_crop(t, cfg, rng, index=0):
+    """The plan entry ``index`` for target ``t``, made by the plan's row
+    builder; offsets come from counters 3 * index + 1 and 3 * index + 2."""
+    t = float(t)
+    if not cfg.distribution.range.contains(t):
+        raise ParameterError(
+            f"target {t} outside the distribution range "
+            f"[{cfg.distribution.range.a}, {cfg.distribution.range.b}]"
+        )
+    return sampler._plan(cfg, np.array([index], dtype=np.int64), np.array([t]), rng)[0]
+
+
+def bin_masses(dist, edges):
+    """Probability mass of each histogram bin, from the exact CDF.
+
+    Bins are half-open [e_k, e_{k+1}) except the last, which is closed and
+    so also holds the atoms at the last edge, as
+    ``np.searchsorted(edges, x, side='right')`` bins samples.
+    """
+    edges = np.asarray(edges, dtype=float)
+    if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
+        raise ParameterError("bin edges must be strictly increasing")
+    masses = np.diff(dist.cdf_before(edges))
+    masses[-1] += dist.atom_weights[dist.atom_locations == edges[-1]].sum()
+    return masses
+
+
 class MisdeclaredKernel(AbsDistanceKernel):
     """The abs kernel, declaring the info kernel's Green's factors but not
     their integrals."""
@@ -125,7 +162,7 @@ def chi_square_gof(dist, samples, bins=20, alpha=1e-3):
 
     samples = np.asarray(samples)
     edges = np.linspace(dist.range.a, dist.range.b, bins + 1)
-    expected = dist.bin_masses(edges) * samples.size
+    expected = bin_masses(dist, edges) * samples.size
     idx = np.clip(np.searchsorted(edges, samples, side="right") - 1, 0, bins - 1)
     observed = np.bincount(idx, minlength=bins).astype(float)
 

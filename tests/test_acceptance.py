@@ -19,7 +19,6 @@ from magsample import (
     generate_plan,
     optimize_max_avg,
     optimize_max_min,
-    regularized_objective,
     rankme,
     rankme_profile,
     sample_targets,
@@ -31,9 +30,8 @@ from magsample.kernels import AbsDistanceKernel
 from magsample.optimize import OptimizationConfig
 from magsample.rankme import EmbeddingSet
 from magsample.rng import CounterRng
-from magsample.sampler import plan_crop
 
-from conftest import STANDARDS, chi_square_gof
+from conftest import STANDARDS, chi_square_gof, plan_crop, regularized_objective
 
 RANGE = MagRange(0.25, 2.0)
 INFO = InfoOverlapKernel()

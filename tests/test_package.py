@@ -44,19 +44,16 @@ PUBLIC_NAMES = [
     "generate_plan",
     "kernel_from_string",
     "load_embeddings",
-    "minmax_normalize_profiles",
     "mix",
     "optimize_max_avg",
     "optimize_max_min",
     "parse_distribution",
-    "plan_crop",
     "rankme",
     "rankme_profile",
     "read_distribution",
     "read_image_array",
     "read_plan_csv",
     "read_plan_row",
-    "regularized_objective",
     "sample_targets",
     "signal_summary",
     "total_signal",

@@ -20,20 +20,19 @@ from magsample import (
     SamplingDistribution,
     generate_plan,
     mix,
-    plan_crop,
     read_plan_csv,
     write_plan_csv,
 )
 from magsample.rng import CounterRng
 from magsample.sampler import PLAN_CSV_FIELDS
 
-from conftest import STANDARDS
+from conftest import STANDARDS, plan_crop
 
 RANGE = MagRange()
 ATOMS = SamplingDistribution.discrete(RANGE, STANDARDS, [0.1, 0.2, 0.3, 0.4])
 UNIFORM = SamplingDistribution.uniform(RANGE)
 MIX = mix(
-    ATOMS, SamplingDistribution.from_density(RANGE, np.exp(-np.linspace(0.0, 3.0, 40))), 0.45
+    ATOMS, SamplingDistribution(RANGE, density=np.exp(-np.linspace(0.0, 3.0, 40))), 0.45
 )
 DISTRIBUTIONS = {"atoms": ATOMS, "uniform": UNIFORM, "mix": MIX}
 

@@ -15,7 +15,6 @@ from magsample import (
     ParameterError,
     centroid_similarity,
     load_embeddings,
-    minmax_normalize_profiles,
     rankme,
     rankme_profile,
 )
@@ -220,48 +219,6 @@ def test_centroid_similarity_zero_centroid_named():
     with pytest.raises(DegenerateInputError) as err:
         centroid_similarity(_stacked_set([(0.25, a), (0.5, b)]))
     assert "0.25" in str(err.value)
-
-
-# -- normalization ------------------------------------------------------------------
-
-
-def _profile_from_values(mpps, values):
-    from magsample import GroupRankMe, RankMeProfile
-
-    groups = [GroupRankMe(m, 10, v) for m, v in zip(mpps, values)]
-    return RankMeProfile(groups=groups, epsilon=1e-7)
-
-
-def test_minmax_normalize_examples():
-    p1 = _profile_from_values([0.25, 0.5], [1.0, 3.0])
-    p2 = _profile_from_values([0.25, 0.5], [2.0, 4.0])
-    out = minmax_normalize_profiles([p1, p2])
-    assert np.allclose(out, [[0.0, 2.0 / 3.0], [1.0 / 3.0, 1.0]])
-
-
-def test_minmax_normalize_degenerate():
-    p = _profile_from_values([0.25, 0.5], [2.0, 2.0])
-    with pytest.raises(DegenerateInputError):
-        minmax_normalize_profiles([p, p])
-
-
-def test_minmax_normalize_bounds():
-    g = np.random.default_rng(21)
-    profiles = [
-        _profile_from_values([0.25, 0.5, 1.0], g.uniform(1, 20, 3)) for _ in range(4)
-    ]
-    out = minmax_normalize_profiles(profiles)
-    assert out.min() == 0.0 and out.max() == 1.0
-    assert np.all((out >= 0.0) & (out <= 1.0))
-
-
-def test_minmax_normalize_validation():
-    p1 = _profile_from_values([0.25, 0.5], [1.0, 2.0])
-    p2 = _profile_from_values([0.25, 0.75], [1.0, 2.0])
-    with pytest.raises(ParameterError):
-        minmax_normalize_profiles([p1])
-    with pytest.raises(ParameterError):
-        minmax_normalize_profiles([p1, p2])
 
 
 # -- I/O ------------------------------------------------------------------------------

@@ -11,13 +11,6 @@ def test_scalar_and_vector_paths_agree_bitwise():
     assert np.array_equal(scalar, vector)
 
 
-def test_uniform_block_matches_uniform_at():
-    rng = CounterRng(42)
-    block = rng.uniform_block(100, 50)
-    direct = rng.uniform_at(np.arange(100, 150, dtype=np.uint64))
-    assert np.array_equal(block, direct)
-
-
 def test_values_depend_on_seed_and_counter():
     a, b = CounterRng(1), CounterRng(2)
     assert a.uniform(0) != b.uniform(0)
@@ -26,7 +19,7 @@ def test_values_depend_on_seed_and_counter():
 
 
 def test_uniform_range_and_moments():
-    u = CounterRng(2024).uniform_block(0, 100_000)
+    u = CounterRng(2024).uniform_at(np.arange(100_000, dtype=np.uint64))
     assert np.all(u >= 0.0) and np.all(u < 1.0)
     assert abs(u.mean() - 0.5) < 0.005
     assert abs(u.var() - 1.0 / 12.0) < 0.005

@@ -19,7 +19,6 @@ from magsample import (
     ShapeError,
     apply_crop,
     generate_plan,
-    plan_crop,
     read_image_array,
     read_plan_csv,
     read_plan_row,
@@ -31,7 +30,7 @@ from magsample.rng import CounterRng
 from magsample import csvio, sampler
 from magsample.sampler import _RESIZE_BLOCK_ROWS, _resize_bilinear
 
-from conftest import STANDARDS, chi_square_gof
+from conftest import STANDARDS, chi_square_gof, plan_crop
 
 
 @pytest.fixture()

@@ -12,6 +12,7 @@ from scipy.interpolate import RegularGridInterpolator
 
 from magsample import (
     AbsDistanceKernel,
+    DomainError,
     InfoOverlapKernel,
     MagRange,
     ParameterError,
@@ -20,12 +21,14 @@ from magsample import (
     TabulatedKernel,
     accumulated_signal,
     mix,
+    optimize_max_min,
     signal_summary,
     total_signal,
 )
 
 from magsample import signal as signal_module
 from magsample.kernels import GRID_BLOCK
+from magsample.optimize import OptimizationConfig
 from magsample.cli import main
 
 from conftest import (
@@ -228,7 +231,7 @@ def test_mixture_linearity(mag_range, info_kernel):
 
 def test_summaries_stable_under_grid_refinement(mag_range, info_kernel):
     mids = mag_range.cell_midpoints(100)
-    smooth = SamplingDistribution.from_density(mag_range, np.exp(-((mids - 1.0) ** 2)))
+    smooth = SamplingDistribution(mag_range, density=np.exp(-((mids - 1.0) ** 2)))
     coarse = signal_summary(smooth, info_kernel, 1000)
     fine = signal_summary(smooth, info_kernel, 4000)
     assert abs(coarse.min_value - fine.min_value) < 5e-3
@@ -249,7 +252,7 @@ def test_spiky_density_keeps_its_mass(mag_range, info_kernel):
     # away from the kernel's diagonal kink the profile matches a point mass
     values = np.zeros(1000)
     values[500] = 1.0
-    spike = SamplingDistribution.from_density(mag_range, values)
+    spike = SamplingDistribution(mag_range, density=values)
     x_spike = mag_range.cell_midpoints(1000)[500]
     profile = accumulated_signal(spike, info_kernel, 1000)
     far = np.abs(profile.ys - x_spike) > 0.01
@@ -293,6 +296,50 @@ def test_factors_without_integrals_keep_the_dense_path(mag_range, abs_kernel):
     density = np.random.default_rng(13).random(300) + 0.1
     dist = SamplingDistribution(mag_range, atoms=[(0.7, 0.2)], density=density)
     got = accumulated_signal(dist, MisdeclaredKernel(), 700).values
+    assert got.tobytes() == accumulated_signal(dist, abs_kernel, 700).values.tobytes()
+
+
+class RatioFactorsKernel(InfoOverlapKernel):
+    """The info kernel, declaring the Green's factors (x, 1/x) of min / max,
+    not of its square, with their true integrals (x^2 / 2, log x)."""
+
+    def green_factors(self, x):
+        return x, 1.0 / x
+
+    def green_integrals(self, x):
+        return 0.5 * x * x, np.log(x)
+
+
+class MisdeclaredWithIntegrals(MisdeclaredKernel):
+    """The abs kernel, declaring the info kernel's Green's factors and integrals."""
+
+    green_integrals = InfoOverlapKernel.green_integrals
+
+
+def test_green_factors_that_do_not_match_the_kernel_are_a_domain_error(mag_range):
+    # The factors multiply to min / max, not (min / max)^2. Unchecked, they
+    # gave a profile off by 0.208 against a quadrature of the kernel; info
+    # has no antiderivative in x to fall back on.
+    dist = SamplingDistribution.uniform(mag_range, 50)
+    with pytest.raises(DomainError, match=(
+        "^kernel 'info' declares Green's factors that do not match its values$"
+    )):
+        accumulated_signal(dist, RatioFactorsKernel(), 200)
+    # atoms alone never take the Green's path
+    atoms = SamplingDistribution.discrete(mag_range, STANDARDS)
+    got = accumulated_signal(atoms, RatioFactorsKernel(), 200).values
+    assert got.tobytes() == accumulated_signal(atoms, InfoOverlapKernel(), 200).values.tobytes()
+    # the max-min game rejects the same declaration by the same check
+    solution = optimize_max_min(OptimizationConfig(kernel=RatioFactorsKernel(), grid_n=200))
+    assert solution.solver == "equalizer"
+
+
+def test_green_factors_that_do_not_match_take_the_dense_path(mag_range, abs_kernel):
+    # a kernel that fails its declaration and has an antiderivative in x is
+    # integrated by it, so this is abs bit for bit
+    density = np.random.default_rng(14).random(300) + 0.1
+    dist = SamplingDistribution(mag_range, atoms=[(0.7, 0.2)], density=density)
+    got = accumulated_signal(dist, MisdeclaredWithIntegrals(), 700).values
     assert got.tobytes() == accumulated_signal(dist, abs_kernel, 700).values.tobytes()
 
 
@@ -448,7 +495,7 @@ def test_green_path_matches_mpmath_on_the_widest_range():
     # the long-double reference is itself checked against 40-digit sums of
     # each cell's exact integral, at a, b, cell edges and inner targets
     dist, edges = _wide_green_case()
-    ys = np.concatenate((dist.range.grid(7), edges[[1, 2, 250, 498, 499]]))
+    ys = np.sort(np.concatenate((dist.range.grid(7), edges[[1, 2, 250, 498, 499]])))
     got = signal_module._green_density_signal(dist.density, edges, InfoOverlapKernel(), ys)
     want = _info_reference(ys, edges, dist.density, dtype=np.longdouble)
     with mpmath.workdps(40):
