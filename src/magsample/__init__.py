@@ -14,7 +14,6 @@ from types import ModuleType as _ModuleType
 from .distributions import (
     SamplingDistribution,
     format_distribution,
-    mix,
     parse_distribution,
     read_distribution,
     write_distribution,
@@ -36,9 +35,7 @@ from .kernels import (
     Kernel,
     MagRange,
     TabulatedKernel,
-    TransferPotentialCurve,
     kernel_from_string,
-    transfer_potential_curve,
 )
 from .optimize import (
     MAX_AVG_ENTROPY,

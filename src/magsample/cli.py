@@ -57,7 +57,7 @@ from .errors import (
     ShapeError,
     SolverError,
 )
-from .kernels import DEFAULT_GRID, MagRange, kernel_from_string, transfer_potential_curve
+from .kernels import DEFAULT_GRID, MagRange, kernel_from_string
 from .optimize import (
     MAX_AVG_ENTROPY,
     MAX_MIN,
@@ -194,9 +194,10 @@ def _add_common(parser, *, ranged=False):
 def cmd_kernel(args) -> list[str]:
     mag_range = _parse_range(args.range)
     kernel = kernel_from_string(args.kernel)
-    curve = transfer_potential_curve(kernel, mag_range, args.grid)
+    xs = mag_range.grid(args.grid)
+    values = kernel.transfer_potential(xs, mag_range)
     with csvio.open_text(args.out, "w") as f:
-        csvio.write_rows(f, ("x_mpp", "transfer_potential"), (curve.xs, curve.values))
+        csvio.write_rows(f, ("x_mpp", "transfer_potential"), (xs, values))
     return [args.out]
 
 

@@ -120,9 +120,6 @@ class SamplingDistribution:
     def cell_edges(self) -> np.ndarray:
         return self.range.cell_edges(self.cells)
 
-    def cell_midpoints(self) -> np.ndarray:
-        return self.range.cell_midpoints(self.cells)
-
     def density_at(self, x):
         """Density value at magnification x (0 where only atoms carry mass)."""
         xa = np.asarray(x, dtype=float)
@@ -225,32 +222,6 @@ class SamplingDistribution:
         out = np.where(xa <= knots[0], 0.0, out)
         out = np.where(xa > knots[-1], after[-1], out)
         return float(out) if np.ndim(x) == 0 else out
-
-
-def mix(
-    d1: SamplingDistribution, d2: SamplingDistribution, alpha: float
-) -> SamplingDistribution:
-    """Mixture alpha * d1 + (1 - alpha) * d2.
-
-    Ranges must match; densities, when both present, must share a cell grid.
-    """
-    if not (0.0 <= alpha <= 1.0):
-        raise ParameterError(f"mixture weight must lie in [0, 1], got {alpha}")
-    if d1.range != d2.range:
-        raise ParameterError("cannot mix distributions on different ranges")
-    atoms = [(x, alpha * w) for x, w in zip(d1.atom_locations, d1.atom_weights)]
-    atoms += [(x, (1.0 - alpha) * w) for x, w in zip(d2.atom_locations, d2.atom_weights)]
-    if d1.has_density and d2.has_density:
-        if d1.cells != d2.cells:
-            raise ParameterError("cannot mix densities with different cell counts")
-        density = alpha * d1.density + (1.0 - alpha) * d2.density
-    elif d1.has_density:
-        density = alpha * d1.density
-    elif d2.has_density:
-        density = (1.0 - alpha) * d2.density
-    else:
-        density = None
-    return SamplingDistribution(d1.range, atoms=atoms, density=density)
 
 
 # -- file format -------------------------------------------------------------

@@ -59,10 +59,6 @@ class MagRange:
     def width(self) -> float:
         return self.b - self.a
 
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.a + self.b)
-
     def contains(self, x):
         x = np.asarray(x)
         return (x >= self.a) & (x <= self.b)
@@ -398,37 +394,6 @@ def _read_table(path):
     values = np.empty(xs.size * ys.size)
     values[cell] = rows["value"]
     return xs, ys, values.reshape(xs.size, ys.size)
-
-
-@dataclass(frozen=True)
-class TransferPotentialCurve:
-    """Transfer potential tabulated on a uniform grid over a range.
-
-    ``argmax_x`` is the grid point with the largest value; ties resolve to
-    the smallest x so results are stable under grid refinement.
-    """
-
-    mag_range: MagRange
-    xs: np.ndarray
-    values: np.ndarray
-    argmax_x: float
-    max_value: float
-
-
-def transfer_potential_curve(
-    kernel: Kernel, mag_range: MagRange = MagRange(), grid_n: int = DEFAULT_GRID
-) -> TransferPotentialCurve:
-    """Evaluate the transfer potential on a uniform ``grid_n``-point grid."""
-    xs = mag_range.grid(grid_n)
-    values = np.asarray(kernel.transfer_potential(xs, mag_range))
-    imax = int(np.argmax(values))  # first occurrence: ties break toward smaller x
-    return TransferPotentialCurve(
-        mag_range=mag_range,
-        xs=xs,
-        values=values,
-        argmax_x=float(xs[imax]),
-        max_value=float(values[imax]),
-    )
 
 
 def declaration_holds(kernel: Kernel, xs: np.ndarray, declared) -> bool:

@@ -13,11 +13,11 @@ importantly, reproducible.
 File formats owned by this module:
 
 * embeddings CSV, in the dialect of :mod:`magsample.csvio`, with header
-  ``id,mpp,d0,d1,...,d{K-1}``;
+  ``id,mpp,d0,d1,...,d{K-1}``; the ids are parsed and checked, and no
+  result reads them;
 * embeddings binary (``.mseb``): magic ``MSEB``, u16 version (1), u64 N >= 1,
   u32 K >= 1, then N records of (f64 mpp, K x f32 components), little-endian;
-  ids are the row indices, and the vectors are a float32 view of the
-  records as read;
+  the vectors are a float32 view of the records as read;
 * ``rankme.csv`` output with header ``mpp,count,rankme``;
 * ``similarity.csv`` output, a labeled square matrix whose first row and
   column hold the group mpps.
@@ -56,7 +56,7 @@ def _emb_record(dim: int) -> np.dtype:
 class EmbeddingSet:
     """N embedding vectors, each tagged with the mpp it was extracted at."""
 
-    def __init__(self, mpps, vectors, ids=None):
+    def __init__(self, mpps, vectors):
         vectors = np.asarray(vectors)
         if vectors.dtype != np.float32:
             vectors = np.asarray(vectors, dtype=float)
@@ -69,21 +69,8 @@ class EmbeddingSet:
             raise DomainError("embedding vectors contain non-finite values")
         if not np.all(np.isfinite(mpps)) or np.any(mpps <= 0):
             raise DomainError("mpp tags must be positive and finite")
-        if ids is not None:
-            ids = [str(i) for i in ids]
-            if len(ids) != vectors.shape[0]:
-                raise DomainError("need exactly one id per embedding row")
-        self._ids = ids
         self.mpps = mpps
         self.vectors = vectors
-
-    @property
-    def ids(self) -> list:
-        """Row ids as strings; ``"0"``, ``"1"``, ... when none were given,
-        made on first access, since rankme and similarity never read them."""
-        if self._ids is None:
-            self._ids = [str(i) for i in range(self.n)]
-        return self._ids
 
     @property
     def n(self) -> int:
@@ -231,7 +218,6 @@ def read_embeddings_csv(path) -> EmbeddingSet:
     return EmbeddingSet(
         mpps=np.ascontiguousarray(rows["mpp"]),
         vectors=np.ascontiguousarray(rows["vec"]),
-        ids=rows["id"].tolist(),
     )
 
 

@@ -17,6 +17,10 @@ sequentially, disjoint counter ranges can be evaluated in any order or on
 any number of workers and still yield the identical stream. Together with
 the fixed constants above this makes plans reproducible byte for byte, and
 reproducible by independent implementations in other languages.
+
+:meth:`CounterRng.uniform_at` is the one implementation in the package. A
+pure-Python one, written from the formulas above with integer arithmetic,
+lives in ``tests/conftest.py`` as the reference it must match bit for bit.
 """
 
 from __future__ import annotations
@@ -30,33 +34,14 @@ _MIX2 = 0x94D049BB133111EB
 _INV_2_53 = 1.0 / (1 << 53)
 
 
-def mix64(z: int) -> int:
-    """Finalizing mixer; a bijection on 64-bit integers."""
-    z &= _MASK
-    z ^= z >> 30
-    z = (z * _MIX1) & _MASK
-    z ^= z >> 27
-    z = (z * _MIX2) & _MASK
-    z ^= z >> 31
-    return z
-
-
 class CounterRng:
     """Random-access uniform generator over a 64-bit counter space."""
 
     def __init__(self, seed: int):
         self.seed = int(seed) & _MASK
 
-    def value(self, counter: int) -> int:
-        """Raw 64-bit output at a counter position."""
-        return mix64((self.seed + (int(counter) + 1) * _GAMMA) & _MASK)
-
-    def uniform(self, counter: int) -> float:
-        """Uniform double in [0, 1) at a counter position."""
-        return (self.value(counter) >> 11) * _INV_2_53
-
     def uniform_at(self, counters) -> np.ndarray:
-        """Vectorized :meth:`uniform` over an array of counter positions."""
+        """Uniform doubles in [0, 1) at an array of counter positions."""
         c = np.asarray(counters, dtype=np.uint64)
         with np.errstate(over="ignore"):
             z = np.uint64(self.seed) + (c + np.uint64(1)) * np.uint64(_GAMMA)

@@ -235,7 +235,7 @@ def _invalid_rows(rows: np.ndarray) -> np.ndarray:
         _positive_finite(rows["target_mpp"])
         & _positive_finite(rows["source_mpp"])
         & (rows["output_size_px"] >= 1)
-        & (crop >= 1)
+        & (rows["output_size_px"] <= crop)
         & (crop <= rows["source_size_px"])
     )
     for name in ("offset_x_frac", "offset_y_frac"):
@@ -256,9 +256,10 @@ def read_plan_csv(path) -> CropPlan:
     """Parse a plan CSV, in the dialect of :mod:`magsample.csvio`, in bulk.
 
     Every row must parse (integers in the integer columns) and keep the plan
-    invariants: finite positive mpps, ``1 <= crop_size_px <= source_size_px``,
-    ``output_size_px >= 1`` and offsets in [0, 1]. Otherwise a FormatError
-    names the first offending line.
+    invariants: finite positive mpps,
+    ``1 <= output_size_px <= crop_size_px <= source_size_px`` and offsets in
+    [0, 1]. Otherwise a FormatError names the first offending line. A plan
+    never upsamples, so the output of a row is never larger than its source.
     """
     with _open_plan(path) as f:
         return CropPlan(csvio.read_body(f, PLAN_DTYPE, "plan", _invalid_rows))

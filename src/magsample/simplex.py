@@ -27,6 +27,7 @@ from .errors import SolverError
 # Always None: there is no BLAS rank-1 path. perfbench records whether it is set.
 _dger = None
 
+_MAX_PIVOTS = 100000
 _STALL_PIVOTS = 200
 _PIVOT_TOL = 1e-11
 _COST_TOL = 1e-9
@@ -58,7 +59,7 @@ def lp_peak_bytes(m: int, n: int) -> int:
     return 8 * max(pivoting, m * (n + m) + m * m)
 
 
-def solve_inequality_lp(c, A, b, max_iter: int = 100000) -> LpSolution:
+def solve_inequality_lp(c, A, b) -> LpSolution:
     """Maximize ``c @ x`` s.t. ``A @ x <= b``, ``x >= 0`` (requires ``b >= 0``)."""
     A = np.asarray(A, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -69,7 +70,7 @@ def solve_inequality_lp(c, A, b, max_iter: int = 100000) -> LpSolution:
     if np.any(b < 0):
         raise SolverError("slack start requires a nonnegative right-hand side")
 
-    basis, iterations = _pivot(c, A, b, max_iter)
+    basis, iterations = _pivot(c, A, b)
 
     # Refactorize from the original data; the tableau only guided pivoting.
     cfull = np.concatenate([c, np.zeros(m)])
@@ -80,6 +81,9 @@ def solve_inequality_lp(c, A, b, max_iter: int = 100000) -> LpSolution:
         y = np.linalg.solve(B.T, cfull[basis])
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"singular final basis: {exc}") from exc
+    # A row whose slack is basic has multiplier 0 by complementary slackness;
+    # the solve leaves round-off there, which a caller would read as weight.
+    y[basis[basis >= n] - n] = 0.0
     xfull = np.zeros(n + m)
     xfull[basis] = xb
 
@@ -118,7 +122,7 @@ def solve_inequality_lp(c, A, b, max_iter: int = 100000) -> LpSolution:
     )
 
 
-def _pivot(c, A, b, max_iter):
+def _pivot(c, A, b):
     """The final basis and the pivot count of the simplex on the tableau
     ``[A | I | b]`` over ``-c``, started from the slack basis. The tableau
     lives only here, so it is freed before the refactorization."""
@@ -147,9 +151,9 @@ def _pivot(c, A, b, max_iter):
             j = int(np.argmin(red))
             if red[j] >= -_COST_TOL:
                 return basis, iterations
-        if iterations >= max_iter:
+        if iterations >= _MAX_PIVOTS:
             raise SolverError(
-                f"simplex iteration budget ({max_iter}) exhausted",
+                f"simplex iteration budget ({_MAX_PIVOTS}) exhausted",
                 residual=float(max(0.0, -red.min())),
             )
         col = T[:m, j]

@@ -44,7 +44,7 @@ def csv_result(obj):
     if isinstance(obj, TabulatedKernel):
         return obj.xs.tobytes(), obj.ys.tobytes(), obj.values.tobytes()
     assert isinstance(obj, EmbeddingSet)
-    return obj.ids, obj.mpps.tobytes(), obj.vectors.tobytes()
+    return obj.mpps.tobytes(), obj.vectors.tobytes()
 
 
 def read_embeddings_binary_reference(path):
@@ -93,6 +93,32 @@ def child_env():
     package_root = str(Path(magsample.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     return env
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def mix64(z):
+    """splitmix64's finalizing mixer, a bijection on 64-bit integers, in
+    Python integers, as the ``magsample.rng`` docstring writes it."""
+    z &= _MASK64
+    z ^= z >> 30
+    z = (z * 0xBF58476D1CE4E5B9) & _MASK64
+    z ^= z >> 27
+    z = (z * 0x94D049BB133111EB) & _MASK64
+    z ^= z >> 31
+    return z
+
+
+def reference_value(seed, counter):
+    """The counter RNG's raw 64-bit output at one counter position."""
+    return mix64((seed + (counter + 1) * 0x9E3779B97F4A7C15) & _MASK64)
+
+
+def reference_uniform(seed, counter):
+    """The reference of ``CounterRng(seed).uniform_at([counter])``: the top
+    53 bits of the raw output, scaled to [0, 1)."""
+    return (reference_value(seed, counter) >> 11) * 2.0**-53
 
 
 def quadrature_potential(kernel_fn, a, b, x, intervals=100_000):

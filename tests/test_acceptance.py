@@ -23,7 +23,6 @@ from magsample import (
     rankme_profile,
     sample_targets,
     signal_summary,
-    transfer_potential_curve,
     write_plan_csv,
 )
 from magsample.kernels import AbsDistanceKernel
@@ -103,10 +102,13 @@ def test_criterion_1_theory_table(strategies):
 
 def test_criterion_2_midpoint_maximum_property():
     """Radially decreasing kernels peak at the range midpoint, bottom at an edge."""
-    failures = 0
-    curve = transfer_potential_curve(AbsDistanceKernel(), RANGE, 1001)
-    if curve.argmax_x != curve.xs[500] or int(np.argmin(curve.values)) not in (0, 1000):
-        failures += 1
+    xs = RANGE.grid(1001)
+
+    def fails(kernel):
+        values = kernel.transfer_potential(xs, RANGE)
+        return xs[np.argmax(values)] != xs[500] or int(np.argmin(values)) not in (0, 1000)
+
+    failures = int(fails(AbsDistanceKernel()))
     g = np.random.default_rng(1234)
     for _ in range(20):
         alpha = g.uniform(0.2, 4.0)
@@ -114,9 +116,7 @@ def test_criterion_2_midpoint_maximum_property():
         nodes = np.linspace(RANGE.a, RANGE.b, 129)
         dist = np.abs(nodes[:, None] - nodes[None, :])
         kernel = TabulatedKernel(nodes, nodes, np.exp(-alpha * dist) + beta / (1.0 + dist))
-        curve = transfer_potential_curve(kernel, RANGE, 1001)
-        if curve.argmax_x != curve.xs[500] or int(np.argmin(curve.values)) not in (0, 1000):
-            failures += 1
+        failures += fails(kernel)
     _report(
         "criterion 2 (midpoint-maximum property, 21 kernels, grid 1001)",
         failures == 0,
@@ -158,7 +158,7 @@ def test_criterion_3_optimizer_guarantees(strategies):
     # LP feasibility at the stated tolerances
     dist = mm.distribution
     mass = dist.density * dist.cell_width
-    mids = dist.cell_midpoints()
+    mids = dist.range.cell_midpoints(dist.cells)
     signal = INFO(mids[:, None], mids[None, :]) @ mass
     feas = float(np.min(signal) - mm.achieved_t)
     ok &= np.all(dist.density >= 0.0)

@@ -32,7 +32,7 @@ from magsample.errors import (
     ShapeError,
     SolverError,
 )
-from magsample.kernels import MagRange, kernel_from_string, transfer_potential_curve
+from magsample.kernels import MagRange, kernel_from_string
 from magsample.rankme import (
     EmbeddingSet,
     read_embeddings_binary,
@@ -127,10 +127,11 @@ def test_kernel_command_writes_each_value_by_repr(workdir, selector):
     lines = ["x,y,value"] + [f"{x!r},{y!r},{1.0 / (1.0 + x * y)!r}" for x in xs for y in xs]
     (workdir / "table.csv").write_text("\n".join(lines) + "\n")
     assert main(["kernel", "--kernel", selector, "--grid", "333", "--out", "curve.csv"]) == 0
-    curve = transfer_potential_curve(kernel_from_string(selector), MagRange(), 333)
+    xs = MagRange().grid(333)
+    values = kernel_from_string(selector).transfer_potential(xs, MagRange())
     # reference: each numpy scalar converted and formatted on its own
     want = "x_mpp,transfer_potential\n" + "".join(
-        f"{float(x)!r},{float(v)!r}\n" for x, v in zip(curve.xs, curve.values))
+        f"{float(x)!r},{float(v)!r}\n" for x, v in zip(xs, values))
     assert (workdir / "curve.csv").read_bytes() == want.encode()
 
 
@@ -595,6 +596,18 @@ def test_crop_apply_bad_target_row_exits_2(crop_inputs, workdir, capsys):
     path.write_text("".join(lines))
     assert _crop_apply(3) == 2
     assert "line 5: wrong number of plan columns" in capsys.readouterr().err
+
+
+def test_crop_apply_upsampling_row_exits_2(crop_inputs, workdir, capsys):
+    # resizing a 224 px crop to 4000 px would allocate with the square of a
+    # number read from the file; a plan never upsamples, so the row is refused
+    path = workdir / "plan.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[4] = "3,1.0,1.0,512,224,4000,0.0,0.0\n"
+    path.write_text("".join(lines))
+    assert _crop_apply(3) == 2
+    assert "line 5: plan entry violates its invariants" in capsys.readouterr().err
+    assert not (workdir / "o.msim").exists()
 
 
 def test_crop_apply_ignores_bad_rows_elsewhere(crop_inputs, workdir):

@@ -10,7 +10,6 @@ from magsample import (
     RangeError,
     SamplingDistribution,
     format_distribution,
-    mix,
     parse_distribution,
     read_distribution,
     write_distribution,
@@ -129,14 +128,7 @@ def test_quantile_vectorized_matches_scalar(mag_range):
     "dist, want",
     [
         (SamplingDistribution(MagRange(), atoms=[(0.3, 0.0), (1.0, 1.0)]), 1.0),
-        (
-            mix(
-                SamplingDistribution.discrete(MagRange(), [0.3]),
-                SamplingDistribution(MagRange(), density=[0, 1, 1, 1]),
-                0.0,
-            ),
-            0.6875,
-        ),
+        (SamplingDistribution(MagRange(), atoms=[(0.3, 0.0)], density=[0, 1, 1, 1]), 0.6875),
         (SamplingDistribution(MagRange(), atoms=[(0.5, 1), (1.0, 1)], density=[0, 0, 0]), 0.5),
     ],
     ids=["zero-weight-atom", "zero-weight-atom-before-density", "zero-density"],
@@ -194,28 +186,6 @@ def test_bin_masses_atom_on_interior_edge(mag_range):
     d = SamplingDistribution(mag_range, atoms=[(1.125, 1.0)])
     m = bin_masses(d, np.array([0.25, 1.125, 2.0]))
     assert np.allclose(m, [0.0, 1.0])  # half-open bins put the atom on the right
-
-
-def test_mix_combines_linearly(mag_range, du_dist):
-    cu = SamplingDistribution.uniform(mag_range, 4)
-    m = mix(du_dist, cu, 0.25)
-    assert np.allclose(m.atom_weights, 0.25 * du_dist.atom_weights)
-    assert np.allclose(m.density, 0.75 * cu.density)
-    assert abs(m.atom_weights.sum() + m.density.sum() * m.cell_width - 1.0) <= 1e-9
-
-
-def test_mix_validation(mag_range, du_dist):
-    other = SamplingDistribution.uniform(MagRange(0.5, 1.5))
-    with pytest.raises(ParameterError):
-        mix(du_dist, other, 0.5)
-    with pytest.raises(ParameterError):
-        mix(
-            SamplingDistribution.uniform(mag_range, 4),
-            SamplingDistribution.uniform(mag_range, 5),
-            0.5,
-        )
-    with pytest.raises(ParameterError):
-        mix(du_dist, du_dist, 1.5)
 
 
 def test_format_roundtrip(tmp_path, mag_range, du_dist):

@@ -17,7 +17,6 @@ from magsample import (
     RangeError,
     TabulatedKernel,
     kernel_from_string,
-    transfer_potential_curve,
 )
 
 from magsample import csvio, kernels
@@ -39,7 +38,6 @@ def test_magrange_defaults_and_validation():
     r = MagRange()
     assert (r.a, r.b) == (0.25, 2.0)
     assert r.width == 1.75
-    assert r.midpoint == 1.125
     for a, b in [(0.0, 1.0), (-1.0, 1.0), (1.0, 1.0), (2.0, 1.0)]:
         with pytest.raises(ParameterError):
             MagRange(a, b)
@@ -132,27 +130,33 @@ def test_transfer_potential_outside_range_raises(info_kernel, mag_range):
             info_kernel.transfer_potential(x, mag_range)
 
 
+def _curve(kernel, mag_range, n):
+    """The n-point grid and the transfer potential on it, as ``magsample
+    kernel`` tabulates them."""
+    xs = mag_range.grid(n)
+    return xs, kernel.transfer_potential(xs, mag_range)
+
+
 def test_curve_absdistance_argmax_at_midpoint(abs_kernel, mag_range):
-    curve = transfer_potential_curve(abs_kernel, mag_range, 1001)
-    assert curve.argmax_x == 1.125
-    assert curve.max_value == curve.values.max()
-    assert np.all(curve.values > 0.0)
+    xs, values = _curve(abs_kernel, mag_range, 1001)
+    assert xs[np.argmax(values)] == 1.125
+    assert np.all(values > 0.0)
 
 
 def test_curve_info_argmax_matches_dense_oracle(info_kernel, mag_range):
-    dense = mag_range.grid(200_001)
-    oracle = dense[np.argmax(info_kernel.transfer_potential(dense, mag_range))]
-    curve = transfer_potential_curve(info_kernel, mag_range, 1001)
-    assert abs(curve.argmax_x - oracle) <= 0.002
-    assert abs(curve.argmax_x - 1.338) <= 0.002
+    dense, potential = _curve(info_kernel, mag_range, 200_001)
+    oracle = dense[np.argmax(potential)]
+    xs, values = _curve(info_kernel, mag_range, 1001)
+    assert abs(xs[np.argmax(values)] - oracle) <= 0.002
+    assert abs(xs[np.argmax(values)] - 1.338) <= 0.002
 
 
 def test_curve_grid_of_two_is_endpoints(info_kernel, mag_range):
-    curve = transfer_potential_curve(info_kernel, mag_range, 2)
-    assert np.allclose(curve.xs, [0.25, 2.0])
-    assert curve.values[0] == pytest.approx(0.21875, abs=1e-12)
+    xs, values = _curve(info_kernel, mag_range, 2)
+    assert np.allclose(xs, [0.25, 2.0])
+    assert values[0] == pytest.approx(0.21875, abs=1e-12)
     with pytest.raises(ParameterError):
-        transfer_potential_curve(info_kernel, mag_range, 1)
+        _curve(info_kernel, mag_range, 1)
 
 
 def test_prop1_absdistance_random_ranges(abs_kernel):
@@ -163,9 +167,9 @@ def test_prop1_absdistance_random_ranges(abs_kernel):
         a = g.uniform(0.05, 1.0)
         r = MagRange(a, a + g.uniform(0.2, 3.0))
         n = int(2 * g.integers(1, 1000) + 1)
-        curve = transfer_potential_curve(abs_kernel, r, n)
-        assert curve.argmax_x == curve.xs[(n - 1) // 2]
-        assert int(np.argmin(curve.values)) in (0, n - 1)
+        xs, values = _curve(abs_kernel, r, n)
+        assert xs[np.argmax(values)] == xs[(n - 1) // 2]
+        assert int(np.argmin(values)) in (0, n - 1)
 
 
 def _random_decreasing_radial_kernel(g, mag_range, nodes=129):
@@ -181,9 +185,9 @@ def test_prop1_tabulated_decreasing_kernels(mag_range):
     g = np.random.default_rng(6)
     for _ in range(10):
         k = _random_decreasing_radial_kernel(g, mag_range)
-        curve = transfer_potential_curve(k, mag_range, 1001)
-        assert curve.argmax_x == curve.xs[500]
-        assert int(np.argmin(curve.values)) in (0, 1000)
+        xs, values = _curve(k, mag_range, 1001)
+        assert xs[np.argmax(values)] == xs[500]
+        assert int(np.argmin(values)) in (0, 1000)
 
 
 def test_tabulated_reproduces_bilinear_function():

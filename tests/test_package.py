@@ -34,7 +34,6 @@ PUBLIC_NAMES = [
     "SignalSummary",
     "SolverError",
     "TabulatedKernel",
-    "TransferPotentialCurve",
     "accumulated_signal",
     "accumulated_signals",
     "apply_crop",
@@ -44,7 +43,6 @@ PUBLIC_NAMES = [
     "generate_plan",
     "kernel_from_string",
     "load_embeddings",
-    "mix",
     "optimize_max_avg",
     "optimize_max_min",
     "parse_distribution",
@@ -57,7 +55,6 @@ PUBLIC_NAMES = [
     "sample_targets",
     "signal_summary",
     "total_signal",
-    "transfer_potential_curve",
     "write_distribution",
     "write_image_array",
     "write_plan_csv",

@@ -19,7 +19,6 @@ from magsample import (
     SamplerConfig,
     SamplingDistribution,
     generate_plan,
-    mix,
     read_plan_csv,
     write_plan_csv,
 )
@@ -31,8 +30,12 @@ from conftest import STANDARDS, plan_crop
 RANGE = MagRange()
 ATOMS = SamplingDistribution.discrete(RANGE, STANDARDS, [0.1, 0.2, 0.3, 0.4])
 UNIFORM = SamplingDistribution.uniform(RANGE)
-MIX = mix(
-    ATOMS, SamplingDistribution(RANGE, density=np.exp(-np.linspace(0.0, 3.0, 40))), 0.45
+DECAY = SamplingDistribution(RANGE, density=np.exp(-np.linspace(0.0, 3.0, 40)))
+# 0.45 of ATOMS and 0.55 of DECAY
+MIX = SamplingDistribution(
+    RANGE,
+    atoms=[(x, 0.45 * w) for x, w in zip(ATOMS.atom_locations, ATOMS.atom_weights)],
+    density=(1.0 - 0.45) * DECAY.density,
 )
 DISTRIBUTIONS = {"atoms": ATOMS, "uniform": UNIFORM, "mix": MIX}
 

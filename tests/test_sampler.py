@@ -389,6 +389,8 @@ def test_plan_row_without_entry(plan_file, full_reads, index):
         ("3,1.5,1.0,512,336,224.0,0.0,0.0", "bad plan entry"),
         ("3,1.5,1.0,512,336", "wrong number of plan columns"),
         ("3,1.5,1.0,512,600,224,0.0,0.0", "plan entry violates its invariants"),
+        # an output larger than its crop: plans never upsample
+        ("3,1.0,1.0,512,224,4000,0.0,0.0", "plan entry violates its invariants"),
     ],
 )
 def test_plan_row_reports_its_bad_line(plan_file, row, reason):

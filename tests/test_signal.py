@@ -20,7 +20,6 @@ from magsample import (
     SamplingDistribution,
     TabulatedKernel,
     accumulated_signal,
-    mix,
     optimize_max_min,
     signal_summary,
     total_signal,
@@ -223,7 +222,12 @@ def test_mixture_linearity(mag_range, info_kernel):
     d1 = SamplingDistribution(mag_range, atoms=[(0.4, 0.3)], density=g.uniform(0.1, 1, 8))
     d2 = SamplingDistribution(mag_range, atoms=[(1.7, 0.1)], density=g.uniform(0.1, 1, 8))
     alpha = 0.35
-    pm = accumulated_signal(mix(d1, d2, alpha), info_kernel, 400)
+    mixture = SamplingDistribution(
+        mag_range,
+        atoms=[(0.4, alpha * d1.atom_weights[0]), (1.7, (1 - alpha) * d2.atom_weights[0])],
+        density=alpha * d1.density + (1 - alpha) * d2.density,
+    )
+    pm = accumulated_signal(mixture, info_kernel, 400)
     p1 = accumulated_signal(d1, info_kernel, 400)
     p2 = accumulated_signal(d2, info_kernel, 400)
     assert np.allclose(pm.values, alpha * p1.values + (1 - alpha) * p2.values, atol=1e-12)

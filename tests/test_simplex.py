@@ -8,6 +8,13 @@ from magsample.errors import SolverError
 from magsample.simplex import lp_peak_bytes, solve_inequality_lp
 
 
+def _check_basic_slacks(sol):
+    """The multiplier of each row whose slack is basic is exactly 0, as
+    complementary slackness makes it, not the round-off of a solve."""
+    n = sol.x.size
+    assert not np.any(sol.duals[sol.basis[sol.basis >= n] - n])
+
+
 def test_tiny_box_lp():
     sol = solve_inequality_lp(
         c=[1.0, 1.0], A=[[1.0, 0.0], [0.0, 1.0]], b=[1.0, 2.0]
@@ -45,6 +52,7 @@ def test_beale_degenerate_lp_terminates():
     b = [0.0, 0.0, 1.0]
     sol = solve_inequality_lp(c, A, b)
     assert sol.objective == pytest.approx(0.05, abs=1e-9)
+    _check_basic_slacks(sol)
 
 
 def test_unbounded_detected():
@@ -72,22 +80,21 @@ def test_final_basis_is_verified_not_trusted(monkeypatch):
     # the solution is refactorized from the basis that pivoting ends on: a
     # singular basis and a feasible but suboptimal one are both refused
     c, A, b = [1.0, 1.0], [[1.0, 2.0], [3.0, 1.0]], [4.0, 5.0]
-    monkeypatch.setattr(simplex, "_pivot", lambda c, A, b, max_iter: (np.array([0, 0]), 0))
+    monkeypatch.setattr(simplex, "_pivot", lambda c, A, b: (np.array([0, 0]), 0))
     with pytest.raises(SolverError, match="^singular final basis: "):
         solve_inequality_lp(c, A, b)
     # the slack basis: x = 0 is feasible, and its reduced costs are c
-    monkeypatch.setattr(simplex, "_pivot", lambda c, A, b, max_iter: (np.array([2, 3]), 0))
+    monkeypatch.setattr(simplex, "_pivot", lambda c, A, b: (np.array([2, 3]), 0))
     with pytest.raises(SolverError, match=r"^final basis failed verification \(.* dual=1.00e\+00,"
                        ) as err:
         solve_inequality_lp(c, A, b)
     assert err.value.residual == 1.0
 
 
-def test_iteration_budget():
-    with pytest.raises(SolverError) as err:
-        solve_inequality_lp(
-            c=[1.0, 1.0], A=[[1.0, 2.0], [3.0, 1.0]], b=[4.0, 5.0], max_iter=0
-        )
+def test_iteration_budget(monkeypatch):
+    monkeypatch.setattr(simplex, "_MAX_PIVOTS", 0)
+    with pytest.raises(SolverError, match=r"^simplex iteration budget \(0\) exhausted$") as err:
+        solve_inequality_lp(c=[1.0, 1.0], A=[[1.0, 2.0], [3.0, 1.0]], b=[4.0, 5.0])
     assert err.value.residual is not None
 
 
@@ -109,6 +116,7 @@ def test_random_lps_match_scipy():
         assert sol.objective == pytest.approx(-ref.fun, abs=1e-7)
         assert np.all(A @ sol.x <= b + 1e-8)
         assert np.all(sol.x >= -1e-9)
+        _check_basic_slacks(sol)
 
 
 def test_game_lp_certificate():
@@ -119,6 +127,7 @@ def test_game_lp_certificate():
         K = g.uniform(0.05, 1.0, size=(n, n))
         K = 0.5 * (K + K.T)
         sol = solve_inequality_lp(np.ones(n), K, np.ones(n))
+        _check_basic_slacks(sol)
         q = sol.duals / sol.duals.sum()
         r = sol.x / sol.x.sum()
         lower = float((K @ q).min())   # value guaranteed by the maximizer
