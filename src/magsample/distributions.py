@@ -136,21 +136,11 @@ class SamplingDistribution:
     def __eq__(self, other):
         if not isinstance(other, SamplingDistribution):
             return NotImplemented
-        same_density = (
-            (self._density is None and other._density is None)
-            or (
-                self._density is not None
-                and other._density is not None
-                and self._density.shape == other._density.shape
-                and bool(np.all(self._density == other._density))
-            )
-        )
         return (
             self.range == other.range
-            and bool(np.all(self._atom_x == other._atom_x))
-            and self._atom_x.shape == other._atom_x.shape
-            and bool(np.all(self._atom_w == other._atom_w))
-            and same_density
+            and np.array_equal(self._atom_x, other._atom_x)
+            and np.array_equal(self._atom_w, other._atom_w)
+            and np.array_equal(self._density, other._density)
         )
 
     def __repr__(self):

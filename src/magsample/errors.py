@@ -44,10 +44,16 @@ class SolverError(MagsampleError, RuntimeError):
 
 
 class FormatError(MagsampleError, ValueError):
-    """A file does not conform to its documented format."""
+    """A file does not conform to its documented format.
+
+    It reads ``<path>: line <line>: <message>``, leaving out what is None;
+    :mod:`magsample.csvio`, which opens each input file, sets ``path``.
+    """
 
     def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
         super().__init__(message)
-        self.line = line
+        self.message, self.line, self.path = message, line, None
+
+    def __str__(self):
+        line = None if self.line is None else f"line {self.line}"
+        return ": ".join(str(p) for p in (self.path, line, self.message) if p is not None)

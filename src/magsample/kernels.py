@@ -372,25 +372,23 @@ def _read_table(path):
     """Grid, as ``(xs, ys, values)``, of a kernel table CSV; see ``from_csv``."""
     with csvio.open_text(path) as f:
         if csvio.read_header(f) != ["x", "y", "value"]:
-            raise FormatError(f"{path}: expected header 'x,y,value'", line=1)
+            raise FormatError("expected header 'x,y,value'", line=1)
         rows = csvio.read_body(f, _TABLE_DTYPE, "kernel table",
                                lambda r: np.isnan(r["x"]) | np.isnan(r["y"]))
-    if not rows.size:
-        raise FormatError(f"{path}: no kernel samples found")
-    xs, ix = np.unique(rows["x"], return_inverse=True)
-    ys, iy = np.unique(rows["y"], return_inverse=True)
-    cell = ix * ys.size + iy
-    counts = np.bincount(cell, minlength=xs.size * ys.size)
-    if counts.max() > 1:
-        # the first row whose sample came before
-        k = np.setdiff1d(np.arange(cell.size), np.unique(cell, return_index=True)[1])[0]
-        x, y = float(rows["x"][k]), float(rows["y"][k])
-        raise FormatError(
-            f"{path}: repeated sample x={x}, y={y}", line=csvio.line_of_row(path, k)
-        )
-    if counts.min() == 0:
-        i, j = divmod(int(np.argmin(counts)), ys.size)
-        raise FormatError(f"{path}: grid is missing the sample x={xs[i]}, y={ys[j]}")
+        if not rows.size:
+            raise FormatError("no kernel samples found")
+        xs, ix = np.unique(rows["x"], return_inverse=True)
+        ys, iy = np.unique(rows["y"], return_inverse=True)
+        cell = ix * ys.size + iy
+        counts = np.bincount(cell, minlength=xs.size * ys.size)
+        if counts.max() > 1:
+            # the first row whose sample came before
+            k = np.setdiff1d(np.arange(cell.size), np.unique(cell, return_index=True)[1])[0]
+            x, y = float(rows["x"][k]), float(rows["y"][k])
+            raise FormatError(f"repeated sample x={x}, y={y}", line=csvio.line_of_row(path, k))
+        if counts.min() == 0:
+            i, j = divmod(int(np.argmin(counts)), ys.size)
+            raise FormatError(f"grid is missing the sample x={xs[i]}, y={ys[j]}")
     values = np.empty(xs.size * ys.size)
     values[cell] = rows["value"]
     return xs, ys, values.reshape(xs.size, ys.size)

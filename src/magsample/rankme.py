@@ -213,8 +213,8 @@ def read_embeddings_csv(path) -> EmbeddingSet:
             raise FormatError("expected header 'id,mpp,d0,d1,...'", line=1)
         dtype = np.dtype([("id", object), ("mpp", "f8"), ("vec", "f8", (dim,))])
         rows = csvio.read_body(f, dtype, "embedding")
-    if not rows.size:
-        raise FormatError("embedding file contains no rows")
+        if not rows.size:
+            raise FormatError("embedding file contains no rows")
     return EmbeddingSet(
         mpps=np.ascontiguousarray(rows["mpp"]),
         vectors=np.ascontiguousarray(rows["vec"]),

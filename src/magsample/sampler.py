@@ -27,7 +27,6 @@ File formats owned by this module:
 from __future__ import annotations
 
 import contextlib
-import itertools
 import struct
 from dataclasses import dataclass, fields
 from typing import Sequence
@@ -265,52 +264,6 @@ def read_plan_csv(path) -> CropPlan:
         return CropPlan(csvio.read_body(f, PLAN_DTYPE, "plan", _invalid_rows))
 
 
-# The largest chunk of the binary line skip. With it, read_plan_row finds
-# row 99,999 of a 1e5-row plan (7.9 MB) in 2-6 ms, against 13-23 ms with the
-# text-mode skip, and row 0 in about 0.1 ms on both (2 vCPU); 1 MiB chunks
-# were slower.
-_SKIP_CHUNK = 1 << 18
-
-
-def _line_at(f, k: int) -> str:
-    """Line ``k`` of the text file ``f``, counted from 0 at its start.
-
-    The lines before it are skipped in binary mode, by counting b"\n", with
-    no decoding. Text mode also ends a line at a b"\r", so if the bytes up
-    to the end of line ``k`` hold one, the lines are skipped in text mode
-    instead, as universal newlines number them. '' past the end.
-    """
-    raw = f.buffer
-    raw.seek(0)
-    skip, parts, size = k, [], 4096
-    # chunks double up to _SKIP_CHUNK, so a line near the top costs little
-    while chunk := raw.read(min(size, _SKIP_CHUNK)):
-        size *= 2
-        if skip:
-            is_newline = np.frombuffer(chunk, np.uint8) == ord("\n")
-            # a Python int, as skip may be past int64
-            count, cut = int(np.count_nonzero(is_newline)), len(chunk)
-            if count >= skip:  # line k starts after newline number skip
-                cut = int(np.flatnonzero(is_newline)[skip - 1]) + 1
-            if chunk.find(b"\r", 0, cut) >= 0:
-                break
-            if count < skip:
-                skip -= count
-                continue
-            chunk, skip = chunk[cut:], 0
-        end = chunk.find(b"\n") + 1
-        line = chunk[:end] if end else chunk
-        if b"\r" in line:
-            break
-        parts.append(line)
-        if end:
-            return b"".join(parts).decode("utf-8")
-    else:
-        return b"".join(parts).decode("utf-8")
-    f.seek(0)
-    return next(itertools.islice(f, k, None), "")
-
-
 def read_plan_row(path, index: int) -> CropPlanEntry:
     """The plan entry with ``index``, parsing one line when it can.
 
@@ -324,8 +277,8 @@ def read_plan_row(path, index: int) -> CropPlanEntry:
     ``index`` returned; ParameterError reports an index with no entry.
     """
     with _open_plan(path) as f:
-        line = _line_at(f, index + 1) if index >= 0 else ""
-    row = csvio.parse_line(line, index + 2, PLAN_DTYPE, "plan", _invalid_rows)
+        line = csvio.line_at(f, index + 1) if index >= 0 else ""
+        row = csvio.parse_line(line, index + 2, PLAN_DTYPE, "plan", _invalid_rows)
     if row is not None and row["index"][0] == index:
         return CropPlan(row)[0]
     plan = read_plan_csv(path)
@@ -424,10 +377,14 @@ def write_image_array(path, image: np.ndarray):
         f.write(np.ascontiguousarray(arr, dtype="<f4"))
 
 
+def _image_bytes(h, w, c) -> int:
+    if not h * w * c:  # which numpy may not even shape as h x w x c
+        raise FormatError("image file contains no pixels")
+    return h * w * c * 4
+
+
 def read_image_array(path) -> np.ndarray:
     (h, w, c), payload = csvio.read_binary(
-        path, _IMAGE_HEADER, _IMAGE_MAGIC, "image", lambda h, w, c: h * w * c * 4
+        path, _IMAGE_HEADER, _IMAGE_MAGIC, "image", _image_bytes
     )
-    if not payload.size:  # which numpy may not even shape as h x w x c
-        raise FormatError("image file contains no pixels")
     return payload.view("<f4").reshape(h, w, c)

@@ -29,7 +29,7 @@ _dger = None
 
 _MAX_PIVOTS = 100000
 _STALL_PIVOTS = 200
-_PIVOT_TOL = 1e-11
+_PIVOT_TOL = 1e-9  # at 1e-11, round-off pivots could end on an infeasible basis
 _COST_TOL = 1e-9
 _PRIMAL_TOL = 1e-9
 _DUAL_TOL = 1e-7

@@ -404,14 +404,14 @@ def test_lying_header_allocates_nothing_and_exits_2(workdir, capsys, kind):
     (workdir / "lying.bin").write_bytes(data)
     tracemalloc.start()
     try:
-        with pytest.raises(FormatError, match=f"^{message}$"):
+        with pytest.raises(FormatError, match=f"^lying.bin: {message}$"):
             read("lying.bin")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
     assert main(argv) == 2
-    assert f"error: {message}" in capsys.readouterr().err
+    assert f"error: lying.bin: {message}" in capsys.readouterr().err
 
 
 _BAD_MSEB_HEADERS = {
@@ -441,12 +441,12 @@ _BAD_MSEB_HEADERS = {
 def test_bad_mseb_header_exits_2(workdir, capsys, kind):
     data, message = _BAD_MSEB_HEADERS[kind]
     Path("bad.mseb").write_bytes(data)
-    with pytest.raises(FormatError, match=f"^{message}$"):
+    with pytest.raises(FormatError, match=f"^bad.mseb: {message}$"):
         read_embeddings_binary("bad.mseb")
     assert main(["rankme", "--embeddings", "bad.mseb", "--out", "r.csv"]) == 2
     if kind == "magic":
         message = "line 1: expected header 'id,mpp,d0,d1,...'"
-    assert capsys.readouterr().err == f"magsample rankme: error: {message}\n"
+    assert capsys.readouterr().err == f"magsample rankme: error: bad.mseb: {message}\n"
 
 
 _BAD_MSIM_HEADERS = {
@@ -464,11 +464,11 @@ _BAD_MSIM_HEADERS = {
 def test_bad_msim_header_exits_2(workdir, capsys, kind):
     data, message = _BAD_MSIM_HEADERS[kind]
     Path("bad.msim").write_bytes(data)
-    with pytest.raises(FormatError, match=f"^{message}$"):
+    with pytest.raises(FormatError, match=f"^bad.msim: {message}$"):
         read_image_array("bad.msim")
     argv = ["crop-apply", "--image", "bad.msim", "--plan", "plan.csv", "--out", "o.msim"]
     assert main(argv) == 2
-    assert capsys.readouterr().err == f"magsample crop-apply: error: {message}\n"
+    assert capsys.readouterr().err == f"magsample crop-apply: error: bad.msim: {message}\n"
     assert not Path("o.msim").exists()
 
 
@@ -663,7 +663,43 @@ def test_input_that_is_not_utf8_exits_2(workdir, capsys, reader):
     (workdir / "bad.in").write_bytes(data)
     write_image_array("img.msim", np.zeros((512, 512, 1), dtype=np.float32))
     assert main(argv) == 2
-    assert f"error: line {line}: bad.in: not UTF-8 text" in capsys.readouterr().err
+    assert f"error: bad.in: line {line}: not UTF-8 text" in capsys.readouterr().err
+
+
+def _csv(reader, row):
+    header, rows, _ = CSV_READERS[reader]
+    return f"{header}\n{row}\n{rows[1]}\n".encode()
+
+
+# Per input format: a malformed file in a subdirectory, the command that
+# reads it, and the message after the file's name
+_MALFORMED_INPUTS = {
+    "msdist": (b"#msdist v1\nrange 0.25 2.0\natom 0.5\n",
+               ["signal", "--dist", "in/bad", "--out", "s.csv"],
+               "line 3: atom line needs location and weight"),
+    "plan": (_csv("plan", "0,1.0,1.0,512,224"),
+             ["crop-apply", "--image", "img.msim", "--plan", "in/bad", "--index", "0",
+              "--out", "o.msim"], "line 2: wrong number of plan columns"),
+    "embeddings": (_csv("embeddings", "p0,x,1.0,0.0"),
+                   ["rankme", "--embeddings", "in/bad", "--out", "r.csv"],
+                   "line 2: bad embedding entry"),
+    "mseb": (struct.pack("<4sHQI", b"MSEB", 2, 1, 1),
+             ["rankme", "--embeddings", "in/bad", "--out", "r.csv"],
+             "unsupported embedding version 2"),
+    "msim": (struct.pack("<4sIII", b"MSIM", 2, 2, 1),
+             ["crop-apply", "--image", "in/bad", "--plan", "p.csv", "--index", "0",
+              "--out", "o.msim"], "image payload is 0 bytes, expected 16"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_MALFORMED_INPUTS))
+def test_format_error_names_its_file(workdir, capsys, kind):
+    data, argv, message = _MALFORMED_INPUTS[kind]
+    (workdir / "in").mkdir()
+    (workdir / "in" / "bad").write_bytes(data)
+    write_image_array("img.msim", np.zeros((512, 512, 1), dtype=np.float32))
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"magsample {argv[0]}: error: in/bad: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import math
 import os
 import re
@@ -61,7 +62,7 @@ def test_readers_name_the_same_bad_line(tmp_path, reader, case):
         read(path)
     assert type(info.value) is FormatError
     assert info.value.line == line
-    assert str(info.value).startswith(f"line {line}: {message}")
+    assert str(info.value).startswith(f"{path}: line {line}: {message}")
 
 
 @pytest.mark.parametrize("reader", sorted(CSV_READERS))
@@ -78,6 +79,34 @@ def test_readers_share_the_dialect(tmp_path, reader):
     body = ["", " \t", blank, '"",' + blank[1:], quoted, blank, padded, *rows[2:], "  "]
     other.write_text("\r\n".join([header, *body]) + "\r\n", newline="")
     assert csv_result(read(other)) == csv_result(read(clean))
+
+
+def _line_at_text(f, k):
+    """The line skip as first written: universal newlines, in text mode."""
+    f.seek(0)
+    return next(itertools.islice(f, k, None), "")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.text("ab,é\r", max_size=6), st.sampled_from(["\n", "\r\n", "\r", ""])),
+        max_size=8,
+    ),
+    st.integers(0, 9),
+    st.integers(1, 9),
+)
+def test_line_skip_is_the_text_mode_skip(tmp_path_factory, lines, k, chunk):
+    path = tmp_path_factory.mktemp("skip") / "lines.csv"
+    path.write_bytes("".join(text + end for text, end in lines).encode("utf-8"))
+    got, want = [], []
+    for out, read in ((got, csvio.line_at), (want, _line_at_text)):
+        with csvio.open_text(path) as f:
+            f.readline()  # as after the header check
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(csvio, "_SKIP_CHUNK", chunk)  # lines across chunk edges
+                out.append(read(f, k))
+    assert got == want
 
 
 def test_line_of_row_skips_blank_lines(tmp_path):
@@ -182,7 +211,8 @@ def test_a_payload_cut_after_its_size_is_taken_is_a_format_error(tmp_path, monke
     fstat = os.fstat
     monkeypatch.setattr(csvio.os, "fstat",
                         lambda fd: types.SimpleNamespace(st_size=fstat(fd).st_size + 4))
-    with pytest.raises(FormatError, match="^image payload is 12 bytes, expected 16$"):
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: image payload is 12 bytes, "
+                       "expected 16$"):
         read_image_array(path)
 
 
@@ -280,7 +310,7 @@ def test_write_rows_is_each_value_by_repr_and_reads_back(n, kinds, repeated, see
 def test_open_text_turns_a_decoding_error_of_a_read_into_a_format_error(tmp_path):
     path = tmp_path / "t.txt"
     path.write_bytes(b"ok\r\nok\n\xff\n")
-    with pytest.raises(FormatError, match=r"^line 3: .*t\.txt: not UTF-8 text$"):
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: line 3: not UTF-8 text$"):
         with csvio.open_text(path) as f:
             f.read()
     with pytest.raises(UnicodeDecodeError):  # not a read of the file: left as it is

@@ -34,6 +34,15 @@ def test_constructor_sorts_atoms(mag_range):
     assert np.array_equal(d.atom_weights, [0.75, 0.25])
 
 
+def test_distributions_of_different_sizes_are_unequal(mag_range):
+    two = SamplingDistribution.discrete(mag_range, [0.25, 0.5])
+    three = SamplingDistribution.discrete(mag_range, [0.25, 0.5, 1.0])
+    assert two != three and three != two
+    assert two == SamplingDistribution.discrete(mag_range, [0.25, 0.5])
+    assert SamplingDistribution.uniform(mag_range, 2) != SamplingDistribution.uniform(mag_range, 3)
+    assert SamplingDistribution.uniform(mag_range, 2) != two
+
+
 def test_constructor_validation(mag_range):
     with pytest.raises(RangeError):
         SamplingDistribution(mag_range, atoms=[(0.1, 1.0)])
@@ -291,7 +300,7 @@ def test_each_format_error_names_its_line(name, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     Path("bad.msdist").write_text(text, encoding="utf-8")
     assert main(["signal", "--dist", "bad.msdist", "--out", "p.csv"]) == 2
-    assert capsys.readouterr().err == f"magsample signal: error: {where}{message}\n"
+    assert capsys.readouterr().err == f"magsample signal: error: bad.msdist: {where}{message}\n"
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r", "\r\n"])

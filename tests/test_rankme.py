@@ -336,7 +336,7 @@ def test_embeddings_without_rows_fail_alike_in_both_formats(tmp_path, header):
     mseb_path.write_bytes(struct.pack("<4sHQI", b"MSEB", 1, 0, 2))
     for read, path in ((read_embeddings_csv, csv_path), (load_embeddings, csv_path),
                        (load_embeddings, mseb_path)):
-        with pytest.raises(FormatError, match="^embedding file contains no rows$"):
+        with pytest.raises(FormatError, match=f"{path.name}: embedding file contains no rows$"):
             read(path)
 
 

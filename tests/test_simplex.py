@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from magsample import simplex
+from magsample import MagRange, TabulatedKernel, simplex
 from magsample.errors import SolverError
 from magsample.simplex import lp_peak_bytes, solve_inequality_lp
 
@@ -96,6 +96,33 @@ def test_iteration_budget(monkeypatch):
     with pytest.raises(SolverError, match=r"^simplex iteration budget \(0\) exhausted$") as err:
         solve_inequality_lp(c=[1.0, 1.0], A=[[1.0, 2.0], [3.0, 1.0]], b=[4.0, 5.0])
     assert err.value.residual is not None
+
+
+def _irregular_nodes(rng):
+    """Table nodes as test_optimize's irregular tables draw them."""
+    inner = rng.uniform(0.26, 1.99, rng.integers(1, 5))
+    twin = rng.uniform(0.26, 1.99)
+    offset = rng.uniform(1e-6, 1.0) * 1.75 / 400
+    return np.unique([rng.uniform(0.1, 0.25), *inner, twin, twin + offset, rng.uniform(2.0, 2.5)])
+
+
+@pytest.mark.parametrize("seed, grid_n", [(3237, 272), (4691, 217), (6472, 247)])
+def test_near_zero_pivots_are_refused(seed, grid_n):
+    # games of irregular tables that, with a pivot tolerance of 1e-11, ended
+    # on an infeasible basis: neg residuals up to 3.7
+    from scipy.optimize import linprog
+
+    rng = np.random.default_rng([29, seed])
+    xs, ys = _irregular_nodes(rng), _irregular_nodes(rng)
+    kernel = TabulatedKernel(xs, ys, rng.uniform(0.05, 2.0, (xs.size, ys.size)))
+    assert rng.integers(128, 401) == grid_n
+    mids = MagRange().cell_midpoints(grid_n)
+    K = kernel(mids[:, None], mids[None, :])
+    ones = np.ones(grid_n)
+    sol = solve_inequality_lp(ones, K.T, ones)
+    ref = linprog(-ones, A_ub=K.T, b_ub=ones, bounds=(0, None), method="highs")
+    assert ref.status == 0
+    assert sol.objective == pytest.approx(-ref.fun, abs=1e-12)
 
 
 def test_random_lps_match_scipy():
