@@ -59,8 +59,6 @@ from .rankme import (
 from .rng import CounterRng
 from .sampler import (
     STANDARD_MPPS,
-    CropPlan,
-    CropPlanEntry,
     SamplerConfig,
     apply_crop,
     generate_plan,

@@ -218,7 +218,9 @@ class SamplingDistribution:
 
 
 def parse_distribution(text: str) -> SamplingDistribution:
-    """Parse the ``#msdist v1`` text format; errors carry line numbers.
+    """Parse the ``#msdist v1`` text format. Every error is a FormatError:
+    with its line number, or with none where the numbers parse but make no
+    valid distribution (an atom off the range, a negative value, no mass).
 
     Lines end at ``\\n``, ``\\r`` or ``\\r\\n``, as text mode reads them; any
     other character that ``str.splitlines`` breaks at is whitespace.
@@ -295,9 +297,10 @@ def parse_distribution(text: str) -> SamplingDistribution:
         raise FormatError("missing range line")
     if want > 0:
         raise FormatError(f"density block ended early; {want} values missing")
-    return SamplingDistribution(
-        mag_range, atoms=atoms, density=values if density else None
-    )
+    try:
+        return SamplingDistribution(mag_range, atoms=atoms, density=values if density else None)
+    except (ParameterError, RangeError) as exc:  # values that parse but are invalid
+        raise FormatError(str(exc)) from None
 
 
 def read_distribution(path) -> SamplingDistribution:

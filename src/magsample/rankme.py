@@ -240,15 +240,6 @@ def read_embeddings_binary(path) -> EmbeddingSet:
     return EmbeddingSet(mpps=records["mpp"], vectors=records["vec"])
 
 
-def write_embeddings_binary(path, embeddings: EmbeddingSet):
-    out = np.empty(embeddings.n, dtype=_emb_record(embeddings.dim))
-    out["mpp"] = embeddings.mpps
-    out["vec"] = embeddings.vectors
-    with open(path, "wb") as f:
-        f.write(_EMB_HEADER.pack(_EMB_MAGIC, _EMB_VERSION, embeddings.n, embeddings.dim))
-        f.write(out)
-
-
 def load_embeddings(path) -> EmbeddingSet:
     """Read an embedding file, sniffing binary versus CSV from the magic."""
     with open(path, "rb") as f:

@@ -10,15 +10,15 @@ Plans are reproducible byte for byte: entry ``i`` consumes the counter-based
 RNG at counters ``3i`` (target draw), ``3i + 1`` and ``3i + 2`` (crop
 offsets), so any subrange of a plan can be regenerated independently.
 
-A plan is held as columns (:class:`CropPlan`, one numpy structured array);
-its rows are :class:`CropPlanEntry` values. Plans are generated, written
-and read in bulk rather than row by row.
+A plan is a 1-d numpy array of :data:`PLAN_DTYPE`, one element per row:
+``plan[i]`` is a row, ``plan["crop_size_px"]`` a column and ``plan[a:b]`` a
+sub-plan. Plans are generated, written and read in bulk rather than row by
+row.
 
 File formats owned by this module:
 
 * plan CSV, written by :func:`magsample.csvio.write_rows` in its dialect,
-  with header
-  ``index,target_mpp,source_mpp,source_size_px,crop_size_px,output_size_px,offset_x_frac,offset_y_frac``;
+  with the names of :data:`PLAN_DTYPE`, in order, as its header;
 * raw image arrays (``.msim``): 16-byte header of magic ``MSIM``, u32 height,
   u32 width, u32 channels (little-endian, none 0), then float32 pixels in
   row-major order.
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import contextlib
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -75,65 +75,18 @@ def _crop_sizes(cfg: SamplerConfig, targets: np.ndarray, sources: np.ndarray) ->
     return crops
 
 
-@dataclass(frozen=True)
-class CropPlanEntry:
-    """One executable crop: where to read, how much, and the output size."""
-
-    index: int
-    target_mpp: float
-    source_mpp: float
-    source_size_px: int
-    crop_size_px: int
-    output_size_px: int
-    offset_x_frac: float
-    offset_y_frac: float
-
-
-PLAN_CSV_FIELDS = tuple(f.name for f in fields(CropPlanEntry))
-PLAN_DTYPE = np.dtype(
-    [(f.name, "<i8" if f.type == "int" else "<f8") for f in fields(CropPlanEntry)]
-)
-
-
-class CropPlan:
-    """A crop plan held as columns: one structured array of :data:`PLAN_DTYPE`.
-
-    ``len(plan)``; ``plan[i]`` and iteration give :class:`CropPlanEntry` rows,
-    ``plan[a:b]`` a sub-plan, and ``plan.<field>`` (``plan.index``,
-    ``plan.target_mpp``, ...) the column as an array view. Plans compare
-    equal when all their rows are equal.
-    """
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: np.ndarray):
-        if rows.dtype != PLAN_DTYPE or rows.ndim != 1:
-            raise ParameterError("plan rows must be a 1-d array of dtype PLAN_DTYPE")
-        self.rows = rows
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            return CropPlan(self.rows[key])
-        return CropPlanEntry(*self.rows[key].tolist())
-
-    def __iter__(self):
-        return (CropPlanEntry(*row) for row in self.rows.tolist())
-
-    def __getattr__(self, name):
-        if name in PLAN_CSV_FIELDS:
-            return self.rows[name]
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-
-    def __eq__(self, other):
-        if not isinstance(other, CropPlan):
-            return NotImplemented
-        return bool(np.array_equal(self.rows, other.rows))
-
-    def __repr__(self) -> str:
-        return f"CropPlan({len(self)} rows)"
+# The plan's columns in CSV order, with their types: the one statement of a
+# plan row's fields and of the plan CSV header.
+PLAN_DTYPE = np.dtype([
+    ("index", "<i8"),
+    ("target_mpp", "<f8"),
+    ("source_mpp", "<f8"),
+    ("source_size_px", "<i8"),
+    ("crop_size_px", "<i8"),
+    ("output_size_px", "<i8"),
+    ("offset_x_frac", "<f8"),
+    ("offset_y_frac", "<f8"),
+])
 
 
 @dataclass
@@ -188,7 +141,7 @@ def sample_targets(
     return dist.quantile(rng.uniform_at(counters))
 
 
-def _plan(cfg: SamplerConfig, index: np.ndarray, targets: np.ndarray, rng: CounterRng) -> CropPlan:
+def _plan(cfg: SamplerConfig, index: np.ndarray, targets: np.ndarray, rng: CounterRng) -> np.ndarray:
     """Plan entries ``index`` for their targets; entry i's offsets come from
     counters 3i+1 and 3i+2. Sources and crops are checked again, as a config
     can be changed after its check."""
@@ -203,10 +156,10 @@ def _plan(cfg: SamplerConfig, index: np.ndarray, targets: np.ndarray, rng: Count
     rows["output_size_px"] = cfg.output_size_px
     rows["offset_x_frac"] = rng.uniform_at(counters + np.uint64(1))
     rows["offset_y_frac"] = rng.uniform_at(counters + np.uint64(2))
-    return CropPlan(rows)
+    return rows
 
 
-def generate_plan(cfg: SamplerConfig, n: int) -> CropPlan:
+def generate_plan(cfg: SamplerConfig, n: int) -> np.ndarray:
     """Draw ``n`` targets and plan their crops; pure function of (cfg, n)."""
     if n < 1:
         raise ParameterError(f"plan length must be >= 1, got {n}")
@@ -217,10 +170,10 @@ def generate_plan(cfg: SamplerConfig, n: int) -> CropPlan:
 # -- plan CSV -----------------------------------------------------------------
 
 
-def write_plan_csv(plan: CropPlan, path):
+def write_plan_csv(plan: np.ndarray, path):
     """Write the plan CSV a block of rows at a time, so memory does not grow with the plan."""
     with csvio.open_text(path, "w") as f:
-        csvio.write_rows(f, PLAN_CSV_FIELDS, [plan.rows[n] for n in PLAN_CSV_FIELDS])
+        csvio.write_rows(f, PLAN_DTYPE.names, [plan[name] for name in PLAN_DTYPE.names])
 
 
 def _positive_finite(x: np.ndarray) -> np.ndarray:
@@ -246,12 +199,12 @@ def _invalid_rows(rows: np.ndarray) -> np.ndarray:
 def _open_plan(path):
     """The plan file, open after its header line, which must be the plan's."""
     with csvio.open_text(path) as f:
-        if csvio.read_header(f) != list(PLAN_CSV_FIELDS):
-            raise FormatError(f"expected plan header {','.join(PLAN_CSV_FIELDS)!r}", line=1)
+        if csvio.read_header(f) != list(PLAN_DTYPE.names):
+            raise FormatError(f"expected plan header {','.join(PLAN_DTYPE.names)!r}", line=1)
         yield f
 
 
-def read_plan_csv(path) -> CropPlan:
+def read_plan_csv(path) -> np.ndarray:
     """Parse a plan CSV, in the dialect of :mod:`magsample.csvio`, in bulk.
 
     Every row must parse (integers in the integer columns) and keep the plan
@@ -261,10 +214,10 @@ def read_plan_csv(path) -> CropPlan:
     never upsamples, so the output of a row is never larger than its source.
     """
     with _open_plan(path) as f:
-        return CropPlan(csvio.read_body(f, PLAN_DTYPE, "plan", _invalid_rows))
+        return csvio.read_body(f, PLAN_DTYPE, "plan", _invalid_rows)
 
 
-def read_plan_row(path, index: int) -> CropPlanEntry:
+def read_plan_row(path, index: int) -> np.void:
     """The plan entry with ``index``, parsing one line when it can.
 
     A generated plan holds entry ``i`` on line ``i + 2``. That line alone is
@@ -280,9 +233,9 @@ def read_plan_row(path, index: int) -> CropPlanEntry:
         line = csvio.line_at(f, index + 1) if index >= 0 else ""
         row = csvio.parse_line(line, index + 2, PLAN_DTYPE, "plan", _invalid_rows)
     if row is not None and row["index"][0] == index:
-        return CropPlan(row)[0]
+        return row[0]
     plan = read_plan_csv(path)
-    matching = np.flatnonzero(plan.index == index)
+    matching = np.flatnonzero(plan["index"] == index)
     if not matching.size:
         raise ParameterError(f"plan has no entry with index {index}")
     return plan[matching[0]]
@@ -336,32 +289,35 @@ def _resize_bilinear(window: np.ndarray, out_size: int) -> np.ndarray:
     return out.reshape(out_size, out_size, channels)
 
 
-def apply_crop(image: np.ndarray, entry: CropPlanEntry) -> np.ndarray:
-    """Execute one plan entry on an H x W x C pixel array.
+def apply_crop(image: np.ndarray, row) -> np.ndarray:
+    """Execute one plan row on an H x W x C pixel array.
 
-    The image must be square with side ``entry.source_size_px``. When the
-    crop size equals the output size the result is the exact sub-array.
+    ``row`` is a plan row or any mapping with the same geometry fields, such
+    as a dict. The image must be square with side ``row["source_size_px"]``.
+    When the crop size equals the output size the result is the exact
+    sub-array.
     """
+    # read once, as Python scalars: numpy scalars slow the arithmetic below
+    side, crop, out_size = (
+        int(row["source_size_px"]), int(row["crop_size_px"]), int(row["output_size_px"])
+    )
+    fx, fy = float(row["offset_x_frac"]), float(row["offset_y_frac"])
     arr = np.asarray(image)
     if arr.ndim != 3:
         raise ShapeError(f"expected an H x W x C array, got shape {arr.shape}")
     h, w, _ = arr.shape
-    if h != entry.source_size_px or w != entry.source_size_px:
-        raise ShapeError(
-            f"image is {h}x{w} but the plan entry expects "
-            f"{entry.source_size_px}x{entry.source_size_px}"
-        )
-    crop = entry.crop_size_px
+    if h != side or w != side:
+        raise ShapeError(f"image is {h}x{w} but the plan entry expects {side}x{side}")
     if crop < 1 or crop > h:
         raise ShapeError(f"crop size {crop} does not fit a {h}px source")
-    if not (0.0 <= entry.offset_x_frac <= 1.0 and 0.0 <= entry.offset_y_frac <= 1.0):
+    if not (0.0 <= fx <= 1.0 and 0.0 <= fy <= 1.0):
         raise ShapeError("offset fractions outside [0, 1]; crop window would not fit")
-    oy = _round_half_up(entry.offset_y_frac * (h - crop))
-    ox = _round_half_up(entry.offset_x_frac * (w - crop))
+    oy = _round_half_up(fy * (h - crop))
+    ox = _round_half_up(fx * (w - crop))
     window = arr[oy : oy + crop, ox : ox + crop]
-    if crop == entry.output_size_px:
+    if crop == out_size:
         return window.copy()
-    return _resize_bilinear(window, entry.output_size_px)
+    return _resize_bilinear(window, out_size)
 
 
 # -- raw image arrays ----------------------------------------------------------

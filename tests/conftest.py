@@ -8,7 +8,6 @@ import pytest
 import magsample
 from magsample import (
     AbsDistanceKernel,
-    CropPlan,
     EmbeddingSet,
     InfoOverlapKernel,
     MagRange,
@@ -20,15 +19,21 @@ from magsample import (
     total_signal,
 )
 from magsample import sampler
-from magsample.rankme import read_embeddings_csv
-from magsample.sampler import PLAN_CSV_FIELDS
+from magsample.rankme import (
+    _EMB_HEADER,
+    _EMB_MAGIC,
+    _EMB_VERSION,
+    _emb_record,
+    read_embeddings_csv,
+)
+from magsample.sampler import PLAN_DTYPE
 
 STANDARDS = (0.25, 0.5, 1.0, 2.0)
 
 # The three CSV readers: name -> (header, valid body rows, reader). Each body
 # holds at least two rows and is valid as a whole.
 CSV_READERS = {
-    "plan": (",".join(PLAN_CSV_FIELDS),
+    "plan": (",".join(PLAN_DTYPE.names),
              ["0,1.0,1.0,512,224,224,0.0,0.0", "1,1.5,1.0,512,336,224,0.5,0.25"],
              read_plan_csv),
     "table": ("x,y,value", ["0.25,0.25,1", "0.25,1.0,0.5", "1.0,0.25,0.5", "1.0,1.0,1"],
@@ -39,12 +44,22 @@ CSV_READERS = {
 
 def csv_result(obj):
     """What a CSV reader returned, as comparable bytes."""
-    if isinstance(obj, CropPlan):
-        return obj.rows.tobytes()
+    if isinstance(obj, np.ndarray):  # a plan
+        return obj.tobytes()
     if isinstance(obj, TabulatedKernel):
         return obj.xs.tobytes(), obj.ys.tobytes(), obj.values.tobytes()
     assert isinstance(obj, EmbeddingSet)
     return obj.mpps.tobytes(), obj.vectors.tobytes()
+
+
+def write_embeddings_binary(path, embeddings: EmbeddingSet):
+    """Write ``embeddings`` as a ``.mseb`` file, in the layout README documents."""
+    out = np.empty(embeddings.n, dtype=_emb_record(embeddings.dim))
+    out["mpp"] = embeddings.mpps
+    out["vec"] = embeddings.vectors
+    with open(path, "wb") as f:
+        f.write(_EMB_HEADER.pack(_EMB_MAGIC, _EMB_VERSION, embeddings.n, embeddings.dim))
+        f.write(out)
 
 
 def read_embeddings_binary_reference(path):

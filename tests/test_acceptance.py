@@ -185,15 +185,15 @@ def test_criterion_4_crop_formula_exactness():
     worst_crop = 0
     for t in np.linspace(RANGE.a, RANGE.b, 10_000):
         e = plan_crop(float(t), cfg, rng)
-        expected = int(np.floor(224.0 * t / e.source_mpp + 0.5))
-        ok &= e.crop_size_px == expected and e.crop_size_px <= 512
-        worst_crop = max(worst_crop, e.crop_size_px)
+        crop = int(e["crop_size_px"])
+        ok &= crop == int(np.floor(224.0 * t / e["source_mpp"] + 0.5)) and crop <= 512
+        worst_crop = max(worst_crop, crop)
     worked = plan_crop(1.5, cfg, rng)
-    ok &= worked.source_mpp == 1.0 and worked.crop_size_px == 336
+    ok &= worked["source_mpp"] == 1.0 and worked["crop_size_px"] == 336
     _report(
         "criterion 4 (crop formula, 10^4 targets)",
         ok,
-        f"all crops exact, max crop {worst_crop}px <= 512; t=1.5 -> {worked.crop_size_px}px",
+        f"all crops exact, max crop {worst_crop}px <= 512; t=1.5 -> {worked['crop_size_px']}px",
     )
 
 

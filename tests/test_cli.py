@@ -36,12 +36,16 @@ from magsample.kernels import MagRange, kernel_from_string
 from magsample.rankme import (
     EmbeddingSet,
     read_embeddings_binary,
-    write_embeddings_binary,
     write_rankme_csv,
     write_similarity_csv,
 )
 
-from conftest import CSV_READERS, child_env, read_embeddings_binary_reference
+from conftest import (
+    CSV_READERS,
+    child_env,
+    read_embeddings_binary_reference,
+    write_embeddings_binary,
+)
 
 DU_TEXT = """#msdist v1
 range 0.25 2.0
@@ -234,6 +238,19 @@ def test_compare_on_mixed_ranges_exits_2(workdir, capsys):
         "[0.25, 2.0] of du.msdist; compare needs one range\n"
     )
     assert not Path("t.csv").exists()
+
+
+@pytest.mark.parametrize("body, message", [
+    ("atom 5.0 1\n", "atom at 5.0 outside range [0.25, 2.0]"),
+    ("density 2\n1.0 -1.0\n", "density cell values must be nonnegative and finite"),
+    ("density 2\n0 0\n", "distribution has no mass"),
+    ("atom 0.5 -1\natom 1.0 2\n", "atom weight must be nonnegative, got -1.0"),
+    ("atom 0.5 nan\n", "atom locations and weights must be finite"),
+], ids=["atom-off-range", "negative-cell", "no-mass", "negative-weight", "non-finite-atom"])
+def test_compare_names_the_file_whose_values_are_invalid(workdir, capsys, body, message):
+    Path("out.msdist").write_text("#msdist v1\nrange 0.25 2.0\n" + body)
+    assert main(["compare", "--grid", "50", "--out", "c.csv", "du.msdist", "out.msdist"]) == 2
+    assert capsys.readouterr().err == f"magsample compare: error: out.msdist: {message}\n"
 
 
 # File names holding a byte that is not UTF-8, as sys.argv hands them over
@@ -553,7 +570,7 @@ def test_crop_apply_roundtrip(workdir):
     from magsample import read_image_array, read_plan_csv, apply_crop
 
     entry = read_plan_csv("plan.csv")[0]
-    assert entry.crop_size_px == 224  # identity crop at a standard mpp
+    assert entry["crop_size_px"] == 224  # identity crop at a standard mpp
     expected = apply_crop(img, entry)
     assert np.array_equal(read_image_array("out.msim"), expected)
 

@@ -68,7 +68,7 @@ def test_non_finite_atom_in_a_file_exits_2(atom, tmp_path, monkeypatch, capsys):
     Path("bad.msdist").write_text(_HEAD + f"atom {atom}\n", encoding="utf-8")
     assert main(["signal", "--dist", "bad.msdist", "--out", "p.csv"]) == 2
     assert capsys.readouterr().err == (
-        "magsample signal: error: atom locations and weights must be finite\n"
+        "magsample signal: error: bad.msdist: atom locations and weights must be finite\n"
     )
 
 

@@ -7,8 +7,6 @@ PUBLIC_NAMES = [
     "AbsDistanceKernel",
     "CentroidSimilarity",
     "CounterRng",
-    "CropPlan",
-    "CropPlanEntry",
     "DegenerateInputError",
     "DomainError",
     "EmbeddingSet",

@@ -23,7 +23,7 @@ from magsample import (
     write_plan_csv,
 )
 from magsample.rng import CounterRng
-from magsample.sampler import PLAN_CSV_FIELDS
+from magsample.sampler import PLAN_DTYPE
 
 from conftest import STANDARDS, plan_crop
 
@@ -63,10 +63,10 @@ def test_plan_csv_is_each_value_by_repr(name, tmp_path):
     # three blocks of rows; each distinct value of a repeating column is
     # formatted once per block, and must give the text of a plain repr
     plan = generate_plan(_config(DISTRIBUTIONS[name]), 20_000)
-    want = "".join(",".join(map(repr, row)) + "\n" for row in plan.rows.tolist())
+    want = "".join(",".join(map(repr, row)) + "\n" for row in plan.tolist())
     path = tmp_path / "plan.csv"
     write_plan_csv(plan, path)
-    assert path.read_bytes().decode() == ",".join(PLAN_CSV_FIELDS) + "\n" + want
+    assert path.read_bytes().decode() == ",".join(PLAN_DTYPE.names) + "\n" + want
 
 
 @settings(max_examples=40, deadline=None)
@@ -85,4 +85,4 @@ def test_plan_write_read_write_and_rows_match_plan_crop(name, seed, n):
         assert second.read_bytes() == first.read_bytes()
     rng = CounterRng(seed)
     for i, row in enumerate(plan):
-        assert row == plan_crop(row.target_mpp, cfg, rng, index=i)
+        assert row == plan_crop(row["target_mpp"], cfg, rng, index=i)

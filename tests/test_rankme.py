@@ -20,12 +20,11 @@ from magsample import (
 )
 from magsample.rankme import (
     read_embeddings_csv,
-    write_embeddings_binary,
     write_rankme_csv,
     write_similarity_csv,
 )
 
-from conftest import read_embeddings_binary_reference
+from conftest import read_embeddings_binary_reference, write_embeddings_binary
 
 
 def gram_rankme_oracle(matrix, epsilon=1e-7):

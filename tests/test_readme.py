@@ -23,9 +23,10 @@ from magsample.rankme import (
     _EMB_MAGIC,
     _EMB_VERSION,
     _emb_record,
-    write_embeddings_binary,
 )
 from magsample.sampler import _IMAGE_HEADER, _IMAGE_MAGIC
+
+from conftest import write_embeddings_binary
 
 README = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -122,7 +123,7 @@ def test_library_quick_start_runs(tmp_path, monkeypatch, capsys):
     exec(compile(_block("Library quick start", "python"), "README quick start", "exec"), {})
     summary, plan = capsys.readouterr().out.splitlines()
     assert summary.startswith("SignalSummary(min_value=")
-    assert plan.startswith("1000 CropPlanEntry(index=0,")
+    assert re.fullmatch(r"1000 \(0, [^()]*\) \d+", plan)  # len, plan[0], the largest crop
 
 
 _WIDTHS = {"H": "u16", "I": "u32", "Q": "u64"}

@@ -1,5 +1,7 @@
 import dataclasses
+import tempfile
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from magsample import (
-    CropPlan,
-    CropPlanEntry,
     FeasibilityError,
     FormatError,
     MagRange,
@@ -27,7 +27,7 @@ from magsample import (
 )
 from magsample.rng import CounterRng
 from magsample import csvio, sampler
-from magsample.sampler import _RESIZE_BLOCK_ROWS, _resize_bilinear
+from magsample.sampler import PLAN_DTYPE, _RESIZE_BLOCK_ROWS, _resize_bilinear
 
 from conftest import STANDARDS, chi_square_gof, plan_crop
 
@@ -49,7 +49,7 @@ def _entry(**kwargs):
         offset_y_frac=0.0,
     )
     base.update(kwargs)
-    return CropPlanEntry(**base)
+    return np.array(tuple(base[name] for name in PLAN_DTYPE.names), PLAN_DTYPE)[()]
 
 
 # -- target draws ---------------------------------------------------------------
@@ -77,7 +77,7 @@ def test_du_draw_frequencies_binomial(du_dist):
 def test_sample_targets_matches_generate_plan(config):
     entries = generate_plan(config, 64)
     targets = sample_targets(config.distribution, config.rng_seed, 64)
-    assert np.array_equal(targets, [e.target_mpp for e in entries])
+    assert np.array_equal(targets, entries["target_mpp"])
 
 
 def test_sample_targets_shards_by_counter_range(cu_dist):
@@ -94,42 +94,42 @@ def test_sample_targets_shards_by_counter_range(cu_dist):
 def test_plan_crop_worked_example(config):
     rng = CounterRng(config.rng_seed)
     e = plan_crop(1.5, config, rng)
-    assert e.source_mpp == 1.0
-    assert e.crop_size_px == 336
-    assert e.output_size_px == 224
+    assert e["source_mpp"] == 1.0
+    assert e["crop_size_px"] == 336
+    assert e["output_size_px"] == 224
 
 
 def test_plan_crop_selects_largest_admissible_source(config):
     rng = CounterRng(0)
     e = plan_crop(0.375, config, rng)
-    assert e.source_mpp == 0.25
-    assert e.crop_size_px == 336
+    assert e["source_mpp"] == 0.25
+    assert e["crop_size_px"] == 336
 
 
 def test_plan_crop_identity_at_standards(config):
     rng = CounterRng(0)
     for s in STANDARDS:
         e = plan_crop(s, config, rng)
-        assert e.source_mpp == s
-        assert e.crop_size_px == 224
+        assert e["source_mpp"] == s
+        assert e["crop_size_px"] == 224
 
 
 def test_plan_crop_rounds_half_up(cu_dist):
     cfg = SamplerConfig(distribution=cu_dist, source_size_px=1000, output_size_px=100)
     rng = CounterRng(0)
     # 100 * 1.245 / 1.0 = 124.5 rounds up to 125
-    assert plan_crop(1.245, cfg, rng).crop_size_px == 125
+    assert plan_crop(1.245, cfg, rng)["crop_size_px"] == 125
 
 
 def test_plan_crop_invariants_over_fine_grid(config):
     rng = CounterRng(1)
     for t in np.linspace(0.25, 2.0, 2001):
         e = plan_crop(float(t), config, rng)
-        assert e.source_mpp in STANDARDS
-        assert e.source_mpp <= t
-        assert 1 <= e.crop_size_px <= e.source_size_px
-        assert e.crop_size_px == int(np.floor(224 * t / e.source_mpp + 0.5))
-        assert 0.0 <= e.offset_x_frac < 1.0 and 0.0 <= e.offset_y_frac < 1.0
+        assert e["source_mpp"] in STANDARDS
+        assert e["source_mpp"] <= t
+        assert 1 <= e["crop_size_px"] <= e["source_size_px"]
+        assert e["crop_size_px"] == int(np.floor(224 * t / e["source_mpp"] + 0.5))
+        assert 0.0 <= e["offset_x_frac"] < 1.0 and 0.0 <= e["offset_y_frac"] < 1.0
 
 
 def test_plan_crop_outside_range(config):
@@ -190,36 +190,22 @@ def test_plan_checks_the_crops_of_a_config_changed_after_its_check(cu_dist):
         SamplerConfig(distribution=cu_dist, standard_mpps=(1.0, 2.0))
 
 
-@pytest.mark.parametrize(
-    "rows",
-    [
-        np.zeros(3),
-        np.zeros((2, 2), sampler.PLAN_DTYPE),
-        np.zeros(2, [(name, "<f8") for name in sampler.PLAN_CSV_FIELDS]),
-    ],
-    ids=["float", "2-d", "float-index"],
-)
-def test_crop_plan_rejects_other_arrays(rows):
-    with pytest.raises(ParameterError, match="^plan rows must be a 1-d array of dtype PLAN_DTYPE$"):
-        CropPlan(rows)
-
-
 def test_generate_plan_deterministic(config, tmp_path):
     a = generate_plan(config, 100)
     b = generate_plan(config, 100)
-    assert a == b
+    assert np.array_equal(a, b)
     write_plan_csv(a, tmp_path / "a.csv")
     write_plan_csv(b, tmp_path / "b.csv")
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     other = dataclasses.replace(config, rng_seed=8)
-    assert generate_plan(other, 100) != a
+    assert not np.array_equal(generate_plan(other, 100), a)
 
 
 def test_generate_plan_matches_plan_crop(config):
     entries = generate_plan(config, 16)
     rng = CounterRng(config.rng_seed)
     for i, e in enumerate(entries):
-        assert plan_crop(e.target_mpp, config, rng, index=i) == e
+        assert plan_crop(e["target_mpp"], config, rng, index=i) == e
 
 
 def test_generate_plan_validation(config):
@@ -231,16 +217,16 @@ def test_generate_plan_single_boundary_atom(mag_range):
     atom = SamplingDistribution.discrete(mag_range, [2.0])
     cfg = SamplerConfig(distribution=atom, rng_seed=1)
     (entry,) = generate_plan(cfg, 1)
-    assert entry.target_mpp == 2.0
-    assert entry.source_mpp == 2.0
-    assert entry.crop_size_px == 224
+    assert entry["target_mpp"] == 2.0
+    assert entry["source_mpp"] == 2.0
+    assert entry["crop_size_px"] == 224
 
 
 def test_plan_csv_roundtrip(tmp_path, config):
     entries = generate_plan(config, 25)
     path = tmp_path / "plan.csv"
     write_plan_csv(entries, path)
-    assert read_plan_csv(path) == entries
+    assert read_plan_csv(path).tobytes() == entries.tobytes()
 
 
 def test_plan_csv_errors(tmp_path):
@@ -313,10 +299,10 @@ def test_plan_csv_skips_blank_lines(tmp_path, config):
     write_plan_csv(plan, path)
     head, *rows = path.read_text().splitlines(keepends=True)
     path.write_text(head + "\n" + "".join(rows[:2]) + "\n\n" + "".join(rows[2:]) + "\n")
-    assert read_plan_csv(path) == plan
+    assert np.array_equal(read_plan_csv(path), plan)
     # whitespace and blank cells are blank lines too
     path.write_text(head + " \t\n" + "".join(rows[:2]) + ",,,,,,,\n" + "".join(rows[2:]))
-    assert read_plan_csv(path) == plan
+    assert np.array_equal(read_plan_csv(path), plan)
     path.write_text(head)
     assert len(read_plan_csv(path)) == 0
 
@@ -443,20 +429,42 @@ def test_plan_row_checks_the_header(plan_file):
 
 
 def test_crop_plan_views(config):
+    # a plan is a 1-d array of PLAN_DTYPE; its rows, columns and slices are numpy's
+    assert [PLAN_DTYPE[name].kind for name in PLAN_DTYPE.names] == list("iffiiiff")
     plan = generate_plan(config, 10)
-    assert isinstance(plan, CropPlan) and len(plan) == 10
-    entries = list(plan)
-    assert all(isinstance(e, CropPlanEntry) for e in entries)
-    assert plan[3] == entries[3] and plan[-1] == entries[-1]
+    assert plan.dtype == PLAN_DTYPE and plan.shape == (10,)
+    rows = list(plan)
+    assert plan[3] == rows[3] and plan[-1] == rows[-1]
     head = plan[2:5]
-    assert isinstance(head, CropPlan) and list(head) == entries[2:5]
-    assert head == generate_plan(config, 5)[2:5]
-    assert np.array_equal(plan.index, np.arange(10))
-    assert np.array_equal(plan.crop_size_px, [e.crop_size_px for e in entries])
+    assert list(head) == rows[2:5] and np.array_equal(head, generate_plan(config, 5)[2:5])
+    assert np.array_equal(plan["index"], np.arange(10))
+    assert np.array_equal(plan["crop_size_px"], [row["crop_size_px"] for row in rows])
     with pytest.raises(IndexError):
         plan[10]
-    with pytest.raises(AttributeError):
-        plan.seed
+
+
+# atoms take apply_crop's copy path and the density its resize path; a 64 px
+# source keeps the crops cheap
+_MIXED = SamplingDistribution(MagRange(), atoms=[(0.5, 0.3), (1.0, 0.2)], density=[1.0, 2.0, 1.0])
+_IMAGE_64 = np.random.default_rng(64).random((64, 64, 3), dtype=np.float32)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), n=st.integers(1, 300))
+def test_plan_array_round_trips_and_crops_alike_as_row_or_dict(seed, n):
+    cfg = SamplerConfig(distribution=_MIXED, source_size_px=64, output_size_px=28, rng_seed=seed)
+    plan = generate_plan(cfg, n)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "plan.csv")
+        write_plan_csv(plan, path)
+        assert read_plan_csv(path).tobytes() == plan.tobytes()
+        for i in range(n):
+            row = read_plan_row(path, i)
+            assert row.tolist() == plan[i].tolist()
+            want = apply_crop(_IMAGE_64, plan[i]).tobytes()
+            assert apply_crop(_IMAGE_64, row).tobytes() == want
+            as_dict = dict(zip(PLAN_DTYPE.names, plan[i].tolist()))
+            assert apply_crop(_IMAGE_64, as_dict).tobytes() == want
 
 
 def _resize_reference(window, out_size):
