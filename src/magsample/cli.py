@@ -18,7 +18,12 @@ Exit codes: 0 on success; 2 for usage errors and unusable inputs
 and a missing, directory or unreadable file); 1 for computation failures
 (``DomainError``, ``DegenerateInputError``, ``ShapeError``, ``SolverError``
 and any other ``MagsampleError``). So not every ``ValueError`` exits 2:
-``DomainError``, ``DegenerateInputError`` and ``ShapeError`` exit 1.
+``DomainError``, ``DegenerateInputError`` and ``ShapeError`` exit 1. Invalid
+values in a kernel table or an embeddings file (a non-finite component, an
+mpp or table value that is not positive) are a ``FormatError`` naming the
+file, so they exit 2. So does an output that is the same file as an input,
+or signal's ``--out`` that is its ``--summary-out``: a ``ParameterError``,
+raised before anything is written.
 
 ``optimize --objective maxmin`` keeps memory linear in ``--grid`` for the
 built-in kernels, and solves a tabulated kernel's game on the block of grid
@@ -132,6 +137,42 @@ _DEFAULT_RANGE = f"{MagRange.a}:{MagRange.b}"
 _DEFAULT_STANDARDS = ",".join(map(str, STANDARD_MPPS))
 
 
+def _inputs(args) -> dict:
+    """The input files of the command, by the name of their manifest digest."""
+    inputs = {name: getattr(args, name) for name in _INPUT_ARGS if hasattr(args, name)}
+    inputs.update(enumerate(getattr(args, "dists", ())))
+    kernel = getattr(args, "kernel", "")
+    if kernel.startswith("custom:"):
+        inputs["kernel"] = kernel[len("custom:"):]
+    return inputs
+
+
+def _same_file(a, b) -> bool:
+    """Whether two paths name one file: the same file where both exist, else
+    the same resolved path."""
+    try:
+        return Path(a).samefile(b)
+    except OSError:
+        return Path(a).resolve() == Path(b).resolve()
+
+
+def _check_outputs(args):
+    """Resolve signal's default ``--summary-out``, and raise a ParameterError,
+    before anything is written, if an output is another output or an input."""
+    outs = [args.out]
+    if args.command == "signal":
+        if args.summary_out is None:
+            args.summary_out = str(Path(args.out).with_suffix("")) + ".summary.csv"
+        outs.append(args.summary_out)
+        if _same_file(*outs):
+            raise ParameterError(f"--out and --summary-out are the same file {args.out}")
+    inputs = _inputs(args).values()
+    for out in outs:
+        for path in inputs:
+            if _same_file(out, path):
+                raise ParameterError(f"output {out} is the input file {path}")
+
+
 def _write_manifest(args, outs):
     """Write ``<out>.manifest.txt`` for each path in ``outs``, all the same bytes.
 
@@ -142,12 +183,7 @@ def _write_manifest(args, outs):
     for key, value in vars(args).items():
         if key != "command" and value is not None:
             entries[key] = str(value)  # str of a float is its repr
-    inputs = {name: getattr(args, name) for name in _INPUT_ARGS if hasattr(args, name)}
-    inputs.update(enumerate(getattr(args, "dists", ())))
-    kernel = getattr(args, "kernel", "")
-    if kernel.startswith("custom:"):
-        inputs["kernel"] = kernel[len("custom:"):]
-    for name, path in inputs.items():
+    for name, path in _inputs(args).items():
         entries[f"digest.{name}"] = _digest(path)
     text = "".join(f"{k} {entries[k]}\n" for k in sorted(entries))
     for out in outs:
@@ -207,9 +243,7 @@ def cmd_signal(args) -> list[str]:
     profile = accumulated_signal(dist, kernel, args.grid)
     with csvio.open_text(args.out, "w") as f:
         write_profile_csv(profile, f)
-    if args.summary_out is None:
-        args.summary_out = str(Path(args.out).with_suffix("")) + ".summary.csv"
-    with csvio.open_text(args.summary_out, "w") as f:
+    with csvio.open_text(args.summary_out, "w") as f:  # resolved by _check_outputs
         write_summary_csv([(Path(args.dist).stem, profile.summary())], f)
     return [args.out, args.summary_out]
 
@@ -363,6 +397,7 @@ def main(argv=None) -> int:
     # looked up by name on each call, so a replaced handler takes effect
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
+        _check_outputs(args)
         _write_manifest(args, handler(args))
     except _USAGE_ERRORS as exc:
         print(f"magsample {args.command}: error: {exc}", file=sys.stderr)

@@ -11,6 +11,10 @@ are all blank is skipped. :func:`write_rows` writes every table, the crop
 plan included, 8192 rows at a time, so its memory does not grow with the
 table, and formats each value that repeats in a block once.
 
+Values that read but make no valid object, such as a kernel table value or
+an embedding mpp that is not positive, are a FormatError naming their file
+too (:func:`built_from`).
+
 A body is read into a structured array by one ``np.loadtxt`` pass. Only when
 that pass fails, or a reader's row mask flags a row, are its lines walked:
 blank lines are dropped and the rest parsed again in one pass. If that fails
@@ -29,7 +33,7 @@ import warnings
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import DomainError, FormatError, ParameterError
 
 
 @contextlib.contextmanager
@@ -42,6 +46,19 @@ def _naming(path):
         if exc.path is None:
             exc.path = path
         raise
+
+
+@contextlib.contextmanager
+def built_from(path):
+    """A DomainError or ParameterError raised in the ``with`` block, by an
+    object built from values read from the file at ``path``, is a FormatError
+    naming that file. The object's own checks are the only ones made."""
+    try:
+        yield
+    except (DomainError, ParameterError) as exc:
+        error = FormatError(str(exc))
+        error.path = path
+        raise error from None
 
 
 @contextlib.contextmanager

@@ -264,9 +264,13 @@ class TabulatedKernel(Kernel):
         any order, in the CSV dialect of :mod:`magsample.csvio`; the grid is
         their sorted distinct coordinates. FormatError reports a bad header,
         a row that does not parse or has a NaN coordinate, a repeated sample
-        (each naming its line), an empty body or a missing sample.
+        (each naming its line), an empty body, a missing sample, fewer than
+        two coordinates on an axis, and a coordinate or value that is not
+        positive and finite.
         """
-        return cls(*_read_table(path))
+        xs, ys, values = _read_table(path)
+        with csvio.built_from(path):
+            return cls(xs, ys, values)
 
     def covers(self, mag_range: MagRange) -> bool:
         return (

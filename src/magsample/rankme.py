@@ -215,10 +215,11 @@ def read_embeddings_csv(path) -> EmbeddingSet:
         rows = csvio.read_body(f, dtype, "embedding")
         if not rows.size:
             raise FormatError("embedding file contains no rows")
-    return EmbeddingSet(
-        mpps=np.ascontiguousarray(rows["mpp"]),
-        vectors=np.ascontiguousarray(rows["vec"]),
-    )
+    with csvio.built_from(path):
+        return EmbeddingSet(
+            mpps=np.ascontiguousarray(rows["mpp"]),
+            vectors=np.ascontiguousarray(rows["vec"]),
+        )
 
 
 def _emb_payload_bytes(version, n, dim) -> int:
@@ -237,7 +238,8 @@ def read_embeddings_binary(path) -> EmbeddingSet:
         path, _EMB_HEADER, _EMB_MAGIC, "embedding", _emb_payload_bytes
     )
     records = payload.view(_emb_record(dim))
-    return EmbeddingSet(mpps=records["mpp"], vectors=records["vec"])
+    with csvio.built_from(path):
+        return EmbeddingSet(mpps=records["mpp"], vectors=records["vec"])
 
 
 def load_embeddings(path) -> EmbeddingSet:

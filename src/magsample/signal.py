@@ -6,12 +6,14 @@ For a sampling distribution p and kernel K, the signal at target y is
 
 i.e. the kernel-weighted total exposure a model trained under p receives
 at magnification y. Each density cell [e, e'] contributes exactly its value
-times F(e', y) - F(e, y), F the kernel's antiderivative in x; the total is
-exact likewise through tp's antiderivative. The edge-by-target matrix is
-built 256 targets at a time, so memory does not grow with the grid, and
-once per block for all the densities on the same cells when several
-profiles are made together, as ``compare`` does. Sums are einsums in a
-fixed order, so bytes do not depend on BLAS threads.
+times F(e', y) - F(e, y), F the kernel's antiderivative in x. A profile's
+minimum and argmin are taken on its grid of targets; its total, the integral
+of S over the range, is :func:`total_signal`'s closed form, from tp and tp's
+antiderivative, so it does not depend on the grid. The edge-by-target
+matrix is built 256 targets at a time, so memory does not grow with the
+grid, and once per block for all the densities on the same cells when
+several profiles are made together, as ``compare`` does. Sums are einsums
+in a fixed order, so bytes do not depend on BLAS threads.
 
 A Green's kernel, K(x, y) = p(min(x, y)) q(max(x, y)) (info is one), needs
 no such matrix once ``kernels.declaration_holds`` finds its declared p and q
@@ -52,7 +54,12 @@ class SignalSummary(NamedTuple):
 
 @dataclass(frozen=True)
 class SignalProfile:
-    """Signal tabulated on a uniform grid of target magnifications."""
+    """Signal tabulated on a uniform grid of target magnifications.
+
+    ``min_value`` and ``argmin_y`` are taken on that grid. ``total`` is the
+    exact integral of S over the range, :func:`total_signal`, and ``mean`` is
+    ``total`` over the range's width; neither depends on the grid.
+    """
 
     ys: np.ndarray
     values: np.ndarray
@@ -119,7 +126,7 @@ def accumulated_signals(
         if g is not None:
             v += g
         imin = int(np.argmin(v))
-        total = float(np.trapezoid(v, y))
+        total = total_signal(dist, kernel)
         profiles.append(SignalProfile(
             ys=y,
             values=v,
@@ -160,7 +167,8 @@ def _green_density_signal(density, edges, kernel, ys):
 def signal_summary(
     dist: SamplingDistribution, kernel: Kernel, grid_n: int = DEFAULT_GRID
 ) -> SignalSummary:
-    """Grid minimum and trapezoid integral of S(y) over the range."""
+    """Minimum and argmin of S(y) on ``grid_n`` targets, and its exact
+    integral and mean over the range (see :class:`SignalProfile`)."""
     return accumulated_signal(dist, kernel, grid_n).summary()
 
 

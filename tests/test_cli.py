@@ -140,15 +140,16 @@ def test_kernel_command_writes_each_value_by_repr(workdir, selector):
 
 
 @pytest.mark.parametrize("command", [["kernel"], ["optimize", "--objective", "maxmin"]])
-def test_custom_table_with_infinite_coordinate_exits_1(workdir, capsys, command):
+def test_custom_table_with_infinite_coordinate_exits_2(workdir, capsys, command):
     lines = ["x,y,value"]
     for x in (0.2, 1.0, "inf"):
         for y in (0.2, 1.0, 2.5):
             lines.append(f"{x},{y},0.5")
     (workdir / "table.csv").write_text("\n".join(lines) + "\n")
     assert main([*command, "--kernel", "custom:table.csv", "--grid", "20",
-                 "--out", "out.csv"]) == 1
-    assert "finite" in capsys.readouterr().err
+                 "--out", "out.csv"]) == 2
+    assert capsys.readouterr().err.endswith(
+        "error: table.csv: tabulated grid coordinates must be positive and finite\n")
     assert not (workdir / "out.csv").exists()
 
 
@@ -688,8 +689,17 @@ def _csv(reader, row):
     return f"{header}\n{row}\n{rows[1]}\n".encode()
 
 
+def _mseb(mpp, vec):
+    """A one-record .mseb file."""
+    record = np.array([(mpp, vec)], [("mpp", "<f8"), ("vec", "<f4", (len(vec),))])
+    return struct.pack("<4sHQI", b"MSEB", 1, 1, len(vec)) + record.tobytes()
+
+
+_TABLE = "x,y,value\n0.25,0.25,1\n0.25,1.0,{}\n1.0,0.25,0.5\n1.0,1.0,1\n"
+
 # Per input format: a malformed file in a subdirectory, the command that
-# reads it, and the message after the file's name
+# reads it, and the message after the file's name. The values cases parse,
+# but make no kernel or embedding set.
 _MALFORMED_INPUTS = {
     "msdist": (b"#msdist v1\nrange 0.25 2.0\natom 0.5\n",
                ["signal", "--dist", "in/bad", "--out", "s.csv"],
@@ -706,6 +716,21 @@ _MALFORMED_INPUTS = {
     "msim": (struct.pack("<4sIII", b"MSIM", 2, 2, 1),
              ["crop-apply", "--image", "in/bad", "--plan", "p.csv", "--index", "0",
               "--out", "o.msim"], "image payload is 0 bytes, expected 16"),
+    "table values": (_TABLE.format("-0.5").encode(),
+                     ["kernel", "--kernel", "custom:in/bad", "--grid", "11", "--out", "k.csv"],
+                     "tabulated kernel values must be positive and finite"),
+    "embeddings component": (_csv("embeddings", "p0,0.5,nan,0.0"),
+                             ["rankme", "--embeddings", "in/bad", "--out", "r.csv"],
+                             "embedding vectors contain non-finite values"),
+    "embeddings mpp": (_csv("embeddings", "p0,-0.5,1.0,0.0"),
+                       ["rankme", "--embeddings", "in/bad", "--out", "r.csv"],
+                       "mpp tags must be positive and finite"),
+    "mseb component": (_mseb(0.5, [np.nan, 1.0]),
+                       ["similarity", "--embeddings", "in/bad", "--out", "s.csv"],
+                       "embedding vectors contain non-finite values"),
+    "mseb mpp": (_mseb(0.0, [1.0, 0.0]),
+                 ["rankme", "--embeddings", "in/bad", "--out", "r.csv"],
+                 "mpp tags must be positive and finite"),
 }
 
 
@@ -717,6 +742,31 @@ def test_format_error_names_its_file(workdir, capsys, kind):
     write_image_array("img.msim", np.zeros((512, 512, 1), dtype=np.float32))
     assert main(argv) == 2
     assert capsys.readouterr().err == f"magsample {argv[0]}: error: in/bad: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["signal", "--dist", "du.msdist", "--out", "du.msdist"],
+    ["signal", "--dist", "du.msdist", "--out", "p.csv", "--summary-out", "./du.msdist"],
+    ["signal", "--dist", "du.msdist", "--kernel", "custom:t.csv", "--out", "t.csv"],
+    ["compare", "--out", "sub/../cu.msdist", "du.msdist", "cu.msdist"],
+    ["plan", "--dist", "du.msdist", "--n", "4", "--out", "du.msdist"],
+    ["plan", "--dist", "du.msdist", "--n", "4", "--out", "link.msdist"],
+], ids=["signal out", "signal summary-out", "signal table", "compare", "plan", "plan link"])
+def test_output_that_is_an_input_exits_2(workdir, capsys, argv):
+    (workdir / "sub").mkdir()
+    (workdir / "t.csv").write_text(_TABLE.format("0.5"))
+    os.symlink("du.msdist", workdir / "link.msdist")
+    before = {p: p.read_bytes() for p in workdir.iterdir() if p.is_file()}
+    assert main(argv) == 2
+    assert "is the input file" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in workdir.iterdir() if p.is_file()} == before
+
+
+def test_signal_out_that_is_its_summary_out_exits_2(workdir, capsys):
+    assert main(["signal", "--dist", "du.msdist", "--out", "s.csv",
+                 "--summary-out", "./s.csv"]) == 2
+    assert "--out and --summary-out are the same file" in capsys.readouterr().err
+    assert not (workdir / "s.csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -502,13 +502,17 @@ _TABLE_ERRORS = {
     "no samples": (_HEAD, FormatError, "{path}: no kernel samples found", None),
     "only blank rows": (_HEAD + "\n,,\n  \n", FormatError,
                         "{path}: no kernel samples found", None),
+    # values that parse but make no kernel name the file, with no line
     "nonpositive value": (_HEAD + "0.25,0.25,1\n0.25,1.0,-0.5\n1.0,0.25,0.5\n1.0,1.0,1\n",
-                          DomainError, "tabulated kernel values must be positive and finite",
-                          None),
-    "zero value": (_HEAD + "0.25,0.25,1\n0.25,1.0,0\n1.0,0.25,0.5\n1.0,1.0,1\n",
-                   DomainError, "tabulated kernel values must be positive and finite", None),
-    "one row": (_HEAD + "0.25,0.25,1\n", ParameterError,
-                "tabulated kernel needs at least a 2x2 grid", None),
+                          FormatError,
+                          "{path}: tabulated kernel values must be positive and finite", None),
+    "zero value": (_HEAD + "0.25,0.25,1\n0.25,1.0,0\n1.0,0.25,0.5\n1.0,1.0,1\n", FormatError,
+                   "{path}: tabulated kernel values must be positive and finite", None),
+    "infinite coordinate": (_HEAD + _GRID.replace("1.0,", "inf,"), FormatError,
+                            "{path}: tabulated grid coordinates must be positive and finite",
+                            None),
+    "one row": (_HEAD + "0.25,0.25,1\n", FormatError,
+                "{path}: tabulated kernel needs at least a 2x2 grid", None),
 }
 
 

@@ -6,7 +6,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import RegularGridInterpolator
 
@@ -118,21 +118,47 @@ def test_total_signal_cu(cu_dist, info_kernel):
     assert total_signal(seven, info_kernel) == pytest.approx(cu_total_exact(), abs=1e-12)
 
 
-def test_fubini_consistency(mag_range, info_kernel, abs_kernel):
-    # integral of the profile equals the potential-weighted mass
-    g = np.random.default_rng(17)
-    for _ in range(50):
-        atoms = [
-            (g.uniform(0.25, 2.0), g.uniform(0.0, 1.0)) for _ in range(g.integers(0, 4))
-        ]
-        cells = int(g.integers(1, 50))
-        density = g.uniform(0.0, 1.0, cells) if (atoms == [] or g.random() < 0.7) else None
-        if not atoms and density is None:
-            density = g.uniform(0.1, 1.0, 3)
-        d = SamplingDistribution(mag_range, atoms=atoms, density=density)
-        kernel = info_kernel if g.random() < 0.5 else abs_kernel
-        diff = abs(total_signal(d, kernel) - accumulated_signal(d, kernel, 1000).total)
-        assert diff < 1e-3
+_WEIGHTS = st.one_of(st.just(0.0), st.floats(1e-6, 1.0))
+_SPOTS = st.floats(0.25, 2.0)
+
+
+@st.composite
+def _profile_case(draw):
+    """A kernel (abs, info or a positive 3 x 3 table over [0.2, 2.1]) and
+    one to three distributions on [0.25, 2]: atoms plus a density, each
+    density on the same number of cells, so that they share their blocks."""
+    name = draw(st.sampled_from(["abs", "info", "table"]))
+    if name == "table":
+        values = draw(st.lists(st.floats(0.05, 1.0), min_size=9, max_size=9))
+        nodes = [0.2, draw(st.floats(0.3, 2.0)), 2.1]
+        kernel = TabulatedKernel(nodes, nodes, np.reshape(values, (3, 3)))
+    else:
+        kernel = AbsDistanceKernel() if name == "abs" else InfoOverlapKernel()
+    cells = draw(st.integers(1, 60))
+    dists = []
+    for _ in range(draw(st.integers(1, 3))):
+        atoms = draw(st.lists(st.tuples(_SPOTS, _WEIGHTS), max_size=4))
+        density = draw(st.none() | st.lists(_WEIGHTS, min_size=cells, max_size=cells))
+        assume(sum(w for _, w in atoms) + sum(density or ()) > 0.0)
+        dists.append(SamplingDistribution(MagRange(), atoms=atoms, density=density))
+    return kernel, dists
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_profile_case(), grids=st.lists(st.integers(2, 600), min_size=2, max_size=2,
+                                             unique=True))
+def test_fubini_consistency(case, grids):
+    # the integral of the profile over the range is the potential-weighted
+    # mass: every profile's total is total_signal's, bit for bit, at any grid,
+    # made alone or together with other distributions
+    kernel, dists = case
+    exact = [total_signal(d, kernel) for d in dists]
+    for grid_n in grids:
+        together = signal_module.accumulated_signals(dists, kernel, grid_n)
+        for d, total, profile in zip(dists, exact, together):
+            assert profile.total == total
+            assert profile.mean == total / d.range.width
+            assert accumulated_signal(d, kernel, grid_n).total == total
 
 
 def _random_table(g, lo=0.2, hi=2.1, n=9):
@@ -188,8 +214,11 @@ def test_total_signal_matches_fine_profile_total(mag_range):
         for cells in (1, 13, 200):
             atoms = [(g.uniform(0.25, 2.0), g.uniform(0.1, 1.0)) for _ in range(3)]
             d = SamplingDistribution(mag_range, atoms=atoms, density=g.random(cells) + 0.1)
-            fine = accumulated_signal(d, kernel, 20001).total
-            assert abs(total_signal(d, kernel) - fine) < 1e-7
+            # the profile's total is exact; the trapezoid of its values is
+            # an independent check of it
+            fine = accumulated_signal(d, kernel, 20001)
+            assert fine.total == total_signal(d, kernel)
+            assert abs(fine.total - np.trapezoid(fine.values, fine.ys)) < 1e-7
 
 
 _BLAS_PROBE = """
@@ -239,8 +268,8 @@ def test_summaries_stable_under_grid_refinement(mag_range, info_kernel):
     coarse = signal_summary(smooth, info_kernel, 1000)
     fine = signal_summary(smooth, info_kernel, 4000)
     assert abs(coarse.min_value - fine.min_value) < 5e-3
-    assert abs(coarse.total - fine.total) < 5e-3
-    assert abs(coarse.mean - fine.mean) < 5e-3
+    assert coarse.total == fine.total
+    assert coarse.mean == fine.mean
     assert abs(coarse.argmin_y - fine.argmin_y) < 5e-3
 
 
@@ -248,7 +277,8 @@ def test_profile_internal_consistency(du_dist, info_kernel):
     profile = accumulated_signal(du_dist, info_kernel, 333)
     assert np.all(profile.values >= 0.0)
     assert profile.min_value == profile.values.min()
-    assert profile.total == pytest.approx(np.trapezoid(profile.values, profile.ys), abs=1e-12)
+    assert profile.total == total_signal(du_dist, info_kernel)
+    assert profile.mean == profile.total / du_dist.range.width
 
 
 def test_spiky_density_keeps_its_mass(mag_range, info_kernel):
@@ -545,17 +575,17 @@ _GOLDEN_DISTS = {
 
 # sha256 of each output file, written by the exact per-cell integrals: the
 # prefix and suffix sums of the Green's path for info, the edge-by-target
-# matrix for abs and the table. The signal is of mm_info.msdist, so it moves
-# with the info max-min solve; compare reads mm_abs.msdist, so it moves with
-# the abs max-min solve.
+# matrix for abs and the table; each total and mean is total_signal's. The
+# signal is of mm_info.msdist, so it moves with the info max-min solve;
+# compare reads mm_abs.msdist, so it moves with the abs max-min solve.
 SIGNAL_SHA256 = {
     "signal.csv": "3847e2f6572309bc0920b17b783020f8391e9bd092db0c783e060f29b1a5daa5",
-    "signal.summary.csv": "a5c475dadc3240aff4c35e8239021c026848c31ece8391d1d6f4c9d70fdc2493",
+    "signal.summary.csv": "2656c531ec025d0f364ffef7b890e301796fa3e6efb9acbd38ac479c3f326cca",
 }
 COMPARE_SHA256 = {
-    "info": "9d5690608ea377b598b403ead22502c5b0d0f1aa66120a00f641baccd7dedede",
-    "abs": "6262fe14ce56aacf2dcd20fa08ec760b6642e54eb4b1ac56a1ef99cae706ddc0",
-    "custom:tab.csv": "0b41d0d0565ff7d1b4443c379ea942c34c95ab5b2feca2f6c4d5402f7e6c67d1",
+    "info": "1ff562bac3a2e2586e3fbbbe985e3c3195915a61c7baebc7fd3bc77c7e31da6f",
+    "abs": "9c6b4a0a625ba8f88f5d89ca3b4a4870e42c754a9551bc9b87f403dd3ddb2715",
+    "custom:tab.csv": "f64f0bf4f72493563df5555857e7bff01dadf4fe48d158223a0ca1304c5c7448",
 }
 
 
