@@ -22,8 +22,9 @@ and any other ``MagsampleError``). So not every ``ValueError`` exits 2:
 values in a kernel table or an embeddings file (a non-finite component, an
 mpp or table value that is not positive) are a ``FormatError`` naming the
 file, so they exit 2. So does an output that is the same file as an input,
-or signal's ``--out`` that is its ``--summary-out``: a ``ParameterError``,
-raised before anything is written.
+or signal's ``--out`` that is its ``--summary-out``, or an output's manifest
+that is an input or another output: a ``ParameterError``, raised before
+anything is written.
 
 ``optimize --objective maxmin`` keeps memory linear in ``--grid`` for the
 built-in kernels, and solves a tabulated kernel's game on the block of grid
@@ -158,16 +159,22 @@ def _same_file(a, b) -> bool:
 
 def _check_outputs(args):
     """Resolve signal's default ``--summary-out``, and raise a ParameterError,
-    before anything is written, if an output is another output or an input."""
-    outs = [args.out]
+    before anything is written, if two files written (each output's
+    ``<out>.manifest.txt`` counted) are one file, or one is an input."""
+    written = {"--out": args.out}
     if args.command == "signal":
         if args.summary_out is None:
             args.summary_out = str(Path(args.out).with_suffix("")) + ".summary.csv"
-        outs.append(args.summary_out)
-        if _same_file(*outs):
-            raise ParameterError(f"--out and --summary-out are the same file {args.out}")
+        written["--summary-out"] = args.summary_out
+    for name, out in list(written.items()):
+        written[f"the manifest of {name}"] = str(out) + ".manifest.txt"
+    names = list(written)
+    for i, name in enumerate(names):
+        for other in names[:i]:
+            if _same_file(written[name], written[other]):
+                raise ParameterError(f"{other} and {name} are the same file {written[name]}")
     inputs = _inputs(args).values()
-    for out in outs:
+    for out in written.values():
         for path in inputs:
             if _same_file(out, path):
                 raise ParameterError(f"output {out} is the input file {path}")

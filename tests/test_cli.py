@@ -769,6 +769,20 @@ def test_signal_out_that_is_its_summary_out_exits_2(workdir, capsys):
     assert not (workdir / "s.csv").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["signal", "--dist", "du.msdist", "--out", "s.csv", "--summary-out", "s.csv.manifest.txt"],
+     "--summary-out and the manifest of --out are the same file s.csv.manifest.txt"),
+    (["kernel", "--kernel", "custom:k.csv.manifest.txt", "--out", "k.csv"],
+     "output k.csv.manifest.txt is the input file k.csv.manifest.txt"),
+], ids=["signal summary-out", "kernel table"])
+def test_manifest_that_is_an_output_or_an_input_exits_2(workdir, capsys, argv, message):
+    (workdir / "k.csv.manifest.txt").write_text(_TABLE.format("0.5"))
+    before = {p: p.read_bytes() for p in workdir.iterdir() if p.is_file()}
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"magsample {argv[0]}: error: {message}\n"
+    assert {p: p.read_bytes() for p in workdir.iterdir() if p.is_file()} == before
+
+
 @pytest.mark.parametrize(
     "error, code",
     [

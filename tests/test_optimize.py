@@ -788,7 +788,7 @@ def test_maxmin_singular_game_falls_back_to_simplex():
 # Bytes of `optimize --objective maxmin` on a tabulated kernel, written by the
 # LP on its node block. The optimal q of such a game is not unique, so a
 # different solver path may give other bytes at the same achieved_t.
-TABULATED_MAXMIN_SHA256 = "8902fdb5ca002c59487cd8a95838d7b4a0d51f23fe67ac58a9d1a7a172c63efb"
+TABULATED_MAXMIN_SHA256 = "65035ce8d1c0f7c18b85a5c1c8ea1f8af54b760d4418516c96082812eeef188e"
 
 
 def test_tabulated_maxmin_msdist_golden_digest(tmp_path, monkeypatch):
@@ -804,6 +804,35 @@ def test_tabulated_maxmin_msdist_golden_digest(tmp_path, monkeypatch):
                  "--kernel", "custom:tab.csv", "--out", "tab.msdist"]) == 0
     digest = hashlib.sha256((tmp_path / "tab.msdist").read_bytes()).hexdigest()
     assert digest == TABULATED_MAXMIN_SHA256
+
+
+_MAXMIN_BLAS_PROBE = """
+import hashlib, sys
+sys.path.insert(0, {tests!r})
+from magsample import format_distribution, optimize_max_min
+from magsample.optimize import OptimizationConfig
+from test_optimize import _NodelessTable, _asymmetric_table
+t4 = _asymmetric_table([4, 0])
+nodeless = _NodelessTable(t4.xs, t4.ys, t4.values)
+for kernel, grid_n in ((t4, 1000), (_asymmetric_table([5, 0]), 1000), (nodeless, 600)):
+    sol = optimize_max_min(OptimizationConfig(kernel=kernel, grid_n=grid_n))
+    text = format_distribution(sol.distribution, [repr(sol.achieved_t)])
+    print(sol.solver, hashlib.sha256(text.encode()).hexdigest())
+"""
+
+
+def test_maxmin_bytes_do_not_depend_on_blas_threads():
+    # the LP on two node blocks and on the whole grid, at one and at two
+    # BLAS threads; the digests of each solution must match
+    probe = _MAXMIN_BLAS_PROBE.format(tests=str(Path(__file__).resolve().parent))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(child_env(), OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        digests.append(out.stdout.split())
+    assert digests[0][::2] == ["nodes", "nodes", "simplex"]
+    assert digests[0] == digests[1]
 
 
 # Bytes of `optimize --objective maxmin` on the built-in kernels at grid 200,

@@ -77,14 +77,15 @@ def test_inconsistent_dimensions_rejected(c, b):
 
 
 def test_final_basis_is_verified_not_trusted(monkeypatch):
-    # the solution is refactorized from the basis that pivoting ends on: a
-    # singular basis and a feasible but suboptimal one are both refused
+    # the solution is formed from the basis and the inverse that pivoting ends
+    # on: the optimal basis with a wrong inverse and a feasible but suboptimal
+    # basis are both refused
     c, A, b = [1.0, 1.0], [[1.0, 2.0], [3.0, 1.0]], [4.0, 5.0]
-    monkeypatch.setattr(simplex, "_pivot", lambda c, A, b: (np.array([0, 0]), 0))
-    with pytest.raises(SolverError, match="^singular final basis: "):
+    monkeypatch.setattr(simplex, "_pivot", lambda c, A, b: (np.array([0, 1]), np.eye(2), 0))
+    with pytest.raises(SolverError, match=r"^final basis failed verification \(.* neg=7.00e\+00,"):
         solve_inequality_lp(c, A, b)
     # the slack basis: x = 0 is feasible, and its reduced costs are c
-    monkeypatch.setattr(simplex, "_pivot", lambda c, A, b: (np.array([2, 3]), 0))
+    monkeypatch.setattr(simplex, "_pivot", lambda c, A, b: (np.array([2, 3]), np.eye(2), 0))
     with pytest.raises(SolverError, match=r"^final basis failed verification \(.* dual=1.00e\+00,"
                        ) as err:
         solve_inequality_lp(c, A, b)
@@ -106,10 +107,14 @@ def _irregular_nodes(rng):
     return np.unique([rng.uniform(0.1, 0.25), *inner, twin, twin + offset, rng.uniform(2.0, 2.5)])
 
 
-@pytest.mark.parametrize("seed, grid_n", [(3237, 272), (4691, 217), (6472, 247)])
+@pytest.mark.parametrize("seed, grid_n", [(3237, 272), (4691, 217), (6472, 247),
+                                          (618, 173), (1766, 313), (2717, 302)])
 def test_near_zero_pivots_are_refused(seed, grid_n):
     # games of irregular tables that, with a pivot tolerance of 1e-11, ended
-    # on an infeasible basis: neg residuals up to 3.7
+    # on an infeasible basis: neg residuals up to 3.7. On the last three the
+    # pivots pass near-singular bases, so the tableau's slack columns end off
+    # the final basis inverse by 8.2e-2, 3.1 and 3.9e-3: a solution formed
+    # from them fails verification even after a refinement
     from scipy.optimize import linprog
 
     rng = np.random.default_rng([29, seed])
@@ -123,6 +128,14 @@ def test_near_zero_pivots_are_refused(seed, grid_n):
     ref = linprog(-ones, A_ub=K.T, b_ub=ones, bounds=(0, None), method="highs")
     assert ref.status == 0
     assert sol.objective == pytest.approx(-ref.fun, abs=1e-12)
+
+
+def test_a_nan_solution_fails_verification(monkeypatch):
+    # a NaN residual passes every "residual > tolerance" test
+    nan = np.full((2, 2), np.nan)
+    monkeypatch.setattr(simplex, "_pivot", lambda c, A, b: (np.array([0, 1]), nan, 0))
+    with pytest.raises(SolverError, match=r"^final basis failed verification \(eq=nan,"):
+        solve_inequality_lp([1.0, 1.0], [[1.0, 2.0], [3.0, 1.0]], [4.0, 5.0])
 
 
 def test_random_lps_match_scipy():
