@@ -13,8 +13,9 @@ with value 1/Z. If K u = 1 and K'y = 1 have strictly positive solutions, the
 game is completely mixed and its unique solution is q = u / Z, r = y / Z
 with Z = sum(u) (Kaplansky 1945).
 
-The game sees K through a lazy view, ``_Game``, which evaluates blocks of K
-through ``Kernel.__call__`` only when a path asks for them. The path is chosen
+The game sees K through a lazy view, ``_Game``, which evaluates a block of K
+through ``Kernel.__call__`` when a path asks for it and keeps none: the block
+is passed to its equalizer, LP and certificate. The path is chosen
 from the kernel's structure; ``MaxMinSolution.solver`` names the one that
 solved the game:
 
@@ -48,17 +49,21 @@ block equals its transpose exactly, else y by a second solve. A 1000-node
 completely mixed table takes 0.07 s this way against 5.0 s for the block
 LP, and a block that is not completely mixed costs one LU (0.12-0.23 ms on a
 118 x 118 block). Then one LP, ``min 1'u : K u >= 1`` / ``max 1'y : K'y <= 1``
-on the dense simplex. The first block whose certificate closes wins; the
-whole grid's LP always ends the game. A block, and the LP's tableau, is
-allocated only if its bytes fit in ``_DENSE_BYTES`` (1 GiB; the dense K fits
-grid <= 11585, the LP on the whole grid grid <= 5791); past that the game is a
-ParameterError.
+on the dense simplex, whose tolerances are absolute: it gets the block scaled
+exactly, by a power of two, to a largest entry in [1, 2). The first block whose
+certificate closes wins; the whole grid's LP always ends the game. A block, and
+the LP's tableau, is allocated only if its bytes fit in ``_DENSE_BYTES`` (1 GiB;
+the dense K fits grid <= 11585, the LP on the whole grid grid <= 5791); past
+that the game is a ParameterError.
 
 On every path q and the adversary weights r certify optimality on the whole
 grid: min(K q) <= t* <= max(K'r), computed with the path's own products by K
 (prefix sums, FFTs, the full columns and rows of the support of a node block's
-solution, or the dense K). README "Numerical notes" gives each path's cost and
-accuracy.
+solution, or the dense K), and closes when they agree to ``_CERT_GAP_TOL`` of
+t*. So no path compares K, u or t* with an absolute tolerance, and max-min is
+invariant to the kernel's unit: K scaled by 2^k gives the same q bit for bit and
+t* scaled exactly on the node block, equalizer and simplex. README "Numerical
+notes" gives each path's cost and accuracy.
 """
 
 from __future__ import annotations
@@ -108,7 +113,8 @@ class OptimizationConfig:
 
 @dataclass
 class MaxMinSolution:
-    """Max-min distribution with its certified worst-case signal."""
+    """Max-min distribution with its certified worst-case signal. The distribution
+    is invariant to the kernel's scale; achieved_t and certificate_gap scale with it."""
 
     distribution: SamplingDistribution
     # min(K q) on the cell midpoints, which the certificate bounds. signal
@@ -116,7 +122,6 @@ class MaxMinSolution:
     # and finds a lower minimum, at a range end: by 2.73% (info) and 0.26%
     # (abs) at grid 250, shrinking like 1/n (README "Numerical notes").
     achieved_t: float
-    active_set: np.ndarray      # grid indices where the signal sits at achieved_t
     certificate_gap: float      # max(K r) - min(K q), bounds suboptimality
     iterations: int             # simplex pivots over every LP solved
     solver: str                 # "green", "toeplitz", "nodes", "equalizer", "simplex"
@@ -138,10 +143,9 @@ def optimize_max_avg(cfg: OptimizationConfig) -> SamplingDistribution:
 def optimize_max_min(cfg: OptimizationConfig) -> MaxMinSolution:
     """Maximizer of the worst-case signal over the grid, on the path the game allows."""
     mids = cfg.mag_range.cell_midpoints(cfg.grid_n)
-    solver, iterations, bounds = _solve_game(_Game(cfg.kernel, mids))
-    q, signal, t_lo, t_hi = bounds
+    solver, iterations, (q, _, t_lo, t_hi) = _solve_game(_Game(cfg.kernel, mids))
     gap = t_hi - t_lo
-    if not _certified(gap):
+    if not _certified(t_lo, t_hi):
         raise SolverError(
             f"optimality certificate failed: min(Kq)={t_lo:.9f}, max(Kr)={t_hi:.9f}",
             residual=gap,
@@ -149,11 +153,9 @@ def optimize_max_min(cfg: OptimizationConfig) -> MaxMinSolution:
 
     cell_w = cfg.mag_range.width / cfg.grid_n
     dist = SamplingDistribution(cfg.mag_range, density=q / cell_w)
-    active = np.flatnonzero(signal - t_lo < 1e-6)
     return MaxMinSolution(
         distribution=dist,
         achieved_t=t_lo,
-        active_set=active,
         certificate_gap=gap,
         iterations=iterations,
         solver=solver,
@@ -161,14 +163,10 @@ def optimize_max_min(cfg: OptimizationConfig) -> MaxMinSolution:
 
 
 class _Game:
-    """The game matrix K[i, j] = kernel(mids[i], mids[j]), evaluated as paths ask.
-
-    ``K`` is the dense K once ``block`` has built it for the whole grid, else None.
-    """
+    """The game matrix K[i, j] = kernel(mids[i], mids[j]), evaluated as paths ask."""
 
     def __init__(self, kernel: Kernel, mids: np.ndarray):
         self.kernel, self.mids, self.n = kernel, mids, mids.size
-        self.K = None
 
     def block(self, I, J):
         """K[I][:, J], built GRID_BLOCK rows at a time and scanned for an entry <= 0."""
@@ -179,16 +177,14 @@ class _Game:
             rows = K[lo : lo + GRID_BLOCK]
             rows[...] = self.kernel(x[lo : lo + GRID_BLOCK, None], y[None, :])
             _check_positive(rows)
-        if K.size == self.n * self.n:
-            self.K = K
         return K
 
-    def bounds(self, I, J, u, y):
-        """``_certify`` for u on the sources J and y on the targets I: with the
-        dense K once it is built (I and J are then the grid), else with K's
+    def bounds(self, block, I, J, u, y):
+        """``_certify`` for u on the sources J and y on the targets I of this
+        block of K: with the block itself when it spans the grid, else with K's
         columns on u's support and its rows on y's."""
-        if self.K is not None:
-            return _certify(u, y, self.K.__matmul__, self.K.T.__matmul__)
+        if block.shape == (self.n, self.n):
+            return _certify(u, y, block.__matmul__, block.T.__matmul__)
         S, T = J[u != 0.0], I[y != 0.0]
         u_grid, y_grid = np.zeros(self.n), np.zeros(self.n)
         u_grid[J], y_grid[I] = u, y
@@ -223,15 +219,16 @@ def _check_bytes(grid_n, what, nbytes):
 
 
 def _blocks(game):
-    """The node block I x J if the kernel declares nodes and it is smaller than
-    the grid, then the whole grid, as pairs of index arrays."""
-    grid = np.arange(game.n)
+    """("nodes", I, J) if the kernel declares nodes and the node block is smaller
+    than the grid, then ("simplex", grid, grid): each block's index arrays, named
+    as the solver of its LP."""
     nodes = game.kernel.linear_nodes()
     if nodes is not None:
         I, J = (_next_to(game.mids, x) for x in nodes)
         if I.size * J.size < game.n * game.n:
-            yield I, J
-    yield grid, grid
+            yield "nodes", I, J
+    grid = np.arange(game.n)
+    yield "simplex", grid, grid
 
 
 def _matrix_free(game):
@@ -251,30 +248,31 @@ def _solve_game(game):
     for solver, u, matvec in _matrix_free(game):
         if u is not None and u.min() > 0.0:
             bounds = _certify(u, u, matvec, matvec)
-            if _certified(bounds[3] - bounds[2]):
+            if _certified(*bounds[2:]):
                 return solver, 0, bounds
     pivots = 0
-    for I, J in _blocks(game):
+    for solver, I, J in _blocks(game):
         block = game.block(I, J)
         uy = _equalizer(block) if I.size == J.size else None
         if uy is not None:
-            bounds = game.bounds(I, J, *uy)
-            if _certified(bounds[3] - bounds[2]):
+            bounds = game.bounds(block, I, J, *uy)
+            if _certified(*bounds[2:]):
                 return "equalizer", pivots, bounds
         _check_bytes(game.n, f"the simplex on the {I.size} x {J.size} game",
                      lp_peak_bytes(J.size, I.size))
-        # the module global, which tracers hook
-        sol = solve_inequality_lp(np.ones(I.size), block.T, np.ones(J.size))
+        # for the simplex's absolute tolerances, scaled exactly by a power of two
+        # to a largest entry in [1, 2); the module global, which tracers hook
+        scaled = np.ldexp(block.T, 1 - math.frexp(block.max())[1])
+        sol = solve_inequality_lp(np.ones(I.size), scaled, np.ones(J.size))
         pivots += sol.iterations
-        bounds = game.bounds(I, J, np.maximum(sol.duals, 0.0), np.maximum(sol.x, 0.0))
-        if game.K is not None:
-            return "simplex", pivots, bounds
-        if _certified(bounds[3] - bounds[2]):
-            return "nodes", pivots, bounds
+        bounds = game.bounds(block, I, J, np.maximum(sol.duals, 0.0), np.maximum(sol.x, 0.0))
+        if solver == "simplex" or _certified(*bounds[2:]):
+            return solver, pivots, bounds
 
 
-def _certified(gap):
-    return -1e-12 <= gap <= _CERT_GAP_TOL
+def _certified(t_lo, t_hi):
+    """Whether min(K q) = t_lo and max(K'r) = t_hi agree to _CERT_GAP_TOL of t."""
+    return -1e-12 * t_hi <= t_hi - t_lo <= _CERT_GAP_TOL * t_hi
 
 
 def _green(game):

@@ -54,12 +54,11 @@ class LpSolution:
 
 def lp_peak_bytes(m: int, n: int) -> int:
     """Bytes that :func:`solve_inequality_lp` holds at once for an m x n ``A``,
-    besides ``A`` itself: the larger of what it holds while it pivots (the
-    tableau, its scratch copy, and numpy's two buffers of ``np.getbufsize()``
-    doubles for the broadcast rank-1 product; inverting the final basis holds
-    less) and ``[A | I]`` with that inverse, when the solution is verified."""
-    pivoting = 2 * (m + 1) * (n + m + 1) + 2 * np.getbufsize()
-    return 8 * max(pivoting, m * (n + m) + m * m)
+    besides ``A`` itself: what it holds while it pivots, the tableau, its scratch
+    copy, and numpy's two buffers of ``np.getbufsize()`` doubles for the
+    broadcast rank-1 product. Inverting the final basis and verifying the
+    solution hold less."""
+    return 8 * (2 * (m + 1) * (n + m + 1) + 2 * np.getbufsize())
 
 
 def solve_inequality_lp(c, A, b) -> LpSolution:

@@ -172,8 +172,12 @@ def test_maxmin_certificate(maxmin_info):
     assert maxmin_info.achieved_t == pytest.approx(INFO_MAXMIN_T_ORACLE, abs=0.005)
 
 
-def test_maxmin_active_set_spans_grid(maxmin_info):
-    active = maxmin_info.active_set
+def test_maxmin_active_set_spans_grid(maxmin_info, info_kernel):
+    # the targets whose signal sits at achieved_t, from a K q of its own
+    dist = maxmin_info.distribution
+    mids = dist.range.cell_midpoints(dist.cells)
+    signal = info_kernel(mids[:, None], mids[None, :]) @ (dist.density * dist.cell_width)
+    active = np.flatnonzero(signal - maxmin_info.achieved_t < 1e-6)
     assert active.size > 0
     assert active.max() - active.min() > 100  # equalized across the whole range
 
@@ -354,9 +358,10 @@ def test_mirror_solve_matches_the_refined_lu(a, b, n, abs_kernel):
     assert u.shape == (n,) and u.min() > 0.0 and np.array_equal(u, u[::-1])
     lu_error = error(np.linalg.solve(K, np.ones(n)))
     assert error(u) <= _MIRROR_ERROR_FACTOR * max(lu_error, np.finfo(float).eps)
+    blocks = _record_blocks(game)
     solver, pivots, (q, _, t_lo, t_hi) = optimize_module._solve_game(game)
-    assert (solver, pivots) == ("toeplitz", 0) and game.K is None
-    assert optimize_module._certified(t_hi - t_lo)
+    assert (solver, pivots, blocks) == ("toeplitz", 0, [])
+    assert optimize_module._certified(t_lo, t_hi)
     # the FFT certificate agrees with the dense one
     _, _, dense_lo, dense_hi = _dense_bounds(K, q * n, q * n)
     assert t_lo == pytest.approx(dense_lo, rel=1e-13)
@@ -400,6 +405,13 @@ def test_misdeclared_stationary_kernel_falls_through(name, info_kernel):
     assert want.solver == expected_solver
     assert sol.distribution.density.tobytes() == want.distribution.density.tobytes()
     assert sol.iterations == want.iterations
+
+
+def _record_blocks(game):
+    """The shape of every block of K that ``game`` is asked for, in order."""
+    shapes, block = [], game.block
+    game.block = lambda I, J: shapes.append((I.size, J.size)) or block(I, J)
+    return shapes
 
 
 def _dense_bounds(K, u, y):
@@ -454,8 +466,9 @@ def test_symmetric_game_takes_one_solve(name, info_kernel, abs_kernel, solves):
     assert np.array_equal(K, K.T)
     # no Green's factors and not stationary: the path a symmetric K takes without them
     game = optimize_module._Game(_undeclared(kernel), MagRange().cell_midpoints(300))
+    blocks = _record_blocks(game)
     solver, _, got = optimize_module._solve_game(game)
-    assert solver == "equalizer" and game.K is not None
+    assert (solver, blocks) == ("equalizer", [(300, 300)])
     assert solves["shapes"] == [(300, 300)]
     (u, y), = solves["pairs"]
     assert y is u
@@ -529,10 +542,12 @@ def _asymmetric_table(seed, n=64, decay=0.5):
 
 
 def _solved(kernel, grid_n):
-    """The solver, pivots and bounds of the game, and whether it built the dense K."""
+    """The solver, pivots and bounds of the game, and whether it asked for the
+    whole grid's block."""
     game = optimize_module._Game(kernel, MagRange().cell_midpoints(grid_n))
+    blocks = _record_blocks(game)
     solver, pivots, bounds = optimize_module._solve_game(game)
-    return solver, pivots, bounds, game.K is not None
+    return solver, pivots, bounds, (grid_n, grid_n) in blocks
 
 
 def test_maxmin_sparse_game_takes_the_node_block():
@@ -553,7 +568,7 @@ def test_sparse_game_makes_no_full_solve(solves):
     solver, pivots, (_, _, t_lo, t_hi), dense = _solved(kernel, n)
     assert (solver, dense) == ("nodes", False) and pivots > 0
     assert solves["shapes"] and _full_solves(solves, n) == 0
-    assert optimize_module._certified(t_hi - t_lo)
+    assert optimize_module._certified(t_lo, t_hi)
     assert t_lo == pytest.approx(_lp_oracle(_game(kernel, n))[1], abs=1e-12)
 
 
@@ -615,9 +630,9 @@ def test_table_game_is_solved_on_its_node_block(seed, evaluated, monkeypatch):
     supports = []
     bounds = optimize_module._Game.bounds
 
-    def recorded(game, I, J, u, y):
+    def recorded(game, block, I, J, u, y):
         supports.append((np.count_nonzero(u), np.count_nonzero(y)))
-        return bounds(game, I, J, u, y)
+        return bounds(game, block, I, J, u, y)
 
     monkeypatch.setattr(optimize_module._Game, "bounds", recorded)
     sol = optimize_max_min(OptimizationConfig(kernel=kernel, grid_n=n))
@@ -783,6 +798,64 @@ def test_maxmin_singular_game_falls_back_to_simplex():
     assert sol.solver == "simplex"
     _check_certified(sol, K)
     assert sol.achieved_t == pytest.approx(0.37, abs=1e-12)
+
+
+def _info_table(n=64):
+    """The info kernel tabulated on the design tables' n nodes."""
+    xs = np.linspace(0.2, 2.1, n)
+    return TabulatedKernel(xs, xs, InfoOverlapKernel()(xs[:, None], xs[None, :]))
+
+
+@pytest.mark.parametrize(
+    "table, scale",
+    [("design", 2.0**20), ("design", 2.0**-40), ("design", 1e-12), ("design", 1e9),
+     ("info", 1e9)],
+)
+def test_maxmin_is_certified_at_any_kernel_scale(table, scale):
+    # The game's solution does not depend on the kernel's unit. While the
+    # simplex took the block as it came, its absolute tolerances saw every
+    # entry of the x2^-40 and x1e-12 tables as too small to pivot on, and
+    # called the LP unbounded; the x1e9 tables ended on a basis that failed
+    # verification (info) or on a certificate that did not close (design)
+    base = _asymmetric_table([4, 0]) if table == "design" else _info_table()
+    want = optimize_max_min(OptimizationConfig(kernel=base, grid_n=1000))
+    kernel = TabulatedKernel(base.xs, base.ys, base.values * scale)
+    sol = optimize_max_min(OptimizationConfig(kernel=kernel, grid_n=1000))
+    assert sol.solver == want.solver == "nodes"
+    assert abs(sol.certificate_gap) <= 1e-12 * sol.achieved_t
+    assert sol.achieved_t == pytest.approx(scale * want.achieved_t, rel=1e-12)
+    q = sol.distribution.density * sol.distribution.cell_width
+    assert sol.achieved_t == pytest.approx(float((_game(kernel, 1000) @ q).min()), rel=1e-14)
+
+
+def _scalable_game(path, seed):
+    """A table whose game ``path`` solves, and the grid to solve it at."""
+    if path == "nodes":
+        return _asymmetric_table([seed, 0]), 1000
+    if path == "simplex":
+        table = _asymmetric_table([seed, 0])
+        return _NodelessTable(table.xs, table.ys, table.values), 80
+    n = 60 + seed
+    mids = MagRange().cell_midpoints(n)
+    return TabulatedKernel(mids, mids, _mixed_asymmetric_game(InfoOverlapKernel(), n)), n
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["nodes", "simplex", "equalizer"]), st.integers(1, 30),
+       st.integers(-500, 500))
+def test_maxmin_bytes_do_not_depend_on_a_power_of_two_kernel_scale(path, seed, k):
+    # K scaled by 2^k scales every product by K exactly: the LU's u and the
+    # certificate's bounds scale by 2^-k and 2^k, and the simplex sees the
+    # same block, scaled to a largest entry in [1, 2)
+    table, n = _scalable_game(path, seed)
+    scaled = type(table)(table.xs, table.ys, np.ldexp(table.values, k))
+    want, got = (optimize_max_min(OptimizationConfig(kernel=kernel, grid_n=n))
+                 for kernel in (table, scaled))
+    assert got.solver == want.solver == path
+    assert got.distribution.density.tobytes() == want.distribution.density.tobytes()
+    assert got.achieved_t == math.ldexp(want.achieved_t, k)
+    assert got.certificate_gap == math.ldexp(want.certificate_gap, k)
+    assert got.iterations == want.iterations
 
 
 # Bytes of `optimize --objective maxmin` on a tabulated kernel, written by the
