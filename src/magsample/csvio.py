@@ -12,8 +12,8 @@ plan included, 8192 rows at a time, so its memory does not grow with the
 table, and formats each value that repeats in a block once.
 
 Values that read but make no valid object, such as a kernel table value or
-an embedding mpp that is not positive, are a FormatError naming their file
-too (:func:`built_from`).
+an embedding mpp that is not positive, or a ``.msdist`` atom off its range,
+are a FormatError naming their file too (:func:`built_from`).
 
 A body is read into a structured array by one ``np.loadtxt`` pass. Only when
 that pass fails, or a reader's row mask flags a row, are its lines walked:
@@ -33,7 +33,7 @@ import warnings
 
 import numpy as np
 
-from .errors import DomainError, FormatError, ParameterError
+from .errors import DomainError, FormatError, ParameterError, RangeError
 
 
 @contextlib.contextmanager
@@ -49,13 +49,14 @@ def _naming(path):
 
 
 @contextlib.contextmanager
-def built_from(path):
-    """A DomainError or ParameterError raised in the ``with`` block, by an
-    object built from values read from the file at ``path``, is a FormatError
-    naming that file. The object's own checks are the only ones made."""
+def built_from(path=None):
+    """A DomainError, ParameterError or RangeError raised in the ``with`` block,
+    by an object built from values read from the file at ``path`` (by default,
+    the file being read), is a FormatError naming that file. The object's own
+    checks are the only ones made."""
     try:
         yield
-    except (DomainError, ParameterError) as exc:
+    except (DomainError, ParameterError, RangeError) as exc:
         error = FormatError(str(exc))
         error.path = path
         raise error from None

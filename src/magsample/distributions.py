@@ -297,10 +297,8 @@ def parse_distribution(text: str) -> SamplingDistribution:
         raise FormatError("missing range line")
     if want > 0:
         raise FormatError(f"density block ended early; {want} values missing")
-    try:
+    with csvio.built_from():  # values that parse but are invalid
         return SamplingDistribution(mag_range, atoms=atoms, density=values if density else None)
-    except (ParameterError, RangeError) as exc:  # values that parse but are invalid
-        raise FormatError(str(exc)) from None
 
 
 def read_distribution(path) -> SamplingDistribution:

@@ -88,10 +88,12 @@ class Kernel:
     ``_potential_antiderivative(x, r)`` (integral up to x of tp), up to a
     constant. Unless it declares Green's factors and their integrals, it also
     defines ``_antiderivative(x, y)`` (for 1-D x, y: F[i, j] = integral up to
-    x[i] of K(s, y[j]) ds, up to a constant).
+    x[i] of K(s, y[j]) ds, up to a constant); the base one is a DomainError,
+    which signal raises for a density whose factors do not hold.
 
     Declared structure is used only where :func:`declaration_holds` finds it
-    equal to K; declared ``green_integrals`` are trusted to integrate the factors.
+    equal to K (:func:`green_on` for Green's factors); declared
+    ``green_integrals`` are trusted to integrate the factors.
     """
 
     name = "kernel"
@@ -116,6 +118,10 @@ class Kernel:
 
     def _evaluate(self, x, y):
         raise NotImplementedError
+
+    def _antiderivative(self, x, y):
+        raise DomainError(f"kernel {self.name!r} has no antiderivative in x and no "
+                          "Green's factors that match its values")
 
     def covers(self, mag_range: MagRange) -> bool:
         """Whether the kernel is defined on all of ``mag_range`` (both axes)."""
@@ -144,10 +150,7 @@ class Kernel:
 
         ``x`` must lie inside the range; no clamping is performed.
         """
-        if not self.covers(mag_range):
-            raise RangeError(
-                f"kernel {self.name!r} is not defined on [{mag_range.a}, {mag_range.b}]"
-            )
+        check_covers(self, mag_range)
         xa = np.asarray(x, dtype=float)
         if not np.all(mag_range.contains(xa)):
             raise RangeError(
@@ -410,6 +413,29 @@ def declaration_holds(kernel: Kernel, xs: np.ndarray, declared) -> bool:
     j = np.concatenate((k, k, np.full(n, n - 1), k[:-1], (k * 65521 + n // 3) % n))
     values, expected = kernel(xs[i], xs[j]), declared(i, j)
     return bool(np.all(np.abs(values - expected) <= _DECLARATION_RTOL * np.abs(expected)))
+
+
+def green_on(kernel: Kernel, xs: np.ndarray):
+    """The kernel's Green's factors ``(p, q)`` on the increasing points xs, or
+    None unless it declares them, they are finite and :func:`declaration_holds`
+    finds ``p[min(i, j)] * q[max(i, j)]`` equal to K on xs. Factors that
+    overflow or divide by zero are not finite, and warn nothing."""
+    with np.errstate(all="ignore"):
+        factors = kernel.green_factors(xs)
+        if factors is None or not all(np.all(np.isfinite(f)) for f in factors):
+            return None
+        p, q = factors
+        holds = declaration_holds(kernel, xs,
+                                  lambda i, j: p[np.minimum(i, j)] * q[np.maximum(i, j)])
+    return factors if holds else None
+
+
+def check_covers(kernel: Kernel, mag_range: MagRange):
+    """A RangeError unless the kernel is defined on all of ``mag_range``."""
+    if not kernel.covers(mag_range):
+        raise RangeError(
+            f"kernel {kernel.name!r} is not defined on [{mag_range.a}, {mag_range.b}]"
+        )
 
 
 def kernel_from_string(selector: str) -> Kernel:

@@ -31,10 +31,11 @@ solved the game:
 * ``"simplex"``: the LP on the whole grid.
 
 The two matrix-free paths come first. They run only if their declaration
-matches ``Kernel.__call__`` on O(n) grid pairs (``kernels.declaration_holds``,
-which signal's Green's path calls too); positivity then follows from the
-declaration, and y = u. A path whose check fails, whose u is not strictly
-positive or whose certificate does not close falls through to the blocks:
+matches ``Kernel.__call__`` on O(n) grid pairs (``kernels.declaration_holds``;
+``kernels.green_on``, as in signal, for Green's factors, which must also be
+positive); positivity then follows from the declaration, and y = u. A path
+whose check fails, whose u is not strictly positive or whose certificate does
+not close falls through to the blocks:
 
 1. the node block I x J, if the kernel is linear in each argument between
    declared nodes, as a table is. K q is then linear in the target between
@@ -75,7 +76,9 @@ import numpy as np
 
 from .distributions import SamplingDistribution
 from .errors import DomainError, ParameterError, SolverError
-from .kernels import DEFAULT_GRID, GRID_BLOCK, Kernel, MagRange, declaration_holds
+from .kernels import (
+    DEFAULT_GRID, GRID_BLOCK, Kernel, MagRange, check_covers, declaration_holds, green_on,
+)
 from .simplex import lp_peak_bytes, solve_inequality_lp
 
 MAX_AVG_ENTROPY = "maxavg"
@@ -97,7 +100,8 @@ _CG_MAX_ITER = 100
 @dataclass(kw_only=True)
 class OptimizationConfig:
     """Kernel and discretization for a distribution search; the function it
-    is passed to, ``optimize_max_avg`` or ``optimize_max_min``, is the objective."""
+    is passed to, ``optimize_max_avg`` or ``optimize_max_min``, is the objective.
+    A kernel not defined on the range is a RangeError here, before any work."""
 
     kernel: Kernel
     mag_range: MagRange = field(default_factory=MagRange)
@@ -105,6 +109,7 @@ class OptimizationConfig:
     lam: float = 1.0
 
     def __post_init__(self):
+        check_covers(self.kernel, self.mag_range)
         if self.grid_n < 10:
             raise ParameterError(f"grid size must be >= 10, got {self.grid_n}")
         if not self.lam > 0.0:
@@ -234,8 +239,8 @@ def _blocks(game):
 def _matrix_free(game):
     """(solver, u, w -> K w) of each matrix-free path whose declaration holds,
     in order; u may be None. Each K is symmetric, so y = u."""
-    factors = _green(game)
-    if factors is not None:
+    factors = green_on(game.kernel, game.mids)
+    if factors is not None and factors[0].min() > 0.0 and factors[1].min() > 0.0:
         yield "green", _green_solve(*factors), lambda w: _green_matvec(*factors, w)
     column = _toeplitz(game)
     if column is not None:
@@ -273,18 +278,6 @@ def _solve_game(game):
 def _certified(t_lo, t_hi):
     """Whether min(K q) = t_lo and max(K'r) = t_hi agree to _CERT_GAP_TOL of t."""
     return -1e-12 * t_hi <= t_hi - t_lo <= _CERT_GAP_TOL * t_hi
-
-
-def _green(game):
-    """The kernel's Green's factors (p, q) on the grid, or None unless it
-    declares them, they are positive and they match the kernel."""
-    factors = game.kernel.green_factors(game.mids)
-    if factors is None or not (factors[0].min() > 0.0 and factors[1].min() > 0.0):
-        return None
-    p, q = factors
-    holds = declaration_holds(game.kernel, game.mids,
-                              lambda i, j: p[np.minimum(i, j)] * q[np.maximum(i, j)])
-    return factors if holds else None
 
 
 def _green_solve(p, q):

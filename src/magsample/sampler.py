@@ -141,14 +141,18 @@ def sample_targets(
     return dist.quantile(rng.uniform_at(counters))
 
 
-def _plan(cfg: SamplerConfig, index: np.ndarray, targets: np.ndarray, rng: CounterRng) -> np.ndarray:
-    """Plan entries ``index`` for their targets; entry i's offsets come from
-    counters 3i+1 and 3i+2. Sources and crops are checked again, as a config
-    can be changed after its check."""
+def generate_plan(cfg: SamplerConfig, n: int) -> np.ndarray:
+    """Draw ``n`` targets and plan their crops; pure function of (cfg, n). Entry
+    i's offsets come from counters 3i+1 and 3i+2. Sources and crops are checked
+    again, as a config can be changed after its check."""
+    if n < 1:
+        raise ParameterError(f"plan length must be >= 1, got {n}")
+    targets = sample_targets(cfg.distribution, cfg.rng_seed, n)
     sources = _sources(np.asarray(cfg.standard_mpps), targets)
-    counters = 3 * index.astype(np.uint64)
-    rows = np.empty(len(index), PLAN_DTYPE)
-    rows["index"] = index
+    counters = 3 * np.arange(n, dtype=np.uint64)
+    rng = CounterRng(cfg.rng_seed)
+    rows = np.empty(n, PLAN_DTYPE)
+    rows["index"] = np.arange(n, dtype=np.int64)
     rows["target_mpp"] = targets
     rows["source_mpp"] = sources
     rows["source_size_px"] = cfg.source_size_px
@@ -157,14 +161,6 @@ def _plan(cfg: SamplerConfig, index: np.ndarray, targets: np.ndarray, rng: Count
     rows["offset_x_frac"] = rng.uniform_at(counters + np.uint64(1))
     rows["offset_y_frac"] = rng.uniform_at(counters + np.uint64(2))
     return rows
-
-
-def generate_plan(cfg: SamplerConfig, n: int) -> np.ndarray:
-    """Draw ``n`` targets and plan their crops; pure function of (cfg, n)."""
-    if n < 1:
-        raise ParameterError(f"plan length must be >= 1, got {n}")
-    targets = sample_targets(cfg.distribution, cfg.rng_seed, n)
-    return _plan(cfg, np.arange(n, dtype=np.int64), targets, CounterRng(cfg.rng_seed))
 
 
 # -- plan CSV -----------------------------------------------------------------

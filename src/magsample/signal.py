@@ -16,8 +16,8 @@ several profiles are made together, as ``compare`` does. Sums are einsums
 in a fixed order, so bytes do not depend on BLAS threads.
 
 A Green's kernel, K(x, y) = p(min(x, y)) q(max(x, y)) (info is one), needs
-no such matrix once ``kernels.declaration_holds`` finds its declared p and q
-equal to K on the targets. Its density term is
+no such matrix once ``kernels.green_on`` finds its declared p and q equal to
+K on the targets. Its density term is
 
     q(y) * integral over x < y of density p  +  p(y) * integral over x > y of density q,
 
@@ -28,8 +28,8 @@ sum, accumulated from b down. Written as the total minus a prefix sum it
 would cancel wherever the tail is small against the total: with q = x^-2 on
 [1e-3, 1e3] (500 cells, 700 targets) it errs by up to 2e-9 relative to a
 long-double reference, the suffix sum by 3e-15. The declared integrals P
-and Q are trusted. A kernel whose factors fail the check takes the matrix
-path if it has an antiderivative in x, and is a DomainError if not.
+and Q are trusted. A kernel whose factors fail ``kernels.green_on`` takes the
+matrix path, a DomainError for a kernel with no antiderivative in x, as info.
 """
 
 from __future__ import annotations
@@ -41,8 +41,7 @@ import numpy as np
 
 from . import csvio
 from .distributions import SamplingDistribution
-from .errors import DomainError, RangeError
-from .kernels import DEFAULT_GRID, GRID_BLOCK, Kernel, declaration_holds
+from .kernels import DEFAULT_GRID, GRID_BLOCK, Kernel, check_covers, green_on
 
 
 class SignalSummary(NamedTuple):
@@ -72,14 +71,6 @@ class SignalProfile:
         return SignalSummary(self.min_value, self.argmin_y, self.total, self.mean)
 
 
-def _check_ranges(dist: SamplingDistribution, kernel: Kernel):
-    if not kernel.covers(dist.range):
-        raise RangeError(
-            f"kernel {kernel.name!r} does not cover the distribution range "
-            f"[{dist.range.a}, {dist.range.b}]"
-        )
-
-
 def accumulated_signal(
     dist: SamplingDistribution, kernel: Kernel, grid_n: int = DEFAULT_GRID
 ) -> SignalProfile:
@@ -97,8 +88,7 @@ def accumulated_signals(
     is the same, bit for bit, as that distribution's alone.
     """
     ys = [dist.range.grid(grid_n) for dist in dists]  # rejects a bad grid first
-    for dist in dists:
-        _check_ranges(dist, kernel)
+    totals = [total_signal(dist, kernel) for dist in dists]  # then a range the kernel lacks
     values = [np.zeros(grid_n) for _ in dists]
     green = [
         _green_density_signal(dist.density, dist.cell_edges(), kernel, y)
@@ -122,11 +112,10 @@ def accumulated_signals(
             for i in members:
                 values[i][block] += np.einsum("i,ij->j", dists[i].density, per_cell)
     profiles = []
-    for dist, y, v, g in zip(dists, ys, values, green):
+    for dist, y, v, g, total in zip(dists, ys, values, green, totals):
         if g is not None:
             v += g
         imin = int(np.argmin(v))
-        total = total_signal(dist, kernel)
         profiles.append(SignalProfile(
             ys=y,
             values=v,
@@ -142,17 +131,11 @@ def _green_density_signal(density, edges, kernel, ys):
     """Density term of S at the increasing targets ys in O(cells + grid), or
     None unless the kernel declares Green's factors that hold on ys, and their
     integrals."""
-    factors, integrals = kernel.green_factors(ys), kernel.green_integrals(edges)
-    if factors is None or integrals is None:
+    integrals = kernel.green_integrals(edges)
+    factors = None if integrals is None else green_on(kernel, ys)
+    if factors is None:
         return None
     (p_y, q_y), (P_e, Q_e) = factors, integrals
-    if not declaration_holds(kernel, ys,
-                             lambda i, j: p_y[np.minimum(i, j)] * q_y[np.maximum(i, j)]):
-        if hasattr(kernel, "_antiderivative"):
-            return None
-        raise DomainError(
-            f"kernel {kernel.name!r} declares Green's factors that do not match its values"
-        )
     P_y, Q_y = kernel.green_integrals(ys)
     # integrals over the cells before k, and over the cells from k on
     prefix_p = np.concatenate(([0.0], np.cumsum(density * np.diff(P_e))))
@@ -178,7 +161,7 @@ def total_signal(dist: SamplingDistribution, kernel: Kernel) -> float:
     Atoms contribute weight * tp(x); each density cell contributes its value
     times the change of the potential's antiderivative across the cell.
     """
-    _check_ranges(dist, kernel)
+    check_covers(kernel, dist.range)
     out = 0.0
     if dist.has_atoms:
         tp = kernel.transfer_potential(dist.atom_locations, dist.range)

@@ -159,15 +159,20 @@ def regularized_objective(dist, cfg):
 
 
 def plan_crop(t, cfg, rng, index=0):
-    """The plan entry ``index`` for target ``t``, made by the plan's row
-    builder; offsets come from counters 3 * index + 1 and 3 * index + 2."""
+    """The plan entry ``index`` for target ``t``, from the sampler's source and
+    crop rules; offsets come from counters 3 * index + 1 and 3 * index + 2."""
     t = float(t)
     if not cfg.distribution.range.contains(t):
         raise ParameterError(
             f"target {t} outside the distribution range "
             f"[{cfg.distribution.range.a}, {cfg.distribution.range.b}]"
         )
-    return sampler._plan(cfg, np.array([index], dtype=np.int64), np.array([t]), rng)[0]
+    targets = np.array([t])
+    sources = sampler._sources(np.asarray(cfg.standard_mpps), targets)
+    crop = sampler._crop_sizes(cfg, targets, sources)[0]
+    offsets = rng.uniform_at(np.uint64(3 * index) + np.array([1, 2], dtype=np.uint64))
+    row = (index, t, sources[0], cfg.source_size_px, crop, cfg.output_size_px, *offsets)
+    return np.array(row, PLAN_DTYPE)[()]
 
 
 def bin_masses(dist, edges):

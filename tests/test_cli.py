@@ -167,6 +167,24 @@ def test_custom_table_with_repeated_sample_exits_2(workdir, capsys, command):
     assert not (workdir / "out.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["kernel"],
+    ["signal", "--dist", "cu.msdist"],
+    ["compare", "du.msdist", "cu.msdist"],
+    ["optimize", "--objective", "maxavg"],
+    ["optimize", "--objective", "maxmin"],
+], ids=["kernel", "signal", "compare", "maxavg", "maxmin"])
+def test_table_that_does_not_cover_the_range_exits_2(workdir, capsys, argv):
+    # every command refuses the table with one message, before it computes
+    xs = np.linspace(0.5, 1.5, 4).tolist()
+    rows = [f"{x},{y},1.0" for x in xs for y in xs]
+    (workdir / "small.csv").write_text("\n".join(["x,y,value", *rows]) + "\n")
+    assert main([*argv, "--kernel", "custom:small.csv", "--grid", "20", "--out", "out.csv"]) == 2
+    assert capsys.readouterr().err == (
+        f"magsample {argv[0]}: error: kernel 'custom' is not defined on [0.25, 2.0]\n")
+    assert not (workdir / "out.csv").exists()
+
+
 def test_signal_command_du(workdir):
     assert main(["signal", "--dist", "du.msdist", "--kernel", "info",
                  "--grid", "1000", "--out", "profile.csv"]) == 0

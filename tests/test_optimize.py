@@ -34,6 +34,7 @@ from magsample import (
 from magsample import cli
 from magsample import optimize as optimize_module
 from magsample.cli import main
+from magsample.kernels import green_on
 from magsample.optimize import OptimizationConfig
 from magsample.simplex import solve_inequality_lp
 
@@ -273,7 +274,7 @@ def test_green_solve_that_fails_its_certificate_falls_through(abs_kernel):
     # the factors are not of this K: their check against the kernel fails, and
     # the path of the abs kernel, which it inherits, solves the game
     cfg = OptimizationConfig(kernel=MisdeclaredKernel(), grid_n=200)
-    assert optimize_module._green(optimize_module._Game(cfg.kernel, MagRange().cell_midpoints(200))) is None
+    assert green_on(cfg.kernel, MagRange().cell_midpoints(200)) is None
     sol = optimize_max_min(cfg)
     assert sol.solver == "toeplitz"
     cfg.kernel = abs_kernel
@@ -483,6 +484,15 @@ def _undeclared(kernel):
     return cls()
 
 
+def _midpoint_table(values):
+    """A table whose nodes are the cell midpoints of ``values``' grid, so that
+    its node block is the whole grid, and the range's ends, where it repeats
+    its edge values so that it covers the range the game's density spans."""
+    mids = MagRange().cell_midpoints(len(values))
+    nodes = np.concatenate(([MagRange().a], mids, [MagRange().b]))
+    return TabulatedKernel(nodes, nodes, np.pad(values, 1, mode="edge"))
+
+
 def _mixed_asymmetric_game(info_kernel, n):
     """D1 K D2 with smooth positive diagonals: still completely mixed, not symmetric."""
     mids = MagRange().cell_midpoints(n)
@@ -504,9 +514,8 @@ def test_asymmetric_mixed_game_ends_on_the_equalizer(info_kernel, solves):
     # through optimize_max_min, on a table whose nodes are the cell midpoints:
     # its node block is the whole grid
     n = 300
-    mids = MagRange().cell_midpoints(n)
     values = _mixed_asymmetric_game(info_kernel, n)
-    kernel = TabulatedKernel(mids, mids, values)
+    kernel = _midpoint_table(values)
     assert np.array_equal(_game(kernel, n), values)
     sol = optimize_max_min(OptimizationConfig(kernel=kernel, grid_n=n))
     assert sol.solver == "equalizer" and sol.iterations == 0
@@ -777,7 +786,7 @@ def test_maxmin_large_support_falls_back_to_simplex(info_kernel):
     mids = MagRange().cell_midpoints(n)
     values = np.asarray(info_kernel(mids[:, None], mids[None, :]), dtype=float)
     values[:, 0] = 0.5 * values[:, 1]
-    kernel = TabulatedKernel(mids, mids, values)
+    kernel = _midpoint_table(values)
     K = _game(kernel, n)
     assert np.array_equal(K, values)
     sol = optimize_max_min(OptimizationConfig(kernel=kernel, grid_n=n))
@@ -836,8 +845,7 @@ def _scalable_game(path, seed):
         table = _asymmetric_table([seed, 0])
         return _NodelessTable(table.xs, table.ys, table.values), 80
     n = 60 + seed
-    mids = MagRange().cell_midpoints(n)
-    return TabulatedKernel(mids, mids, _mixed_asymmetric_game(InfoOverlapKernel(), n)), n
+    return _midpoint_table(_mixed_asymmetric_game(InfoOverlapKernel(), n)), n
 
 
 @settings(max_examples=40, deadline=None)

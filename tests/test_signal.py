@@ -2,6 +2,7 @@ import hashlib
 import math
 import subprocess
 import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -14,6 +15,7 @@ from magsample import (
     AbsDistanceKernel,
     DomainError,
     InfoOverlapKernel,
+    Kernel,
     MagRange,
     ParameterError,
     RangeError,
@@ -299,10 +301,54 @@ def test_spiky_density_keeps_its_mass(mag_range, info_kernel):
 def test_kernel_range_mismatch_raises(cu_dist):
     xs = np.linspace(0.5, 1.5, 8)
     small = TabulatedKernel(xs, xs, np.ones((8, 8)))
-    with pytest.raises(RangeError):
+    message = r"^kernel 'custom' is not defined on \[0.25, 2.0\]$"
+    with pytest.raises(RangeError, match=message):
         accumulated_signal(cu_dist, small, 100)
-    with pytest.raises(RangeError):
+    with pytest.raises(RangeError, match=message):
         total_signal(cu_dist, small)
+    with pytest.raises(RangeError, match=message):
+        OptimizationConfig(kernel=small)
+
+
+class _BareKernel(Kernel):
+    """abs's values, potential and potential antiderivative, declaring no
+    structure and giving no antiderivative in x."""
+
+    name = "bare"
+    _evaluate = AbsDistanceKernel._evaluate
+    _transfer_potential = AbsDistanceKernel._transfer_potential
+    _potential_antiderivative = AbsDistanceKernel._potential_antiderivative
+
+
+def test_kernel_without_an_antiderivative_is_a_domain_error(mag_range, abs_kernel):
+    # the matrix path needs the antiderivative the kernel lacks
+    with pytest.raises(DomainError, match=(
+        "^kernel 'bare' has no antiderivative in x and no Green's factors that match its values$"
+    )):
+        accumulated_signal(SamplingDistribution.uniform(mag_range, 10), _BareKernel())
+    # atoms need no antiderivative
+    atoms = SamplingDistribution.discrete(mag_range, STANDARDS)
+    got = accumulated_signal(atoms, _BareKernel(), 200).values
+    assert got.tobytes() == accumulated_signal(atoms, abs_kernel, 200).values.tobytes()
+
+
+def test_green_factors_that_overflow_warn_nothing(info_kernel):
+    # On [1e-300, 2e-300] info's q = x^-2 divides by zero, and p = x^2 is 0:
+    # factors that are not finite fail the Green's check, quietly
+    tiny = MagRange(1e-300, 2e-300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solution = optimize_max_min(OptimizationConfig(kernel=info_kernel, mag_range=tiny, grid_n=50))
+        with pytest.raises(DomainError, match="^kernel 'info' has no antiderivative in x"):
+            accumulated_signal(SamplingDistribution.uniform(tiny, 10), info_kernel, 100)
+    assert solution.solver == "equalizer"
+    # info depends only on x / y, so the game on [1, 2] has the same solution
+    unit = optimize_max_min(OptimizationConfig(kernel=info_kernel, mag_range=MagRange(1.0, 2.0),
+                                               grid_n=50))
+    assert unit.solver == "green"
+    assert solution.achieved_t == pytest.approx(unit.achieved_t, rel=1e-12)
+    q, q_unit = solution.distribution.density, unit.distribution.density
+    assert np.allclose(q / q.sum(), q_unit / q_unit.sum(), rtol=1e-9, atol=0.0)
 
 
 def test_grid_validation(cu_dist, info_kernel):
@@ -356,7 +402,7 @@ def test_green_factors_that_do_not_match_the_kernel_are_a_domain_error(mag_range
     # has no antiderivative in x to fall back on.
     dist = SamplingDistribution.uniform(mag_range, 50)
     with pytest.raises(DomainError, match=(
-        "^kernel 'info' declares Green's factors that do not match its values$"
+        "^kernel 'info' has no antiderivative in x and no Green's factors that match its values$"
     )):
         accumulated_signal(dist, RatioFactorsKernel(), 200)
     # atoms alone never take the Green's path
