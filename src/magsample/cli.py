@@ -157,15 +157,17 @@ def _same_file(a, b) -> bool:
         return Path(a).resolve() == Path(b).resolve()
 
 
-def _check_outputs(args):
-    """Resolve signal's default ``--summary-out``, and raise a ParameterError,
-    before anything is written, if two files written (each output's
-    ``<out>.manifest.txt`` counted) are one file, or one is an input."""
+def _check_outputs(args) -> list[str]:
+    """The files the command writes: ``--out``, and signal's ``--summary-out``,
+    its default resolved here. A ParameterError, before anything is written,
+    if two files written (each output's ``<out>.manifest.txt`` counted) are
+    one file, or one is an input."""
     written = {"--out": args.out}
     if args.command == "signal":
         if args.summary_out is None:
             args.summary_out = str(Path(args.out).with_suffix("")) + ".summary.csv"
         written["--summary-out"] = args.summary_out
+    outs = list(written.values())
     for name, out in list(written.items()):
         written[f"the manifest of {name}"] = str(out) + ".manifest.txt"
     names = list(written)
@@ -178,6 +180,7 @@ def _check_outputs(args):
         for path in inputs:
             if _same_file(out, path):
                 raise ParameterError(f"output {out} is the input file {path}")
+    return outs
 
 
 def _write_manifest(args, outs):
@@ -234,17 +237,16 @@ def _add_common(parser, *, ranged=False):
 # -- subcommands ----------------------------------------------------------------
 
 
-def cmd_kernel(args) -> list[str]:
+def cmd_kernel(args):
     mag_range = _parse_range(args.range)
     kernel = kernel_from_string(args.kernel)
     xs = mag_range.grid(args.grid)
     values = kernel.transfer_potential(xs, mag_range)
     with csvio.open_text(args.out, "w") as f:
         csvio.write_rows(f, ("x_mpp", "transfer_potential"), (xs, values))
-    return [args.out]
 
 
-def cmd_signal(args) -> list[str]:
+def cmd_signal(args):
     dist = read_distribution(args.dist)
     kernel = kernel_from_string(args.kernel)
     profile = accumulated_signal(dist, kernel, args.grid)
@@ -252,10 +254,9 @@ def cmd_signal(args) -> list[str]:
         write_profile_csv(profile, f)
     with csvio.open_text(args.summary_out, "w") as f:  # resolved by _check_outputs
         write_summary_csv([(Path(args.dist).stem, profile.summary())], f)
-    return [args.out, args.summary_out]
 
 
-def cmd_compare(args) -> list[str]:
+def cmd_compare(args):
     if len(args.dists) < 2:
         raise ParameterError("compare needs at least two distribution files")
     kernel = kernel_from_string(args.kernel)
@@ -271,10 +272,9 @@ def cmd_compare(args) -> list[str]:
     rows = [(Path(path).stem, p.summary()) for path, p in zip(args.dists, profiles)]
     with csvio.open_text(args.out, "w") as f:
         write_summary_csv(rows, f)
-    return [args.out]
 
 
-def cmd_optimize(args) -> list[str]:
+def cmd_optimize(args):
     mag_range = _parse_range(args.range)
     kernel = kernel_from_string(args.kernel)
     cfg = OptimizationConfig(
@@ -288,10 +288,9 @@ def cmd_optimize(args) -> list[str]:
         dist = solution.distribution
         comments.append(f"achieved_t {solution.achieved_t!r}")
     write_distribution(dist, args.out, comments=comments)
-    return [args.out]
 
 
-def cmd_plan(args) -> list[str]:
+def cmd_plan(args):
     dist = read_distribution(args.dist)
     cfg = SamplerConfig(
         distribution=dist,
@@ -301,30 +300,26 @@ def cmd_plan(args) -> list[str]:
         rng_seed=args.seed,
     )
     write_plan_csv(generate_plan(cfg, args.n), args.out)
-    return [args.out]
 
 
-def cmd_rankme(args) -> list[str]:
+def cmd_rankme(args):
     embeddings = load_embeddings(args.embeddings)
     profile = rankme_profile(embeddings, epsilon=args.epsilon, group_tolerance=args.group_tol)
     with csvio.open_text(args.out, "w") as f:
         write_rankme_csv(profile, f)
-    return [args.out]
 
 
-def cmd_similarity(args) -> list[str]:
+def cmd_similarity(args):
     embeddings = load_embeddings(args.embeddings)
     sim = centroid_similarity(embeddings, group_tolerance=args.group_tol)
     with csvio.open_text(args.out, "w") as f:
         write_similarity_csv(sim, f)
-    return [args.out]
 
 
-def cmd_crop_apply(args) -> list[str]:
+def cmd_crop_apply(args):
     image = read_image_array(args.image)
     out = apply_crop(image, read_plan_row(args.plan, args.index))
     write_image_array(args.out, np.asarray(out, dtype=np.float32))
-    return [args.out]
 
 
 # -- parser ----------------------------------------------------------------------
@@ -404,8 +399,9 @@ def main(argv=None) -> int:
     # looked up by name on each call, so a replaced handler takes effect
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        _check_outputs(args)
-        _write_manifest(args, handler(args))
+        outs = _check_outputs(args)
+        handler(args)
+        _write_manifest(args, outs)
     except _USAGE_ERRORS as exc:
         print(f"magsample {args.command}: error: {exc}", file=sys.stderr)
         return 2

@@ -22,6 +22,7 @@ output written from it, is the same bit for bit.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +45,9 @@ _DECLARATION_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class MagRange:
-    """Closed magnification interval [a, b] in microns per pixel."""
+    """Closed magnification interval [a, b] in microns per pixel, 0 < a < b.
+    a and the width b - a are normal doubles: on subnormal ones the kernels'
+    quotients overflow."""
 
     a: float = 0.25
     b: float = 2.0
@@ -53,6 +56,11 @@ class MagRange:
         if not (math.isfinite(self.a) and math.isfinite(self.b) and 0.0 < self.a < self.b):
             raise ParameterError(
                 f"magnification range requires 0 < a < b, got [{self.a}, {self.b}]"
+            )
+        if min(self.a, self.b - self.a) < sys.float_info.min:
+            raise ParameterError(
+                f"magnification range [{self.a}, {self.b}]: a and b - a must be at least "
+                f"the smallest normal double, {sys.float_info.min}"
             )
 
     @property
@@ -83,13 +91,15 @@ class MagRange:
 class Kernel:
     """Base class for magnification-similarity kernels.
 
-    A subclass defines, on positive mpp arrays, ``_evaluate(x, y)`` (K),
+    A subclass defines, on positive mpp arrays, ``_evaluate(x, y)`` (K), which
+    is all that max-min needs. Signal and max-average also need
     ``_transfer_potential(x, r)`` (tp over range r) and
-    ``_potential_antiderivative(x, r)`` (integral up to x of tp), up to a
-    constant. Unless it declares Green's factors and their integrals, it also
-    defines ``_antiderivative(x, y)`` (for 1-D x, y: F[i, j] = integral up to
-    x[i] of K(s, y[j]) ds, up to a constant); the base one is a DomainError,
-    which signal raises for a density whose factors do not hold.
+    ``_potential_antiderivative(x, r)`` (integral up to x of tp, up to a
+    constant), and, unless the kernel declares Green's factors and their
+    integrals, ``_antiderivative(x, y)`` (for 1-D x, y: F[i, j] = integral up
+    to x[i] of K(s, y[j]) ds, up to a constant). The base ones are
+    DomainErrors naming the kernel; signal raises ``_antiderivative``'s for a
+    density whose factors do not hold.
 
     Declared structure is used only where :func:`declaration_holds` finds it
     equal to K (:func:`green_on` for Green's factors); declared
@@ -122,6 +132,12 @@ class Kernel:
     def _antiderivative(self, x, y):
         raise DomainError(f"kernel {self.name!r} has no antiderivative in x and no "
                           "Green's factors that match its values")
+
+    def _transfer_potential(self, x, mag_range):
+        raise DomainError(f"kernel {self.name!r} has no transfer potential")
+
+    def _potential_antiderivative(self, x, mag_range):
+        raise DomainError(f"kernel {self.name!r} has no antiderivative of its transfer potential")
 
     def covers(self, mag_range: MagRange) -> bool:
         """Whether the kernel is defined on all of ``mag_range`` (both axes)."""

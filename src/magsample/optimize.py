@@ -14,10 +14,9 @@ game is completely mixed and its unique solution is q = u / Z, r = y / Z
 with Z = sum(u) (Kaplansky 1945).
 
 The game sees K through a lazy view, ``_Game``, which evaluates a block of K
-through ``Kernel.__call__`` when a path asks for it and keeps none: the block
-is passed to its equalizer, LP and certificate. The path is chosen
-from the kernel's structure; ``MaxMinSolution.solver`` names the one that
-solved the game:
+through ``Kernel.__call__`` when a path asks for it and keeps none. The path is
+chosen from the kernel's structure; ``MaxMinSolution.solver`` names the one
+that solved the game:
 
 * ``"green"``: a kernel K(x, y) = p(min(x, y)) q(max(x, y)), such as info,
   declares p and q. K^-1 is tridiagonal (Gantmacher & Krein), so u comes from
@@ -27,15 +26,15 @@ solved the game:
   its first column. u comes from conjugate gradients with T. Chan's circulant
   preconditioner (Chan 1988), and K w from FFTs of twice the grid's length.
 * ``"nodes"``: the LP on a node block smaller than the grid (below).
-* ``"equalizer"``: an LU of a square block, node block or whole grid.
+* ``"equalizer"``: an LU of the whole grid's K.
 * ``"simplex"``: the LP on the whole grid.
 
-The two matrix-free paths come first. They run only if their declaration
-matches ``Kernel.__call__`` on O(n) grid pairs (``kernels.declaration_holds``;
-``kernels.green_on``, as in signal, for Green's factors, which must also be
-positive); positivity then follows from the declaration, and y = u. A path
-whose check fails, whose u is not strictly positive or whose certificate does
-not close falls through to the blocks:
+The paths run in this order. The two matrix-free paths run only if their
+declaration matches ``Kernel.__call__`` on O(n) grid pairs
+(``kernels.declaration_holds``; ``kernels.green_on``, as in signal, for Green's
+factors, which must also be positive); positivity then follows from the
+declaration, and y = u. A path whose check fails, whose u is not strictly
+positive or whose certificate does not close falls through to the next:
 
 1. the node block I x J, if the kernel is linear in each argument between
    declared nodes, as a table is. K q is then linear in the target between
@@ -43,19 +42,19 @@ not close falls through to the blocks:
    them; K'r is linear in the source between y-nodes, so its maximum lies in
    J. By minimax the block game has the grid game's value and solution, at
    any block size. The block also holds K's minimum, and so its positivity.
-2. the whole grid, the dense K.
+   It takes only the LP: an optimal adversary generically weights one point
+   of each pair beside a node, so the block game is not completely mixed.
+2. the whole grid, the dense K. The equalizer runs first: u = K^-1 1, and
+   y = u when K equals its transpose exactly, else y by a second solve. A
+   completely mixed game at grid 1000 takes 0.07 s this way against 5.0 s for
+   the LP. Then the LP, which always ends the game.
 
-On a square block the equalizer runs first: u = K^-1 1, and y = u when the
-block equals its transpose exactly, else y by a second solve. A 1000-node
-completely mixed table takes 0.07 s this way against 5.0 s for the block
-LP, and a block that is not completely mixed costs one LU (0.12-0.23 ms on a
-118 x 118 block). Then one LP, ``min 1'u : K u >= 1`` / ``max 1'y : K'y <= 1``
-on the dense simplex, whose tolerances are absolute: it gets the block scaled
-exactly, by a power of two, to a largest entry in [1, 2). The first block whose
-certificate closes wins; the whole grid's LP always ends the game. A block, and
-the LP's tableau, is allocated only if its bytes fit in ``_DENSE_BYTES`` (1 GiB;
-the dense K fits grid <= 11585, the LP on the whole grid grid <= 5791); past
-that the game is a ParameterError.
+Each LP is ``min 1'u : K u >= 1`` / ``max 1'y : K'y <= 1`` on the dense
+simplex, whose tolerances are absolute: it gets its block scaled exactly, by a
+power of two, to a largest entry in [1, 2). A block, and the LP's tableau, is
+allocated only if its bytes fit in ``_DENSE_BYTES`` (1 GiB; the dense K fits
+grid <= 11585, the LP on the whole grid grid <= 5791); past that the game is a
+ParameterError.
 
 On every path q and the adversary weights r certify optimality on the whole
 grid: min(K q) <= t* <= max(K'r), computed with the path's own products by K
@@ -184,12 +183,9 @@ class _Game:
             _check_positive(rows)
         return K
 
-    def bounds(self, block, I, J, u, y):
-        """``_certify`` for u on the sources J and y on the targets I of this
-        block of K: with the block itself when it spans the grid, else with K's
-        columns on u's support and its rows on y's."""
-        if block.shape == (self.n, self.n):
-            return _certify(u, y, block.__matmul__, block.T.__matmul__)
+    def bounds(self, I, J, u, y):
+        """``_certify`` for u on the sources J and y on the targets I of a block
+        of K, with K's full columns on u's support and its full rows on y's."""
         S, T = J[u != 0.0], I[y != 0.0]
         u_grid, y_grid = np.zeros(self.n), np.zeros(self.n)
         u_grid[J], y_grid[I] = u, y
@@ -223,19 +219,6 @@ def _check_bytes(grid_n, what, nbytes):
         )
 
 
-def _blocks(game):
-    """("nodes", I, J) if the kernel declares nodes and the node block is smaller
-    than the grid, then ("simplex", grid, grid): each block's index arrays, named
-    as the solver of its LP."""
-    nodes = game.kernel.linear_nodes()
-    if nodes is not None:
-        I, J = (_next_to(game.mids, x) for x in nodes)
-        if I.size * J.size < game.n * game.n:
-            yield "nodes", I, J
-    grid = np.arange(game.n)
-    yield "simplex", grid, grid
-
-
 def _matrix_free(game):
     """(solver, u, w -> K w) of each matrix-free path whose declaration holds,
     in order; u may be None. Each K is symmetric, so y = u."""
@@ -249,30 +232,42 @@ def _matrix_free(game):
 
 
 def _solve_game(game):
-    """The solver name, pivots and bounds of the first path that solves the game."""
+    """Solver name, pivots and bounds of the first path, in the order above, to solve the game."""
     for solver, u, matvec in _matrix_free(game):
         if u is not None and u.min() > 0.0:
             bounds = _certify(u, u, matvec, matvec)
             if _certified(*bounds[2:]):
                 return solver, 0, bounds
     pivots = 0
-    for solver, I, J in _blocks(game):
-        block = game.block(I, J)
-        uy = _equalizer(block) if I.size == J.size else None
-        if uy is not None:
-            bounds = game.bounds(block, I, J, *uy)
+    nodes = game.kernel.linear_nodes()
+    if nodes is not None:
+        I, J = (_next_to(game.mids, x) for x in nodes)
+        if I.size * J.size < game.n * game.n:
+            pivots, u, y = _lp(game, game.block(I, J))
+            bounds = game.bounds(I, J, u, y)
             if _certified(*bounds[2:]):
-                return "equalizer", pivots, bounds
-        _check_bytes(game.n, f"the simplex on the {I.size} x {J.size} game",
-                     lp_peak_bytes(J.size, I.size))
-        # for the simplex's absolute tolerances, scaled exactly by a power of two
-        # to a largest entry in [1, 2); the module global, which tracers hook
-        scaled = np.ldexp(block.T, 1 - math.frexp(block.max())[1])
-        sol = solve_inequality_lp(np.ones(I.size), scaled, np.ones(J.size))
-        pivots += sol.iterations
-        bounds = game.bounds(block, I, J, np.maximum(sol.duals, 0.0), np.maximum(sol.x, 0.0))
-        if solver == "simplex" or _certified(*bounds[2:]):
-            return solver, pivots, bounds
+                return "nodes", pivots, bounds
+    grid = np.arange(game.n)
+    K = game.block(grid, grid)
+    uy = _equalizer(K)
+    if uy is not None:
+        bounds = _certify(*uy, K.__matmul__, K.T.__matmul__)
+        if _certified(*bounds[2:]):
+            return "equalizer", pivots, bounds
+    lp_pivots, u, y = _lp(game, K)
+    return "simplex", pivots + lp_pivots, _certify(u, y, K.__matmul__, K.T.__matmul__)
+
+
+def _lp(game, block):
+    """Pivots, u and y of ``min 1'u : K u >= 1`` / ``max 1'y : K'y <= 1`` on this
+    block of K, clipped to be nonnegative."""
+    m, n = block.shape
+    _check_bytes(game.n, f"the simplex on the {m} x {n} game", lp_peak_bytes(n, m))
+    # for the simplex's absolute tolerances, scaled exactly by a power of two
+    # to a largest entry in [1, 2); the module global, which tracers hook
+    scaled = np.ldexp(block.T, 1 - math.frexp(block.max())[1])
+    sol = solve_inequality_lp(np.ones(m), scaled, np.ones(n))
+    return sol.iterations, np.maximum(sol.duals, 0.0), np.maximum(sol.x, 0.0)
 
 
 def _certified(t_lo, t_hi):

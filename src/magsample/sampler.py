@@ -255,8 +255,6 @@ def _resize_bilinear(window: np.ndarray, out_size: int) -> np.ndarray:
     form.
     """
     crop, _, channels = window.shape
-    if crop == 1:
-        return np.broadcast_to(window, (out_size, out_size, channels)).copy()
     # np.linspace hits both corners exactly
     pos = np.linspace(0.0, crop - 1.0, out_size)
     i0 = np.minimum(np.floor(pos).astype(np.intp), crop - 2)
@@ -289,9 +287,10 @@ def apply_crop(image: np.ndarray, row) -> np.ndarray:
     """Execute one plan row on an H x W x C pixel array.
 
     ``row`` is a plan row or any mapping with the same geometry fields, such
-    as a dict. The image must be square with side ``row["source_size_px"]``.
-    When the crop size equals the output size the result is the exact
-    sub-array.
+    as a dict. The image must be square with side ``row["source_size_px"]``,
+    and the row a plan's geometry, ``1 <= output_size_px <= crop_size_px <=
+    source_size_px``: a plan never upsamples. When the crop size equals the
+    output size the result is the exact sub-array.
     """
     # read once, as Python scalars: numpy scalars slow the arithmetic below
     side, crop, out_size = (
@@ -306,6 +305,9 @@ def apply_crop(image: np.ndarray, row) -> np.ndarray:
         raise ShapeError(f"image is {h}x{w} but the plan entry expects {side}x{side}")
     if crop < 1 or crop > h:
         raise ShapeError(f"crop size {crop} does not fit a {h}px source")
+    if not 1 <= out_size <= crop:
+        raise ShapeError(f"output size {out_size} is not in [1, {crop}]: a plan never "
+                         f"upsamples its {crop}px crop")
     if not (0.0 <= fx <= 1.0 and 0.0 <= fy <= 1.0):
         raise ShapeError("offset fractions outside [0, 1]; crop window would not fit")
     oy = _round_half_up(fy * (h - crop))

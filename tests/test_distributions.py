@@ -274,6 +274,9 @@ _FORMAT_ERRORS = {
     "range-arity": ("#msdist v1\nrange 0.25\n", 2, "range line needs two bounds"),
     "range-bounds": ("#msdist v1\nrange 2.0 0.25\n", 2,
                      "magnification range requires 0 < a < b, got [2.0, 0.25]"),
+    "range-subnormal": ("#msdist v1\nrange 1e-310 2e-310\n", 2,
+                        "magnification range [1e-310, 2e-310]: a and b - a must be at least "
+                        "the smallest normal double, 2.2250738585072014e-308"),
     "atom-arity": (_HEAD + "atom 0.5\n", 3, "atom line needs location and weight"),
     "atom-before-range": ("#msdist v1\natom 0.5 1\n", 2, "atom before range line"),
     "density-before-range": ("#msdist v1\ndensity 1\n1\n", 2, "density before range line"),

@@ -38,7 +38,9 @@ def test_magrange_defaults_and_validation():
     r = MagRange()
     assert (r.a, r.b) == (0.25, 2.0)
     assert r.width == 1.75
-    for a, b in [(0.0, 1.0), (-1.0, 1.0), (1.0, 1.0), (2.0, 1.0)]:
+    # subnormal bounds and widths, too: on them the kernels' quotients overflow
+    for a, b in [(0.0, 1.0), (-1.0, 1.0), (1.0, 1.0), (2.0, 1.0), (1e-310, 2e-310),
+                 (2.5e-308, 2.5e-308 + 1e-320)]:
         with pytest.raises(ParameterError):
             MagRange(a, b)
 

@@ -232,7 +232,7 @@ def test_maxmin_info_approaches_the_continuum_solution(a, b, n, info_kernel):
     assert np.max(np.abs(x[1:-1] * dist.density[1:-1] - t_star)) <= 1.0 / n
 
 
-# -- max-min solver paths: Green's, Toeplitz, then node block and whole grid, each by equalizer or LP
+# -- max-min solver paths: Green's, Toeplitz, the node block's LP, the whole grid's LU and LP
 
 
 def _game(kernel, grid_n):
@@ -571,24 +571,23 @@ def test_maxmin_sparse_game_takes_the_node_block():
 
 
 def test_sparse_game_makes_no_full_solve(solves):
-    # a node block of 118 of 200 points: one LU of the square block, which
-    # finds u not positive, and one LP on it; no n x n solve
+    # a node block of 118 of 200 points: one LP on it, and no linear solve
     kernel, n = _asymmetric_table(2), 200
     solver, pivots, (_, _, t_lo, t_hi), dense = _solved(kernel, n)
     assert (solver, dense) == ("nodes", False) and pivots > 0
-    assert solves["shapes"] and _full_solves(solves, n) == 0
+    assert solves["shapes"] == []
     assert optimize_module._certified(t_lo, t_hi)
     assert t_lo == pytest.approx(_lp_oracle(_game(kernel, n))[1], abs=1e-12)
 
 
 def test_long_sparse_game_is_solved_on_its_node_block(solves):
     # a faster decay spreads the support over more of the grid; the node
-    # block still holds it, so the game takes no n x n solve
+    # block still holds it, so the game takes no linear solve
     kernel, n = _asymmetric_table(2, decay=2.0), 400
     K = _game(kernel, n)
     sol = optimize_max_min(OptimizationConfig(kernel=kernel, grid_n=n))
     assert sol.solver == "nodes" and sol.iterations > 0
-    assert solves["shapes"] and _full_solves(solves, n) == 0
+    assert solves["shapes"] == []
     solver, pivots, (q, _, t_lo, t_hi), dense = _solved(kernel, n)
     assert (solver, dense) == ("nodes", False) and sol.iterations == pivots
     expected = SamplingDistribution(MagRange(), density=q / (MagRange().width / n))
@@ -633,15 +632,15 @@ def _node_block(kernel, grid_n):
 
 @pytest.mark.parametrize("seed", range(2, 12))
 def test_table_game_is_solved_on_its_node_block(seed, evaluated, monkeypatch):
-    # the benchmark's 64-node table at grid 1000: a 118 x 118 block, one LU
-    # that finds u not positive, one LP, and a certificate from the support alone
+    # the benchmark's 64-node table at grid 1000: a 118 x 118 block, one LP,
+    # and a certificate from the support alone
     kernel, n = _asymmetric_table(seed), 1000
     supports = []
     bounds = optimize_module._Game.bounds
 
-    def recorded(game, block, I, J, u, y):
+    def recorded(game, I, J, u, y):
         supports.append((np.count_nonzero(u), np.count_nonzero(y)))
-        return bounds(game, block, I, J, u, y)
+        return bounds(game, I, J, u, y)
 
     monkeypatch.setattr(optimize_module._Game, "bounds", recorded)
     sol = optimize_max_min(OptimizationConfig(kernel=kernel, grid_n=n))
@@ -693,7 +692,7 @@ def _node_tables(draw):
 def test_node_block_solves_irregular_tables(kernel, grid_n):
     # at most 6 nodes in range: at most 14 node rows and columns
     solver, _, (_, _, t_lo, t_hi), dense = _solved(kernel, grid_n)
-    assert solver in ("nodes", "equalizer") and not dense
+    assert solver == "nodes" and not dense
     K = _game(kernel, grid_n)
     sol = optimize_max_min(OptimizationConfig(kernel=kernel, grid_n=grid_n))
     assert (sol.solver, sol.achieved_t) == (solver, t_lo)

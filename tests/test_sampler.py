@@ -591,12 +591,13 @@ def test_apply_crop_shape_errors():
 
 
 def test_apply_crop_upscale_from_single_pixel():
-    img = np.arange(9, dtype=np.float32).reshape(3, 3, 1)
-    e = _entry(source_size_px=3, crop_size_px=1, output_size_px=4,
-               offset_x_frac=0.999, offset_y_frac=0.999)
-    out = apply_crop(img, e)
-    assert out.shape == (4, 4, 1)
-    assert np.all(out == img[2, 2, 0])
+    # a dict row that upsamples, or outputs nothing, is no plan row: refused
+    # before an output of its size is allocated
+    for crop, out_size in [(1, 4), (8, 2000), (8, 0)]:
+        row = dict(source_size_px=8, crop_size_px=crop, output_size_px=out_size,
+                   offset_x_frac=0.5, offset_y_frac=0.5)
+        with pytest.raises(ShapeError, match=rf"^output size {out_size} is not in \[1, {crop}\]"):
+            apply_crop(np.zeros((8, 8, 3), dtype=np.float32), row)
 
 
 # -- raw image files ----------------------------------------------------------------

@@ -22,6 +22,7 @@ from magsample import (
     SamplingDistribution,
     TabulatedKernel,
     accumulated_signal,
+    optimize_max_avg,
     optimize_max_min,
     signal_summary,
     total_signal,
@@ -330,6 +331,32 @@ def test_kernel_without_an_antiderivative_is_a_domain_error(mag_range, abs_kerne
     atoms = SamplingDistribution.discrete(mag_range, STANDARDS)
     got = accumulated_signal(atoms, _BareKernel(), 200).values
     assert got.tobytes() == accumulated_signal(atoms, abs_kernel, 200).values.tobytes()
+
+
+class _ValuesOnlyKernel(Kernel):
+    """abs's values alone: no potential and no antiderivative of any kind."""
+
+    name = "values-only"
+    _evaluate = AbsDistanceKernel._evaluate
+
+
+@pytest.mark.parametrize("call, missing", [
+    (lambda k, r: accumulated_signal(SamplingDistribution.discrete(r, STANDARDS), k, 200),
+     "transfer potential"),
+    (lambda k, r: k.transfer_potential(0.5, r), "transfer potential"),
+    (lambda k, r: optimize_max_avg(OptimizationConfig(kernel=k, mag_range=r, grid_n=20)),
+     "transfer potential"),
+    (lambda k, r: total_signal(SamplingDistribution.uniform(r, 10), k),
+     "antiderivative of its transfer potential"),
+], ids=["atoms", "potential", "maxavg", "density-total"])
+def test_kernel_with_only_its_values_is_a_domain_error(call, missing, mag_range, abs_kernel):
+    kernel = _ValuesOnlyKernel()
+    with pytest.raises(DomainError, match=f"^kernel 'values-only' has no {missing}$"):
+        call(kernel, mag_range)
+    # max-min needs K alone
+    cfg = OptimizationConfig(kernel=kernel, mag_range=mag_range, grid_n=20)
+    want = optimize_max_min(OptimizationConfig(kernel=abs_kernel, mag_range=mag_range, grid_n=20))
+    assert optimize_max_min(cfg).achieved_t == pytest.approx(want.achieved_t, rel=1e-12)
 
 
 def test_green_factors_that_overflow_warn_nothing(info_kernel):
