@@ -13,7 +13,9 @@ Distribution file format (``.msdist``), UTF-8 text:
     density <n>             (optional, followed by n nonnegative cell values,
                              whitespace-separated, possibly spanning lines)
 
-Lines starting with ``#`` after the first are comments. Lines end at
+The n cells split [a, b] into equal widths, and floats must resolve them
+(``MagRange.cell_edges``): their edges strictly increase and 1 / cell width
+is finite. Lines starting with ``#`` after the first are comments. Lines end at
 ``\\n``, ``\\r`` or ``\\r\\n``. Numbers are decimal and written at full precision.
 """
 
@@ -49,17 +51,15 @@ class SamplingDistribution:
         self._atom_x = np.array([p[0] for p in pairs], dtype=float)
         self._atom_w = np.array([p[1] for p in pairs], dtype=float)
 
+        dens, edges, total = None, np.array([mag_range.a, mag_range.b]), self._atom_w.sum()
         if density is not None:
             dens = np.array(density, dtype=float)
             if dens.ndim != 1 or dens.size < 1:
                 raise ParameterError("density must be a 1-D sequence of cell values")
             if not np.all(np.isfinite(dens)) or np.any(dens < 0.0):
                 raise ParameterError("density cell values must be nonnegative and finite")
-        else:
-            dens = None
-
-        cell_w = mag_range.width / dens.size if dens is not None else 0.0
-        total = self._atom_w.sum() + (dens.sum() * cell_w if dens is not None else 0.0)
+            edges = mag_range.cell_edges(dens.size)  # refuses cells floats cannot resolve
+            total += dens.sum() * mag_range.cell_width(dens.size)
         if not np.isfinite(total) or total <= 0.0:
             raise ParameterError("distribution has no mass")
         if abs(total - 1.0) > 1e-12:  # idempotent: round-trips stay bit-exact
@@ -67,7 +67,7 @@ class SamplingDistribution:
             if dens is not None:
                 dens = dens / total
         self._density = dens
-        self._build_cdf()
+        self._build_cdf(edges)
 
     # -- constructors ------------------------------------------------------
 
@@ -115,23 +115,10 @@ class SamplingDistribution:
     def cell_width(self) -> float:
         if self._density is None:
             raise ParameterError("distribution has no density part")
-        return self.range.width / self._density.size
+        return self.range.cell_width(self._density.size)
 
     def cell_edges(self) -> np.ndarray:
         return self.range.cell_edges(self.cells)
-
-    def density_at(self, x):
-        """Density value at magnification x (0 where only atoms carry mass)."""
-        xa = np.asarray(x, dtype=float)
-        if not np.all(self.range.contains(xa)):
-            raise RangeError(f"magnification outside [{self.range.a}, {self.range.b}]")
-        if self._density is None:
-            out = np.zeros_like(xa, dtype=float)
-        else:
-            edges = self.cell_edges()
-            idx = np.clip(np.searchsorted(edges, xa, side="right") - 1, 0, self.cells - 1)
-            out = self._density[idx]
-        return float(out) if np.ndim(x) == 0 else out
 
     def __eq__(self, other):
         if not isinstance(other, SamplingDistribution):
@@ -151,17 +138,17 @@ class SamplingDistribution:
 
     # -- CDF machinery -------------------------------------------------------
 
-    def _build_cdf(self):
-        # Knots where the CDF jumps (atoms) or changes slope (cell edges).
-        if self._density is not None:
-            edges = self.cell_edges()
-        else:
-            edges = np.array([self.range.a, self.range.b])
+    def _build_cdf(self, edges):
+        # Knots where the CDF jumps (atoms) or changes slope (cell edges); each
+        # segment between two knots lies in the cell of its left knot.
         knots = np.unique(np.concatenate([edges, self._atom_x]))
         jumps = np.zeros_like(knots)
         if self._atom_x.size:
             np.add.at(jumps, np.searchsorted(knots, self._atom_x), self._atom_w)
-        slopes = self.density_at(0.5 * (knots[:-1] + knots[1:]))
+        if self._density is not None:
+            slopes = self._density[self.range.cell_of(knots[:-1], self.cells)]
+        else:
+            slopes = np.zeros(knots.size - 1)
         seg_mass = slopes * np.diff(knots)
         # Knots are rounded positions, so on a narrow range far from 0 the
         # masses can sum to 1 + a few 1e-12; rescale so the CDF ends at 1.

@@ -77,11 +77,28 @@ class MagRange:
             raise ParameterError(f"grid size must be >= 2, got {n}")
         return np.linspace(self.a, self.b, int(n))
 
+    def cell_width(self, cells: int) -> float:
+        return self.width / cells
+
     def cell_edges(self, cells: int) -> np.ndarray:
-        """Edges of ``cells`` equal-width cells covering the range."""
+        """Edges of ``cells`` equal-width cells, the cells of every density. A
+        ParameterError unless floats resolve them: the edges strictly increase,
+        and 1 / cell_width, the height of a unit mass on one cell, is finite."""
         if cells < 1:
             raise ParameterError(f"cell count must be >= 1, got {cells}")
-        return np.linspace(self.a, self.b, int(cells) + 1)
+        edges = np.linspace(self.a, self.b, int(cells) + 1)
+        if not (math.isfinite(1.0 / self.cell_width(cells)) and np.all(edges[:-1] < edges[1:])):
+            raise ParameterError(
+                f"{cells} cells on [{self.a}, {self.b}] are too narrow for floats: "
+                "their edges must strictly increase and 1 / cell width must be finite"
+            )
+        return edges
+
+    def cell_of(self, x, cells: int) -> np.ndarray:
+        """Index of the cell, of ``cells``, that holds each point x of the range.
+        Cells are [left, right), except the last, which is closed."""
+        edges = self.cell_edges(cells)
+        return np.clip(np.searchsorted(edges, x, side="right") - 1, 0, cells - 1)
 
     def cell_midpoints(self, cells: int) -> np.ndarray:
         edges = self.cell_edges(cells)
@@ -238,7 +255,10 @@ class InfoOverlapKernel(Kernel):
 
     def _transfer_potential(self, xa, mag_range):
         a, b = mag_range.a, mag_range.b
-        return (xa**3 - a**3) / (3.0 * xa**2) + xa - xa**2 / b
+        if 1e-100 <= a and b <= 1e100:
+            return (xa**3 - a**3) / (3.0 * xa**2) + xa - xa**2 / b
+        # the same tp without the cubes and squares, which leave the doubles past those bounds
+        return xa / 3.0 - a * (a / xa) ** 2 / 3.0 + xa * (1.0 - xa / b)
 
     def _potential_antiderivative(self, xa, mag_range):
         a, b = mag_range.a, mag_range.b

@@ -155,8 +155,7 @@ def optimize_max_min(cfg: OptimizationConfig) -> MaxMinSolution:
             residual=gap,
         )
 
-    cell_w = cfg.mag_range.width / cfg.grid_n
-    dist = SamplingDistribution(cfg.mag_range, density=q / cell_w)
+    dist = SamplingDistribution(cfg.mag_range, density=q / cfg.mag_range.cell_width(cfg.grid_n))
     return MaxMinSolution(
         distribution=dist,
         achieved_t=t_lo,

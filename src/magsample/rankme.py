@@ -115,15 +115,11 @@ class CentroidSimilarity:
 
 
 def rankme(embeddings, epsilon: float = DEFAULT_EPSILON) -> float:
-    """Effective rank of an embedding matrix (or EmbeddingSet)."""
-    if isinstance(embeddings, EmbeddingSet):
-        return _rankme(embeddings.vectors, epsilon)
-    matrix = np.asarray(embeddings, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] < 1 or matrix.shape[1] < 1:
-        raise DomainError("rankme needs a nonempty 2-D matrix")
-    if not np.all(np.isfinite(matrix)):
-        raise DomainError("rankme input contains non-finite values")
-    return _rankme(matrix, epsilon)
+    """Effective rank of an embedding matrix, checked as an EmbeddingSet's
+    vectors are, or of an EmbeddingSet."""
+    if not isinstance(embeddings, EmbeddingSet):
+        embeddings = EmbeddingSet(np.ones(np.shape(embeddings)[:1]), embeddings)  # unit tags
+    return _rankme(embeddings.vectors, epsilon)
 
 
 def _rankme(vectors, epsilon: float) -> float:
@@ -142,6 +138,7 @@ def _rankme(vectors, epsilon: float) -> float:
 
 
 def _group_slices(mpps: np.ndarray, tolerance: float):
+    """Each group's mpp, the mean of its tags, and its rows, by ascending mpp."""
     if not 0.0 <= tolerance < np.inf:
         raise ParameterError(f"group tolerance must be finite and nonnegative, got {tolerance}")
     order = np.argsort(mpps, kind="stable")
@@ -150,7 +147,7 @@ def _group_slices(mpps: np.ndarray, tolerance: float):
     for lo, hi in zip(
         np.concatenate(([0], breaks)), np.concatenate((breaks, [mpps.size]))
     ):
-        yield order[lo:hi]
+        yield float(sorted_mpps[lo:hi].mean()), order[lo:hi]
 
 
 def rankme_profile(
@@ -160,8 +157,7 @@ def rankme_profile(
 ) -> RankMeProfile:
     """Rankme per magnification group; mpps within the tolerance share a group."""
     groups = []
-    for rows in _group_slices(embeddings.mpps, group_tolerance):
-        group_mpp = float(embeddings.mpps[rows].mean())
+    for group_mpp, rows in _group_slices(embeddings.mpps, group_tolerance):
         if rows.size < 2:
             warnings.warn(
                 f"magnification group at {group_mpp} has a single row; "
@@ -185,14 +181,12 @@ def centroid_similarity(
     """Cosine similarity matrix between per-group mean vectors."""
     mpps = []
     centroids = []
-    for rows in _group_slices(embeddings.mpps, group_tolerance):
+    for group_mpp, rows in _group_slices(embeddings.mpps, group_tolerance):
         c = embeddings.vectors[rows].mean(axis=0, dtype=np.float64)
         norm = float(np.linalg.norm(c))
         if norm == 0.0:
-            raise DegenerateInputError(
-                f"group at mpp {float(embeddings.mpps[rows].mean())} has a zero centroid"
-            )
-        mpps.append(float(embeddings.mpps[rows].mean()))
+            raise DegenerateInputError(f"group at mpp {group_mpp} has a zero centroid")
+        mpps.append(group_mpp)
         centroids.append(c / norm)
     cmat = np.vstack(centroids)
     sim = cmat @ cmat.T

@@ -91,8 +91,7 @@ def accumulated_signals(
     totals = [total_signal(dist, kernel) for dist in dists]  # then a range the kernel lacks
     values = [np.zeros(grid_n) for _ in dists]
     green = [
-        _green_density_signal(dist.density, dist.cell_edges(), kernel, y)
-        if dist.has_density else None
+        _green_density_signal(dist, kernel, y) if dist.has_density else None
         for dist, y in zip(dists, ys)
     ]
     # (range, cells) -> cell edges, targets and indices of the densities
@@ -127,10 +126,11 @@ def accumulated_signals(
     return profiles
 
 
-def _green_density_signal(density, edges, kernel, ys):
-    """Density term of S at the increasing targets ys in O(cells + grid), or
-    None unless the kernel declares Green's factors that hold on ys, and their
-    integrals."""
+def _green_density_signal(dist, kernel, ys):
+    """Density term of the distribution's S at the increasing targets ys in
+    O(cells + grid), or None unless the kernel declares Green's factors that
+    hold on ys, and their integrals."""
+    density, edges = dist.density, dist.cell_edges()
     integrals = kernel.green_integrals(edges)
     factors = None if integrals is None else green_on(kernel, ys)
     if factors is None:
@@ -140,7 +140,7 @@ def _green_density_signal(density, edges, kernel, ys):
     # integrals over the cells before k, and over the cells from k on
     prefix_p = np.concatenate(([0.0], np.cumsum(density * np.diff(P_e))))
     suffix_q = np.concatenate((np.cumsum((density * np.diff(Q_e))[::-1])[::-1], [0.0]))
-    k = np.clip(np.searchsorted(edges, ys, "right") - 1, 0, density.size - 1)
+    k = dist.range.cell_of(ys, dist.cells)
     d = density[k]
     left = prefix_p[k] + d * (P_y - P_e[k])
     right = suffix_q[k + 1] + d * (Q_e[k + 1] - Q_y)

@@ -185,6 +185,51 @@ def test_table_that_does_not_cover_the_range_exits_2(workdir, capsys, argv):
     assert not (workdir / "out.csv").exists()
 
 
+_NARROW_CELLS = (
+    "1000 cells on [1.0, 1.00000000000001] are too narrow for floats: "
+    "their edges must strictly increase and 1 / cell width must be finite\n"
+)
+
+
+@pytest.mark.parametrize("objective", ["maxmin", "maxavg"])
+def test_optimize_on_cells_floats_cannot_resolve_exits_2(workdir, capsys, objective):
+    # the 1,001 edges hold 46 distinct floats; both objectives exited 0, and
+    # every quantile of maxmin's file was NaN
+    assert main(["optimize", "--objective", objective, "--kernel", "abs",
+                 "--range", "1:1.00000000000001", "--grid", "1000", "--out", "n.msdist"]) == 2
+    assert capsys.readouterr().err == f"magsample optimize: error: {_NARROW_CELLS}"
+    assert not (workdir / "n.msdist").exists()
+    assert not (workdir / "n.msdist.manifest.txt").exists()
+
+
+@pytest.mark.parametrize("argv", [["plan", "--n", "3"], ["signal", "--kernel", "abs"]],
+                         ids=["plan", "signal"])
+def test_dist_on_cells_floats_cannot_resolve_exits_2(workdir, capsys, argv):
+    # plan wrote rows of target_mpp nan and crop_size_px -2^63, and signal a
+    # total of 0.0, both exiting 0
+    (workdir / "n.msdist").write_text(
+        "#msdist v1\nrange 1.0 1.00000000000001\ndensity 1000\n" + "1.0\n" * 1000)
+    assert main([*argv, "--dist", "n.msdist", "--out", "out.csv"]) == 2
+    assert capsys.readouterr().err == f"magsample {argv[0]}: error: n.msdist: {_NARROW_CELLS}"
+    assert not (workdir / "out.csv").exists()
+
+
+def test_cells_whose_reciprocal_width_overflows_exit_2_without_a_warning(workdir):
+    # each cell is 1e-309 wide; max-min's q / cell width overflowed, with a
+    # RuntimeWarning, before its density was refused. A child process, so
+    # that stderr holds whatever numpy would warn.
+    out = subprocess.run(
+        [sys.executable, "-m", "magsample.cli", "optimize", "--objective", "maxmin",
+         "--kernel", "info", "--range", "1e-306:2e-306", "--grid", "1000", "--out", "t.msdist"],
+        capture_output=True, text=True, env=child_env(),
+    )
+    assert out.returncode == 2
+    assert out.stderr == ("magsample optimize: error: 1000 cells on [1e-306, 2e-306] are too "
+                          "narrow for floats: their edges must strictly increase and 1 / cell "
+                          "width must be finite\n")
+    assert not (workdir / "t.msdist").exists()
+
+
 def test_signal_command_du(workdir):
     assert main(["signal", "--dist", "du.msdist", "--kernel", "info",
                  "--grid", "1000", "--out", "profile.csv"]) == 0

@@ -7,7 +7,16 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from magsample import MagRange, SamplingDistribution, read_distribution, write_distribution
+from magsample import (
+    AbsDistanceKernel,
+    InfoOverlapKernel,
+    MagRange,
+    ParameterError,
+    SamplingDistribution,
+    read_distribution,
+    total_signal,
+    write_distribution,
+)
 
 FEW = settings(max_examples=40, deadline=None)
 
@@ -64,3 +73,31 @@ def test_mass_below_quantile_on_a_steep_narrow_cell():
     )
     assert dist.cdf_before(dist.quantile(0.5)) <= 0.5 + 1e-12
     assert dist.cdf_before(dist.quantile(np.array([0.5])))[0] <= 0.5 + 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    log_a=st.floats(-300.0, 3.0),
+    log_width=st.floats(-16.0, 0.0),
+    cells=st.integers(1, 5000),
+    atoms=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cells_are_refused_or_give_a_sound_distribution(log_a, log_width, cells, atoms, seed):
+    # Totals are not asserted positive: they are differences of a potential's
+    # antiderivative, which cancel on narrow ranges, on accepted cells too.
+    g = np.random.default_rng(seed)
+    density = np.where(g.random(cells) < 0.2, 0.0, g.random(cells))
+    density[g.integers(cells)] += 1.0
+    try:
+        a = 10.0**log_a
+        r = MagRange(a, a + a * 10.0**log_width)
+        spots = np.minimum(r.b, r.a + g.random(atoms) * r.width)
+        dist = SamplingDistribution(r, atoms=zip(spots, g.random(atoms)), density=density)
+    except ParameterError:
+        return
+    assert abs(dist.cdf_before(np.nextafter(r.b, np.inf)) - 1.0) <= 1e-12
+    q = dist.quantile(np.linspace(0.0, 1.0, 200))
+    assert np.all(np.isfinite(q) & (q >= r.a) & (q <= r.b))
+    for kernel in (AbsDistanceKernel(), InfoOverlapKernel()):
+        assert np.isfinite(total_signal(dist, kernel))

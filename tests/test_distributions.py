@@ -83,17 +83,16 @@ def test_uniform_density_value(mag_range):
         assert np.allclose(d.density, 1.0 / 1.75)
 
 
-def test_density_at(mag_range):
-    d = SamplingDistribution(mag_range, density=[1.0, 3.0])
-    lo, hi = d.density
-    assert d.density_at(0.3) == lo
-    assert d.density_at(1.9) == hi
-    assert d.density_at(1.125) == hi  # cells are [left, right) except the last
-    assert d.density_at(2.0) == hi
-    with pytest.raises(RangeError):
-        d.density_at(0.2)
-    du = SamplingDistribution.discrete(mag_range, [0.5])
-    assert du.density_at(1.0) == 0.0
+def test_density_on_cells_floats_cannot_resolve_is_refused():
+    # a uniform density too, although its quantiles would stay finite
+    mag_range = MagRange(1.0, 1.00000000000001)
+    with pytest.raises(ParameterError, match=r"^1000 cells on \[1\.0, 1\.00000000000001\] "):
+        SamplingDistribution.uniform(mag_range, 1000)
+    with pytest.raises(ParameterError, match="^1000 cells on "):
+        SamplingDistribution(mag_range, atoms=[(1.0, 1.0)], density=np.zeros(1000))
+    text = "#msdist v1\nrange 1.0 1.00000000000001\ndensity 1000\n" + "1 " * 1000 + "\n"
+    with pytest.raises(FormatError, match="^1000 cells on "):
+        parse_distribution(text)
 
 
 def test_quantile_uniform_median(cu_dist):

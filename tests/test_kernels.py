@@ -1,5 +1,7 @@
 import csv
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +56,31 @@ def test_magrange_grid_and_cells():
         r.grid(1)
     with pytest.raises(ParameterError):
         r.cell_edges(0)
+
+
+def test_cell_of_takes_left_closed_cells_and_closes_the_last():
+    r = MagRange()
+    assert r.cell_width(2) == 0.875
+    points = [0.25, 0.3, 1.125 - 1e-12, 1.125, 1.9, 2.0]
+    assert r.cell_of(np.array(points), 2).tolist() == [0, 0, 0, 1, 1, 1]
+    assert r.cell_of(np.array(points), 1).tolist() == [0] * 6
+
+
+@pytest.mark.parametrize("a, b, cells", [
+    (1.0, 1.00000000000001, 1000),  # 46 distinct edges
+    (1.0, 1.0 + 2.0**-52, 2),  # the middle edge rounds onto an end
+    (1e-306, 2e-306, 1000),  # distinct edges, but 1 / cell width overflows
+    (3e-308, 6e-308, 50),
+])
+def test_cells_floats_cannot_resolve_are_refused(a, b, cells):
+    r = MagRange(a, b)
+    message = rf"^{cells} cells on \[{re.escape(str(a))}, {re.escape(str(b))}\] "
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for make in (r.cell_edges, r.cell_midpoints, lambda n: r.cell_of(a, n)):
+            with pytest.raises(ParameterError, match=message):
+                make(cells)
+    assert r.cell_edges(1).tolist() == [a, b]  # a range's one cell always resolves
 
 
 def test_info_kernel_values(info_kernel):
@@ -124,6 +151,19 @@ def test_closed_forms_match_quadrature_at_random_points(mag_range):
         for x, c in zip(xs, closed):
             oracle = quadrature_potential(raw, mag_range.a, mag_range.b, x)
             assert abs(c - oracle) < 1e-6
+
+
+@pytest.mark.parametrize("scale", [2.0**-1000, 2.0**-400, 2.0**400])
+def test_info_potential_is_homogeneous_far_from_one(info_kernel, mag_range, scale):
+    # tp(s x; s a, s b) = s tp(x; a, b); there the cubes and squares of the
+    # closed form leave the doubles (a NaN at 2^-1000), and its ratio form
+    # keeps it to 1e-15 relative
+    xs = mag_range.grid(101)
+    want = info_kernel.transfer_potential(xs, mag_range) * scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = info_kernel.transfer_potential(xs * scale, MagRange(0.25 * scale, 2.0 * scale))
+    assert np.all(np.abs(got - want) <= 1e-15 * want)
 
 
 def test_transfer_potential_outside_range_raises(info_kernel, mag_range):

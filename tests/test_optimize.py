@@ -98,7 +98,8 @@ def test_gibbs_large_lambda_is_nearly_uniform(info_kernel):
 
 def test_gibbs_density_ratio_matches_closed_form(info_kernel, mag_range):
     dist = optimize_max_avg(_cfg(info_kernel, grid_n=1000, lam=1.0))
-    ratio = dist.density_at(1.338) / dist.density_at(0.25)
+    hi, lo = dist.density[mag_range.cell_of([1.338, 0.25], dist.cells)]
+    ratio = hi / lo
     formula = np.exp(
         info_kernel.transfer_potential(1.338, mag_range)
         - info_kernel.transfer_potential(0.25, mag_range)

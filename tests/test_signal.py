@@ -187,7 +187,8 @@ def dense_profile_oracle(raw, dist, ys, kinks=()):
         cuts = cuts[(cuts >= edges[0]) & (cuts <= edges[-1])]
         mid, half = 0.5 * (cuts[1:] + cuts[:-1]), 0.5 * (cuts[1:] - cuts[:-1])
         x = mid[:, None] + half[:, None] * _GL_NODES
-        dens = dist.density_at(mid)[:, None] * half[:, None] * _GL_WEIGHTS
+        dens = dist.density[dist.range.cell_of(mid, dist.cells)]
+        dens = dens[:, None] * half[:, None] * _GL_WEIGHTS
         atoms = np.dot(dist.atom_weights, raw(dist.atom_locations, y))
         out.append(float(np.sum(dens * raw(x, y)) + atoms))
     return np.array(out)
@@ -458,7 +459,7 @@ def _profile_alone_reference(dist, kernel, grid_n):
     edges = dist.cell_edges() if dist.has_density else None
     green = None
     if dist.has_density:
-        green = signal_module._green_density_signal(dist.density, edges, kernel, ys)
+        green = signal_module._green_density_signal(dist, kernel, ys)
     for lo in range(0, grid_n, GRID_BLOCK):
         block = slice(lo, lo + GRID_BLOCK)
         if dist.has_atoms:
@@ -585,7 +586,7 @@ def test_green_profile_matches_the_references(log_a, log_ratio, cells, grid, see
     got = accumulated_signal(dist, InfoOverlapKernel(), grid).values
     # the density term alone, at the grid and at every cell edge, a and b included
     targets = np.union1d(ys, edges)
-    term = signal_module._green_density_signal(dist.density, edges, InfoOverlapKernel(), targets)
+    term = signal_module._green_density_signal(dist, InfoOverlapKernel(), targets)
     for dtype in (np.float64, np.longdouble):
         pointwise = dtype is np.longdouble
         want = _info_reference(ys, edges, dist.density, *atoms, dtype=dtype)
@@ -603,7 +604,7 @@ def test_green_path_matches_mpmath_on_the_widest_range():
     # each cell's exact integral, at a, b, cell edges and inner targets
     dist, edges = _wide_green_case()
     ys = np.sort(np.concatenate((dist.range.grid(7), edges[[1, 2, 250, 498, 499]])))
-    got = signal_module._green_density_signal(dist.density, edges, InfoOverlapKernel(), ys)
+    got = signal_module._green_density_signal(dist, InfoOverlapKernel(), ys)
     want = _info_reference(ys, edges, dist.density, dtype=np.longdouble)
     with mpmath.workdps(40):
         e = [mpmath.mpf(float(v)) for v in edges]
@@ -629,12 +630,12 @@ def test_total_minus_prefix_fails_the_wide_range_oracle():
     P_y, Q_y = kernel.green_integrals(ys)
     prefix_p = np.concatenate(([0.0], np.cumsum(d * np.diff(P_e))))
     prefix_q = np.concatenate(([0.0], np.cumsum(d * np.diff(Q_e))))
-    k = np.clip(np.searchsorted(edges, ys, "right") - 1, 0, d.size - 1)
+    k = dist.range.cell_of(ys, d.size)
     left = prefix_p[k] + d[k] * (P_y - P_e[k])
     right = prefix_q[-1] - prefix_q[k + 1] + d[k] * (Q_e[k + 1] - Q_y)
     want = _info_reference(ys, edges, d, dtype=np.longdouble)
     assert _relative_error(q_y * left + p_y * right, want) > 100 * _GREEN_RTOL
-    got = signal_module._green_density_signal(d, edges, kernel, ys)
+    got = signal_module._green_density_signal(dist, kernel, ys)
     assert _relative_error(got, want) <= _GREEN_RTOL
 
 
